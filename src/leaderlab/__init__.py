@@ -11,7 +11,7 @@ rwstail    exact leader CDF and tail-bound envelopes for random wavelet series
 cli        command-line frontend with reproducible run manifests
 """
 
-from .core import (DataError, DyadicIndex, LeaderLabError, NonConvergenceError,
+from .core import (DataError, LeaderLabError, NonConvergenceError,
                    RegimeError, RegressionFit, RngSpec, Signal, linfit,
                    read_signal, standard_normal_quantile, write_signal)
 from .cumulants import (C1C2Estimate, CumulantFit, EstimateWithCI,

@@ -7,8 +7,7 @@ re-executes the recorded run and reproduces every output byte-for-byte
 (only manifest timestamps differ).
 
 Exit codes: 0 success, 2 usage error, 3 data or regime error,
-4 nonconvergence.  The environment variable LEADERLAB_THREADS caps the
-worker pool used for --ensemble and --reps fan-out.
+4 nonconvergence.
 """
 
 from __future__ import annotations
@@ -17,9 +16,7 @@ import argparse
 import datetime
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -44,23 +41,6 @@ class UsageError(Exception):
 
 def _now() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
-
-
-def _threads() -> int:
-    raw = os.environ.get("LEADERLAB_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _pool_map(fn, items):
-    n_workers = _threads()
-    items = list(items)
-    if n_workers <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=n_workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def _write_manifest(outdir: Path, command: str, params: dict, seed,
@@ -154,16 +134,14 @@ def run_generate(params: dict, outdir: Path) -> list[str]:
     if ensemble < 1:
         raise UsageError("--ensemble must be >= 1")
 
-    def one(i: int) -> tuple[int, Signal, ProcessSpec]:
+    outputs: list[str] = []
+    for i in range(ensemble):
         spec = ProcessSpec(kind=kind, n=n, params=proc_params,
                            rng=seed.substream(i))
-        return i, generate(spec), spec
-
-    outputs: list[str] = []
-    for i, sig, spec in _pool_map(one, range(ensemble)):
         name = outdir / (f"signal_{i:04d}.csv" if ensemble > 1
                          else "signal.csv")
-        outputs.extend(write_signal(sig, name, sidecar=spec.to_dict()))
+        outputs.extend(write_signal(generate(spec), name,
+                                    sidecar=spec.to_dict()))
     return outputs
 
 
@@ -255,14 +233,9 @@ def run_estimate(params: dict, outdir: Path) -> list[str]:
     if j_max < 3:
         raise DataError("signals too short for a 3-scale analysis")
 
-    def analyze_one(item):
-        _, sig = item
-        pyr = dwt(_truncate_for_levels(sig, j_max), basis, j_max)
-        return pyr, compute_leaders(pyr, variant)
-
-    analyzed = _pool_map(analyze_one, named)
-    pyramids = [a[0] for a in analyzed]
-    leaders = [a[1] for a in analyzed]
+    pyramids = [dwt(_truncate_for_levels(sig, j_max), basis, j_max)
+                for _, sig in named]
+    leaders = [compute_leaders(pyr, variant) for pyr in pyramids]
 
     scales_flag = params.get("scales", "auto")
     if scales_flag == "auto":
@@ -301,40 +274,42 @@ def run_test(params: dict, outdir: Path) -> list[str]:
     alpha = float(params.get("alpha", 0.05))
     b_reps = int(params.get("B", 99))
     reps = int(params.get("reps", 1))
+    if reps < 1:
+        raise UsageError("--reps must be >= 1")
     seed = RngSpec(int(params["seed"]))
     basis = basis_from_name(params.get("wavelet", "db3"))
     variant = {("1"): "one_leader", ("3"): "three_leader"}[
         str(params.get("variant", "3"))]
     j_max = max(scales)
 
-    def run_one(task):
-        idx, (name, sig), j, rep = task
-        pyr = dwt(_truncate_for_levels(sig, j_max), basis, j_max)
-        ell = compute_leaders(pyr, variant).clean_values(j)
-        if ell.size == 0 or np.any(ell <= 0):
-            raise DataError(f"no usable leaders in {name} at scale {j}")
-        logs = np.log(ell)
-        rng = seed.substream(idx)
-        if which == "shapiro":
-            rep_out = shapiro_wilk(logs, alpha=alpha, rng=rng)
-            p_or_t, thr = rep_out.p_value, alpha
-        else:
-            rep_out = logconcavity_test(logs, B=b_reps, alpha=alpha, rng=rng)
-            p_or_t, thr = rep_out.statistic, rep_out.details["threshold"]
-        return (name, j, rep, rep_out.name, rep_out.statistic, p_or_t, thr,
-                rep_out.rejected)
-
-    tasks = []
-    counter = 0
-    for name_sig in named:
+    # substreams are numbered in (signal, scale, rep) order; replayed
+    # tests.csv bytes depend on that numbering
+    rows = []
+    idx = 0
+    for name, sig in named:
+        leaders = compute_leaders(
+            dwt(_truncate_for_levels(sig, j_max), basis, j_max), variant)
         for j in scales:
-            for rep in range(reps):
-                tasks.append((counter, name_sig, j, rep))
-                counter += 1
-    rows = _pool_map(run_one, tasks)
+            ell = leaders.clean_values(j)
+            if ell.size == 0 or np.any(ell <= 0):
+                raise DataError(f"no usable leaders in {name} at scale {j}")
+            logs = np.log(ell)
+            for _ in range(reps):
+                rng = seed.substream(idx)
+                idx += 1
+                if which == "shapiro":
+                    rep_out = shapiro_wilk(logs, alpha=alpha, rng=rng)
+                    p_or_t, thr = rep_out.p_value, alpha
+                else:
+                    rep_out = logconcavity_test(logs, B=b_reps, alpha=alpha,
+                                                rng=rng)
+                    p_or_t, thr = (rep_out.statistic,
+                                   rep_out.details["threshold"])
+                rows.append((name, j, rep_out.name, rep_out.statistic,
+                             p_or_t, thr, rep_out.rejected))
 
     lines = ["signal,scale,test,statistic,p_or_T,threshold,rejected"]
-    for name, j, rep, tname, stat, p_or_t, thr, rej in rows:
+    for name, j, tname, stat, p_or_t, thr, rej in rows:
         lines.append(f"{name},{j},{tname},{stat:.17g},{p_or_t:.17g},"
                      f"{thr:.17g},{int(rej)}")
     (outdir / "tests.csv").write_text("\n".join(lines) + "\n",
@@ -342,7 +317,7 @@ def run_test(params: dict, outdir: Path) -> list[str]:
     agg_lines = ["source,scale,n_runs,prop_rejected"]
     for j in scales:
         sub = [r for r in rows if r[1] == j]
-        prop = sum(r[7] for r in sub) / len(sub)
+        prop = sum(r[6] for r in sub) / len(sub)
         agg_lines.append(f"{Path(params['input']).name},{j},{len(sub)},"
                          f"{prop:.17g}")
     (outdir / "tests_aggregate.csv").write_text("\n".join(agg_lines) + "\n",

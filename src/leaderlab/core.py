@@ -101,18 +101,6 @@ class Signal:
         return self.t0 + self.dt * np.arange(self.samples.size)
 
 
-@dataclass(frozen=True)
-class DyadicIndex:
-    """Position (j, k) in a dyadic grid; j is the level, k the translation."""
-
-    j: int
-    k: int
-
-    def __post_init__(self):
-        if self.j < 0 or self.k < 0:
-            raise DataError("dyadic indices must be nonnegative")
-
-
 @dataclass
 class RegressionFit:
     slope: float

@@ -15,8 +15,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import DataError, RegressionFit, RngSpec, linfit, standard_normal_quantile
-from .wavelet import CoefficientPyramid, LeaderPyramid, hmin_regression
+from .core import DataError, RngSpec, standard_normal_quantile
+from .wavelet import (CoefficientPyramid, LeaderPyramid, _level_sups,
+                      hmin_regression)
 
 LN2 = math.log(2.0)
 
@@ -29,7 +30,6 @@ class CumulantFit:
     per_scale: dict[int, float]
     c0: float
     cm: float
-    fit: RegressionFit
 
 
 @dataclass
@@ -91,11 +91,9 @@ def fit_cm(per_scale: dict[int, float], j_range: tuple[int, int],
     y = np.array([per_scale[j] for j in js])
     h = np.column_stack([np.ones_like(x), x])
     coef = np.linalg.solve(h.T @ h, h.T @ y)
-    c0, cm = float(coef[0]), float(coef[1])
-    fit = linfit(x, y)
     return CumulantFit(order=int(order),
                        per_scale={j: float(per_scale[j]) for j in js},
-                       c0=c0, cm=cm, fit=fit)
+                       c0=float(coef[0]), cm=float(coef[1]))
 
 
 @dataclass
@@ -239,10 +237,11 @@ def select_scale_range(pyramids: list[CoefficientPyramid],
             raise DataError(f"candidate ({j1},{j2}) narrower than 3 scales")
     votes: Counter = Counter()
     for pyr in pyramids:
+        sups = _level_sups(pyr)
         best, best_r2 = None, -np.inf
         for cand in candidates:
             try:
-                r2 = hmin_regression(pyr, cand).r_squared
+                r2 = hmin_regression(sups, cand).r_squared
             except DataError:
                 continue
             if r2 > best_r2:

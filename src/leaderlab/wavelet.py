@@ -514,21 +514,34 @@ def legendre_spectrum(zeta: dict[float, float], h_grid) -> dict[float, float]:
     return out
 
 
-def hmin_regression(pyramid: CoefficientPyramid,
+def _level_sups(pyramid: CoefficientPyramid) -> dict[int, float | None]:
+    """sup_k |c_{j,k}| over the clean coefficients of every level; None for
+    a level with no clean coefficient."""
+    out: dict[int, float | None] = {}
+    for j in pyramid.levels:
+        vals = pyramid.clean_values(j)
+        out[j] = np.max(np.abs(vals)) if vals.size else None
+    return out
+
+
+def hmin_regression(pyramid: CoefficientPyramid | dict[int, float | None],
                     j_range: tuple[int, int]) -> RegressionFit:
     """Fit of log2 sup_k |c_{j,k}| against log2(scale_j); slope estimates the
-    uniform regularity exponent, used for scale-range selection."""
+    uniform regularity exponent, used for scale-range selection.
+
+    `pyramid` may also be its `_level_sups`, so that fits over many ranges
+    share one pass over the coefficients.
+    """
+    sup_at = (_level_sups(pyramid) if isinstance(pyramid, CoefficientPyramid)
+              else pyramid)
     j1, j2 = int(j_range[0]), int(j_range[1])
-    js = [j for j in pyramid.levels if j1 <= j <= j2]
+    js = [j for j in sorted(sup_at) if j1 <= j <= j2]
     if len(js) < 2:
         raise DataError(f"need at least 2 levels in [{j1}, {j2}]")
-    sups = []
     for j in js:
-        vals = pyramid.clean_values(j)
-        if vals.size == 0:
+        if sup_at[j] is None:
             raise DataError(f"no usable coefficients at level {j}")
-        sups.append(np.max(np.abs(vals)))
-    sups = np.array(sups)
+    sups = np.array([sup_at[j] for j in js])
     if np.any(sups == 0.0):
         raise DataError("all-zero coefficient level in range; log regression undefined")
     return linfit(np.array(js, dtype=float), np.log2(sups))
@@ -556,18 +569,29 @@ def pyramid_to_json(obj: CoefficientPyramid | LeaderPyramid, path=None) -> str:
 
 
 def pyramid_from_json(text_or_path) -> CoefficientPyramid | LeaderPyramid:
-    p = Path(str(text_or_path))
-    text = p.read_text(encoding="utf-8") if p.exists() else str(text_or_path)
-    doc = json.loads(text)
-    scales = {int(j): np.asarray(v, dtype=float) for j, v in doc["scales"].items()}
-    valid = None
-    if "valid" in doc:
-        valid = {int(j): np.asarray(v, dtype=bool)
-                 for j, v in doc["valid"].items()}
-    if "variant" in doc:
-        return LeaderPyramid(leaders=scales, variant=doc["variant"],
-                             finest_level=int(doc["finest_level"]),
-                             valid=valid)
-    return CoefficientPyramid(coeffs=scales, norm=doc.get("norm", "L1"),
-                              boundary=doc.get("boundary", "periodic"),
-                              valid=valid)
+    """Parse the interchange JSON schema.  A str whose first non-blank
+    character is '{' is the document itself; any other argument names a
+    file holding it."""
+    text = str(text_or_path)
+    if not (isinstance(text_or_path, str) and text.lstrip().startswith("{")):
+        try:
+            text = Path(text).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise DataError(f"cannot read pyramid file {text!r}: {exc}") from exc
+    try:
+        doc = json.loads(text)
+        scales = {int(j): np.asarray(v, dtype=float)
+                  for j, v in doc["scales"].items()}
+        valid = None
+        if "valid" in doc:
+            valid = {int(j): np.asarray(v, dtype=bool)
+                     for j, v in doc["valid"].items()}
+        if "variant" in doc:
+            return LeaderPyramid(leaders=scales, variant=doc["variant"],
+                                 finest_level=int(doc["finest_level"]),
+                                 valid=valid)
+        return CoefficientPyramid(coeffs=scales, norm=doc.get("norm", "L1"),
+                                  boundary=doc.get("boundary", "periodic"),
+                                  valid=valid)
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise DataError(f"malformed pyramid JSON: {exc!r}") from exc

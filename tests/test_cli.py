@@ -3,7 +3,11 @@ from pathlib import Path
 
 import numpy as np
 
+from leaderlab import cli
 from leaderlab.cli import main
+from leaderlab.core import RngSpec, read_signal
+from leaderlab.stattests import logconcavity_test
+from leaderlab.wavelet import basis_from_name, compute_leaders, dwt
 
 
 def run(args):
@@ -204,6 +208,55 @@ class TestTestCommand:
         assert run(["test", "--input", tmp_path, "--which", "shapiro",
                     "-o", tmp_path / "x"]) == 2
 
+    def test_one_dwt_per_signal(self, tmp_path, monkeypatch):
+        ens = tmp_path / "ens"
+        run(["generate", "--process", "fbm", "--H", 0.5, "--n", 2048,
+             "--seed", 25, "--ensemble", 2, "-o", ens])
+        calls = []
+
+        def counting_dwt(*args, **kwargs):
+            calls.append(args)
+            return dwt(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "dwt", counting_dwt)
+        assert run(["test", "--input", ens, "--which", "shapiro",
+                    "--scale", "4,5", "--reps", 3, "--seed", 26,
+                    "-o", tmp_path / "t"]) == 0
+        assert len(calls) == 2
+
+    def test_substreams_in_signal_scale_rep_order(self, tmp_path):
+        ens = tmp_path / "ens"
+        run(["generate", "--process", "fbm", "--H", 0.6, "--n", 1024,
+             "--seed", 27, "--ensemble", 2, "-o", ens])
+        out = tmp_path / "t"
+        assert run(["test", "--input", ens, "--which", "logconcave",
+                    "--scale", "4,5", "--reps", 2, "--B", 19, "--seed", 28,
+                    "-o", out]) == 0
+        seed, basis = RngSpec(28), basis_from_name("db3")
+        expected, idx = [], 0
+        for f in sorted(ens.glob("*.csv")):
+            leaders = compute_leaders(dwt(read_signal(f), basis, 5),
+                                      "three_leader")
+            for j in (4, 5):
+                logs = np.log(leaders.clean_values(j))
+                for _ in range(2):
+                    rep = logconcavity_test(logs, B=19,
+                                            rng=seed.substream(idx))
+                    idx += 1
+                    expected.append(f"{f.stem},{j},{rep.name},"
+                                    f"{rep.statistic:.17g},"
+                                    f"{rep.statistic:.17g},"
+                                    f"{rep.details['threshold']:.17g},"
+                                    f"{int(rep.rejected)}")
+        assert (out / "tests.csv").read_text().splitlines()[1:] == expected
+
+    def test_reps_below_one_usage_error(self, tmp_path):
+        ens = tmp_path / "ens"
+        run(["generate", "--process", "fbm", "--H", 0.5, "--n", 1024,
+             "--seed", 29, "-o", ens])
+        assert run(["test", "--input", ens, "--which", "shapiro",
+                    "--reps", 0, "--seed", 30, "-o", tmp_path / "t"]) == 2
+
 
 class TestVerify:
     def test_worked_example(self, tmp_path):
@@ -229,15 +282,3 @@ class TestVerify:
         header = (out / "tailbounds.csv").read_text().splitlines()[0]
         assert header.endswith("mc_cdf,mc_stderr")
 
-
-class TestThreading:
-    def test_ensemble_under_thread_cap(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("LEADERLAB_THREADS", "3")
-        a = tmp_path / "a"
-        assert run(["generate", "--process", "fbm", "--H", 0.5, "--n", 512,
-                    "--seed", 22, "--ensemble", 5, "-o", a]) == 0
-        monkeypatch.setenv("LEADERLAB_THREADS", "1")
-        b = tmp_path / "b"
-        assert run(["generate", "--process", "fbm", "--H", 0.5, "--n", 512,
-                    "--seed", 22, "--ensemble", 5, "-o", b]) == 0
-        assert read_all_bytes(a) == read_all_bytes(b)

@@ -59,7 +59,6 @@ class TestFitCm:
         fit = fit_cm(per_scale, (1, 6), 1)
         assert fit.cm == pytest.approx(0.7, abs=1e-12)
         assert fit.c0 == pytest.approx(0.2, abs=1e-12)
-        assert fit.fit.r_squared == pytest.approx(1.0, abs=1e-12)
 
     def test_matches_linfit(self):
         gen = np.random.default_rng(31)
@@ -225,6 +224,15 @@ class TestScaleSelection:
         pyrs = [self._power_law_pyramid(s) for s in range(12)]
         cands = [(1, 5), (2, 6), (3, 7), (4, 8), (3, 6), (4, 7)]
         assert select_scale_range(pyrs, cands) == (3, 7)
+
+    def test_all_zero_level_skips_its_candidates(self):
+        pyrs = [self._power_law_pyramid(s, clean=(1, 5)) for s in range(4)]
+        assert select_scale_range(pyrs, [(1, 5), (4, 8)]) == (1, 5)
+        for pyr in pyrs:
+            pyr.coeffs[2] = np.zeros_like(pyr.coeffs[2])
+        assert select_scale_range(pyrs, [(1, 5), (4, 8)]) == (4, 8)
+        with pytest.raises(DataError):
+            select_scale_range(pyrs, [(1, 5), (2, 6)])
 
     def test_candidate_width_validation(self):
         pyr = self._power_law_pyramid(2)

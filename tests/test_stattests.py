@@ -268,9 +268,13 @@ class TestSampleFromMLE:
 
         d = scipy_stats.kstest(draws, cdf).statistic
         assert d <= 0.015
-        # closed-form inversion oracle on a fresh uniform stream
-        u = RngSpec(2002).generator(0).random(5)  # first draws: segment picks
         assert np.all((draws >= 0.0) & (draws <= 1.0))
+        # closed-form inversion on the replayed stream: segment picks, then u
+        gen = RngSpec(2002).generator(0)
+        gen.choice(1, size=draws.size, p=[1.0])
+        u = gen.random(draws.size)
+        assert np.allclose(draws, np.log1p(u * math.expm1(s)) / s,
+                           rtol=0.0, atol=1e-12)
 
     def test_mean_matches_closed_form(self):
         x = RngSpec(2003).generator().normal(2.0, 1.5, size=2000)

@@ -314,6 +314,36 @@ class TestSerialization:
             assert np.array_equal(back.leaders[j], lead.leaders[j])
             assert np.array_equal(back.valid_at(j), lead.valid_at(j))
 
+    def test_long_inline_document(self):
+        pyr = build_pyramid([np.linspace(-1.0, 1.0, 8) / 3.0,
+                             np.linspace(2.0, 3.0, 4) / 7.0, [0.1, -0.2]])
+        text = pyramid_to_json(pyr)
+        assert len(text) >= 256
+        back = pyramid_from_json(text)
+        for j in pyr.levels:
+            assert np.array_equal(back.coeffs[j], pyr.coeffs[j])
+
+    def test_path_as_str(self, tmp_path):
+        pyr = build_pyramid([[1.0, -2.0], [3.0]])
+        path = tmp_path / "pyr.json"
+        pyramid_to_json(pyr, path)
+        back = pyramid_from_json(str(path))
+        assert np.array_equal(back.coeffs[2], pyr.coeffs[2])
+
+    @pytest.mark.parametrize("text", [
+        '{"scales": {"1": [1.0,', '{"j_min": 1}', '{"scales": [1.0]}',
+        '{"scales": {"a": [1.0]}}',
+        '{"scales": {"1": [1.0]}, "variant": "one_leader"}'])
+    def test_malformed_document(self, text):
+        with pytest.raises(DataError):
+            pyramid_from_json(text)
+
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(DataError):
+            pyramid_from_json(tmp_path / "absent.json")
+        with pytest.raises(DataError):
+            pyramid_from_json("x" * 300)
+
     def test_structure_csv(self, tmp_path):
         lead = compute_leaders(build_pyramid([[2.0, 4.0]]), "one_leader")
         tab = structure_functions(lead, [1.0, 2.0])
