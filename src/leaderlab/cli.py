@@ -30,9 +30,9 @@ from .cumulants import (bootstrap_percentile, estimate_c1_c2,
 from .rwstail import RwsModel, verify_tail_rates
 from .stattests import logconcavity_test, qq_data, shapiro_wilk
 from .synth import ProcessSpec, generate
-from .wavelet import (basis_from_name, compute_leaders, dwt, max_levels,
-                      pyramid_to_json, scaling_function, structure_functions,
-                      legendre_spectrum)
+from .wavelet import (basis_from_name, compute_leaders, dwt, fits_levels,
+                      max_levels, pyramid_to_json, scaling_function,
+                      structure_functions, legendre_spectrum)
 
 
 class UsageError(Exception):
@@ -270,7 +270,14 @@ def run_test(params: dict, outdir: Path) -> list[str]:
     which = params["which"]
     if which not in ("shapiro", "logconcave"):
         raise UsageError("--which must be shapiro or logconcave")
-    scales = [int(s) for s in str(params.get("scale", "4,5,6")).split(",")]
+    spec = str(params.get("scale", "4,5,6"))
+    try:
+        scales = [int(s) for s in spec.split(",")]
+    except ValueError:
+        raise UsageError(f"--scale {spec!r} must be a comma list of "
+                         "integer levels") from None
+    if min(scales) < 1:
+        raise UsageError("--scale levels must be >= 1")
     alpha = float(params.get("alpha", 0.05))
     b_reps = int(params.get("B", 99))
     reps = int(params.get("reps", 1))
@@ -281,6 +288,10 @@ def run_test(params: dict, outdir: Path) -> list[str]:
     variant = {("1"): "one_leader", ("3"): "three_leader"}[
         str(params.get("variant", "3"))]
     j_max = max(scales)
+    for name, sig in named:
+        if not fits_levels(len(sig), basis, j_max):
+            raise UsageError(f"--scale {j_max} is deeper than {name} of "
+                             f"{len(sig)} samples allows")
 
     # substreams are numbered in (signal, scale, rep) order; replayed
     # tests.csv bytes depend on that numbering

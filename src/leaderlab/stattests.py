@@ -490,44 +490,76 @@ def sample_from_mle(model: LogConcaveMLE, n: int, rng: RngSpec) -> np.ndarray:
 # Ball-discrepancy statistic and the permutation test of log-concavity
 
 _CHUNK_ELEMENTS = 8_000_000
+# a sum of at most m labels of +-1 lies within +-m, so it fits int16 while
+# m < 2^15; the int16 gathers halve the statistic's time at m ~ 2000
+_INT16_POINTS = 2 ** 15
 
 
-def _ball_geometry(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-center inclusion order of the pooled points and the positions
-    where a radius sweep completes a tie group of equal distances."""
+def _ball_geometry(z: np.ndarray) -> np.ndarray:
+    """Bitmap of the distinct balls around the sorted pooled sample `z`.
+
+    A ball around center i stops growing only where a tie group of equal
+    distances is complete, and it then holds exactly the points within that
+    distance: on the sorted sample, a contiguous index interval [L, R].  At
+    such a stop of center i's inclusion order, L is the running minimum of
+    the order and R its running maximum.  The result `balls` has shape
+    (m, m + 1) and balls[L, R + 1] is True iff some ball is [L, R]; the
+    bitmap drops the balls that several centers share without a sort.
+
+    Centers are taken in chunks of about `_CHUNK_ELEMENTS` distances, so
+    the memory beyond the m (m + 1) bytes of the bitmap is at most 25 bytes
+    per chunk element: the distances, their order and its sorted copy.
+    """
     m = z.size
-    order = np.empty((m, m), dtype=np.int32)
-    valid = np.empty((m, m), dtype=bool)
+    balls = np.zeros((m, m + 1), dtype=bool)
     rows = max(1, _CHUNK_ELEMENTS // m)
     for start in range(0, m, rows):
-        stop = min(start + rows, m)
-        d = np.abs(z[None, start:stop].T - z[None, :])
-        o = np.argsort(d, axis=1, kind="stable").astype(np.int32)
-        ds = np.take_along_axis(d, o, axis=1)
-        order[start:stop] = o
-        valid[start:stop, :-1] = ds[:, 1:] > ds[:, :-1]
-        valid[start:stop, -1] = True
-    return order, valid
+        d = np.subtract.outer(z[start:start + rows], z)
+        np.abs(d, out=d)
+        order = np.argsort(d, axis=1)
+        ds = np.take_along_axis(d, order, axis=1)
+        stops = np.empty(ds.shape, dtype=bool)
+        np.greater(ds[:, 1:], ds[:, :-1], out=stops[:, :-1])
+        stops[:, -1] = True
+        del d, ds
+        left = np.minimum.accumulate(order, axis=1)
+        right = np.maximum.accumulate(order, axis=1, out=order)
+        right += 1
+        right *= stops      # positions inside a tie group go to column 0
+        balls[left, right] = True
+    balls[:, 0] = False
+    return balls
 
 
-def _batch_interval_stat(order: np.ndarray, valid: np.ndarray,
-                         labels: np.ndarray) -> np.ndarray:
-    """Max over centers and radii of |sum of labels inside the ball|, for
-    each row of `labels` (integer +-1 per pooled point)."""
-    m = order.shape[0]
-    out = np.empty(labels.shape[0], dtype=np.int64)
-    rows = max(1, _CHUNK_ELEMENTS // m)
-    for r in range(labels.shape[0]):
-        s = labels[r].astype(np.int32)
-        best = 0
-        for start in range(0, m, rows):
-            stop = min(start + rows, m)
-            c = np.cumsum(s[order[start:stop]], axis=1)
-            np.abs(c, out=c)
-            c[~valid[start:stop]] = 0
-            best = max(best, int(c.max()))
-        out[r] = best
-    return out
+def _batch_interval_stat(balls: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Max over the balls of |sum of labels inside the ball|, for each row
+    of `labels` (integer +-1 per pooled point).
+
+    With P the prefix sums of a label row, the sum over the ball [L, R] is
+    P[R + 1] - P[L], so all k rows are done at once on a (m + 1, k) prefix
+    array, int16 while m < `_INT16_POINTS` and int32 from there on.  Memory
+    beyond the bitmap: that array (2 or 4 bytes per entry), the indices of
+    the balls in one block of about `_CHUNK_ELEMENTS` bitmap entries (16
+    bytes per ball), and two gathers of at most `_CHUNK_ELEMENTS` prefix
+    entries each, whatever k is.
+    """
+    m = balls.shape[0]
+    cols = labels.shape[0]
+    dtype = np.int16 if m < _INT16_POINTS else np.int32
+    prefix = np.zeros((m + 1, cols), dtype=dtype)
+    np.cumsum(labels.T, axis=0, dtype=dtype, out=prefix[1:])
+    best = np.zeros(cols, dtype=dtype)
+    rows = max(1, _CHUNK_ELEMENTS // (m + 1))
+    per = max(1, _CHUNK_ELEMENTS // cols)
+    for start in range(0, m, rows):
+        lo, hi = np.nonzero(balls[start:start + rows])
+        lo += start
+        for a in range(0, lo.size, per):
+            diff = prefix[hi[a:a + per]]
+            diff -= prefix[lo[a:a + per]]
+            np.abs(diff, out=diff)
+            np.maximum(best, diff.max(axis=0), out=best)
+    return best.astype(np.int64)
 
 
 def interval_discrepancy(x, xstar) -> float:
@@ -542,8 +574,8 @@ def interval_discrepancy(x, xstar) -> float:
     labels = np.concatenate([np.ones(n, dtype=np.int8),
                              -np.ones(n, dtype=np.int8)])
     idx = np.argsort(z, kind="stable")
-    order, valid = _ball_geometry(z[idx])
-    t_int = _batch_interval_stat(order, valid, labels[idx][None, :])[0]
+    t_int = _batch_interval_stat(_ball_geometry(z[idx]),
+                                 labels[idx][None, :])[0]
     return float(t_int) / n
 
 
@@ -556,7 +588,10 @@ def logconcavity_test(samples, B: int = 99, alpha: float = 0.05,
     it, computes the ball discrepancy T between the two samples, then builds
     B replicate statistics by randomly relabeling the pooled values.  The
     hypothesis is rejected when T exceeds the ceil((B+1)(1-alpha))-th order
-    statistic of the replicates.
+    statistic of the replicates.  `details` holds that threshold, the knot
+    count of the MLE and `n_balls`, the number of distinct balls (index
+    intervals of the pooled sample) over which T and the replicates are
+    maximized.
     """
     x = np.asarray(samples, dtype=float)
     if x.size < 2:
@@ -573,14 +608,14 @@ def logconcavity_test(samples, B: int = 99, alpha: float = 0.05,
     base = np.concatenate([np.ones(n, dtype=np.int8),
                            -np.ones(n, dtype=np.int8)])
     idx = np.argsort(z, kind="stable")
-    order, valid = _ball_geometry(z[idx])
+    balls = _ball_geometry(z[idx])
 
     gen_perm = rng.generator(2)
     labels = np.empty((B + 1, 2 * n), dtype=np.int8)
     labels[0] = base[idx]
     for b in range(1, B + 1):
         labels[b] = gen_perm.permutation(base)
-    t_all = _batch_interval_stat(order, valid, labels)
+    t_all = _batch_interval_stat(balls, labels)
     t_obs = float(t_all[0]) / n
     t_star = np.sort(t_all[1:]) / n
 
@@ -593,4 +628,5 @@ def logconcavity_test(samples, B: int = 99, alpha: float = 0.05,
                       p_value=None, alpha=alpha, rejected=t_obs > threshold,
                       n=n, B=B, seed=rng,
                       details={"threshold": threshold,
-                               "n_knots": int(model.knots.size)})
+                               "n_knots": int(model.knots.size),
+                               "n_balls": int(np.count_nonzero(balls))})

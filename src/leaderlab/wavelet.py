@@ -285,6 +285,12 @@ def max_levels(n: int, basis: WaveletBasis) -> int:
     return j
 
 
+def fits_levels(n: int, basis: WaveletBasis, j_max: int) -> bool:
+    """Whether n samples, truncated to a multiple of 2^j_max, leave at least
+    one filter length of coefficients at level j_max."""
+    return n >> j_max >= basis.length
+
+
 def _analysis_step(a: np.ndarray, basis: WaveletBasis) -> tuple[np.ndarray, np.ndarray]:
     m_len = a.size
     half = m_len // 2
@@ -335,7 +341,7 @@ def dwt(signal: Signal, basis: WaveletBasis, j_max: int) -> CoefficientPyramid:
     if n % (1 << j_max) != 0:
         raise DataError(
             f"signal length {n} is not divisible by 2^{j_max}; truncate first")
-    if n < (1 << j_max) * basis.length:
+    if not fits_levels(n, basis, j_max):
         raise DataError(
             f"signal too short for {j_max} levels of {basis.name}: "
             f"need at least {(1 << j_max) * basis.length} samples, have {n}")

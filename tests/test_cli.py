@@ -2,6 +2,7 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from leaderlab import cli
 from leaderlab.cli import main
@@ -256,6 +257,22 @@ class TestTestCommand:
              "--seed", 29, "-o", ens])
         assert run(["test", "--input", ens, "--which", "shapiro",
                     "--reps", 0, "--seed", 30, "-o", tmp_path / "t"]) == 2
+
+    @pytest.mark.parametrize("scale", ["0,4", "x", "-1", "9"])
+    def test_bad_scale_usage_error(self, tmp_path, capsys, scale):
+        # 0 and -1 are not leader levels, x is not an integer, and a
+        # 1024-sample signal has only 1024 >> 9 = 2 < 6 (db3 length)
+        # samples left at level 9
+        ens = tmp_path / "ens"
+        run(["generate", "--process", "fbm", "--H", 0.5, "--n", 1024,
+             "--seed", 31, "-o", ens])
+        capsys.readouterr()
+        out = tmp_path / "t"
+        assert run(["test", "--input", ens, "--which", "shapiro",
+                    "--scale", scale, "--seed", 32, "-o", out]) == 2
+        err = capsys.readouterr().err
+        assert "--scale" in err and "Traceback" not in err
+        assert not (out / "tests.csv").exists()
 
 
 class TestVerify:

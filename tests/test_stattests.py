@@ -5,8 +5,10 @@ import pytest
 from scipy import stats as scipy_stats
 from scipy.optimize import minimize
 
+from leaderlab import stattests
 from leaderlab.core import DataError, RngSpec, standard_normal_quantile
-from leaderlab.stattests import (LogConcaveMLE, fit_logconcave_mle,
+from leaderlab.stattests import (LogConcaveMLE, _ball_geometry,
+                                 _batch_interval_stat, fit_logconcave_mle,
                                  interval_discrepancy, logconcavity_test,
                                  qq_data, sample_from_mle, shapiro_wilk)
 
@@ -326,6 +328,106 @@ class TestIntervalDiscrepancy:
             interval_discrepancy([1.0, 2.0], [1.0])
 
 
+def brute_force_balls(z):
+    """Distinct balls around the points of z, as (first, last) index pairs
+    of the points each one holds."""
+    balls = set()
+    for c in z:
+        dist = np.abs(z - c)
+        for d in np.unique(dist):
+            inside = np.flatnonzero(dist <= d)
+            balls.add((int(inside[0]), int(inside[-1])))
+    return balls
+
+
+# pooled samples with exact ties, and multiples k * 0.1: around a center,
+# the computed distances to the points k steps left and right are equal for
+# some centers and k (4 * 0.1 - 3 * 0.1 == 5 * 0.1 - 4 * 0.1) and not for
+# others (2 * 0.1 - 1 * 0.1 != 3 * 0.1 - 2 * 0.1)
+TIED_SAMPLES = {
+    "rounded": lambda gen, n: (np.round(gen.normal(size=n), 1),
+                               np.round(gen.normal(size=n) * 1.4, 1)),
+    "integers": lambda gen, n: (gen.integers(0, 6, n).astype(float),
+                                gen.integers(0, 6, n).astype(float)),
+    "tenths": lambda gen, n: tuple(np.split(
+        gen.permutation(2 * n) * 0.1, 2)),
+}
+
+
+def pooled_rows(x, xs, n_rows, seed):
+    """Sorted pooled sample, the labels of the (x, xs) split on it, and
+    n_rows - 1 random relabelings."""
+    n = len(x)
+    z = np.concatenate([x, xs])
+    base = np.concatenate([np.ones(n, dtype=np.int8),
+                           -np.ones(n, dtype=np.int8)])
+    idx = np.argsort(z, kind="stable")
+    gen = RngSpec(seed).generator()
+    labels = np.stack([base[idx]] + [gen.permutation(base)
+                                     for _ in range(n_rows - 1)])
+    return z[idx], labels
+
+
+class TestBallKernel:
+    @pytest.mark.parametrize("kind", sorted(TIED_SAMPLES))
+    def test_geometry_matches_brute_force(self, kind):
+        x, xs = TIED_SAMPLES[kind](RngSpec(3101).generator(), 30)
+        z, _ = pooled_rows(x, xs, 1, 3102)
+        lo, hi = np.nonzero(_ball_geometry(z))
+        assert set(zip(lo.tolist(), (hi - 1).tolist())) == brute_force_balls(z)
+
+    @pytest.mark.parametrize("prefix", ["int16", "int32"])
+    @pytest.mark.parametrize("kind", sorted(TIED_SAMPLES))
+    def test_every_row_matches_brute_force(self, monkeypatch, kind, prefix):
+        if prefix == "int32":
+            # the prefix array of pooled samples of 2^15 points and more
+            monkeypatch.setattr(stattests, "_INT16_POINTS", 0)
+        n = 20
+        x, xs = TIED_SAMPLES[kind](RngSpec(3103).generator(), n)
+        z, labels = pooled_rows(x, xs, 6, 3104)
+        t = _batch_interval_stat(_ball_geometry(z), labels)
+        assert t.shape == (6,)
+        for row, t_row in zip(labels, t):
+            assert t_row == round(
+                n * brute_force_T(z[row == 1], z[row == -1]))
+
+    @pytest.mark.parametrize("chunk", [7, "two_rows"])
+    def test_chunks_cut_through_centers(self, monkeypatch, chunk):
+        n = 60
+        x, xs = TIED_SAMPLES["rounded"](RngSpec(3105).generator(), n)
+        z, labels = pooled_rows(x, xs, 9, 3106)
+        balls = _ball_geometry(z)
+        t = _batch_interval_stat(balls, labels)
+        sample = RngSpec(3107).generator().standard_t(4, size=n)
+        rep = logconcavity_test(sample, B=19, rng=RngSpec(3108))
+        # 7 elements: one center per chunk and one ball per gather; two
+        # rows plus a few: gathers end inside the balls of one bitmap row
+        monkeypatch.setattr(stattests, "_CHUNK_ELEMENTS",
+                            7 if chunk == 7 else 2 * z.size + 5)
+        small = _ball_geometry(z)
+        assert np.array_equal(small, balls)
+        assert np.array_equal(_batch_interval_stat(small, labels), t)
+        again = logconcavity_test(sample, B=19, rng=RngSpec(3108))
+        assert again.to_dict() == rep.to_dict()
+
+    # (seed, n, draw, statistic, threshold, rejected), as computed by the
+    # per-replicate cumulative-sum kernel this one replaced
+    GOLDEN = [
+        (4101, 60, "normal", 0.2, 0.26666666666666666, False),
+        (4102, 250, "standard_t", 0.116, 0.14, False),
+        (4103, 500, "standard_cauchy", 0.376, 0.11, True),
+    ]
+
+    @pytest.mark.parametrize("seed,n,draw,stat,threshold,rejected", GOLDEN)
+    def test_golden_reports(self, seed, n, draw, stat, threshold, rejected):
+        gen = RngSpec(seed).generator()
+        x = (gen.standard_t(5, size=n) if draw == "standard_t"
+             else getattr(gen, draw)(size=n))
+        rep = logconcavity_test(x, B=99, alpha=0.05, rng=RngSpec(seed, 1))
+        assert (rep.statistic, rep.details["threshold"], rep.rejected) == (
+            stat, threshold, rejected)
+
+
 class TestLogConcavityTest:
     def test_report_fields_and_threshold_rule(self):
         x = RngSpec(4001).generator().normal(size=120)
@@ -335,6 +437,8 @@ class TestLogConcavityTest:
         assert rep.p_value is None
         assert rep.details["threshold"] >= 0.0
         assert rep.rejected == (rep.statistic > rep.details["threshold"])
+        n_balls = rep.details["n_balls"]
+        assert isinstance(n_balls, int) and 0 < n_balls <= (2 * 120) ** 2
 
     def test_tiny_b_never_rejects(self):
         # ceil((B+1)(1-alpha)) > B makes the threshold +inf

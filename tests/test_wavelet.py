@@ -9,7 +9,7 @@ from leaderlab.core import DataError, RngSpec, Signal
 from leaderlab.synth import gen_fbm
 from leaderlab.wavelet import (DAUBECHIES_FILTERS, basis_from_name,
                                compute_leaders, daubechies_basis, dwt,
-                               hmin_regression, idwt, legendre_spectrum,
+                               fits_levels, hmin_regression, idwt, legendre_spectrum,
                                pyramid_from_json, pyramid_to_json,
                                scaling_function, structure_functions)
 
@@ -91,6 +91,20 @@ class TestDwt:
             dwt(Signal(np.arange(32, dtype=float)), basis, 3)  # too short
         with pytest.raises(DataError):
             dwt(Signal(np.arange(64, dtype=float)), basis, 0)
+
+    @pytest.mark.parametrize("j_max", [1, 2, 3, 4])
+    def test_fits_levels_is_the_depth_rule(self, j_max):
+        # db3 has 6 taps: 2^j_max * 6 samples is the shortest length dwt
+        # accepts, and fits_levels says so for it and for no shorter one
+        basis = daubechies_basis(3)
+        for n in range(1 << j_max, 10 << j_max, 1 << j_max):
+            fits = fits_levels(n, basis, j_max)
+            assert fits == (n >= 6 << j_max)
+            if fits:
+                dwt(Signal(np.zeros(n)), basis, j_max)
+            else:
+                with pytest.raises(DataError, match="too short"):
+                    dwt(Signal(np.zeros(n)), basis, j_max)
 
 
 class TestLeaders:
