@@ -63,27 +63,31 @@ def _parse_range(spec: str) -> np.ndarray:
         part = part.strip()
         if not part:
             continue
-        if ":" in part:
-            bits = part.split(":")
-            if len(bits) != 3:
-                raise UsageError(f"range {part!r} must be start:step:stop")
-            a, step, b = (float(x) for x in bits)
-            if step <= 0:
-                raise UsageError("range step must be > 0")
-            k = int(math.floor((b - a) / step + 1e-9)) + 1
-            out.extend(a + step * i for i in range(max(k, 0)))
-        else:
-            out.append(float(part))
+        try:
+            values = [float(x) for x in part.split(":")]
+        except ValueError:
+            values = []
+        if len(values) not in (1, 3) or not all(map(math.isfinite, values)):
+            raise UsageError(f"grid part {part!r} must be a finite number "
+                             "or start:step:stop")
+        if len(values) == 1:
+            out.append(values[0])
+            continue
+        a, step, b = values
+        if step <= 0:
+            raise UsageError("range step must be > 0")
+        k = int(math.floor((b - a) / step + 1e-9)) + 1
+        out.extend(a + step * i for i in range(max(k, 0)))
     if not out:
         raise UsageError(f"empty grid spec {spec!r}")
     return np.array(out)
 
 
 def _parse_scale_pair(spec: str) -> tuple[int, int]:
-    bits = spec.split(":")
-    if len(bits) != 2:
-        raise UsageError(f"scale range {spec!r} must be j1:j2")
-    j1, j2 = int(bits[0]), int(bits[1])
+    try:
+        j1, j2 = (int(b) for b in spec.split(":"))
+    except ValueError:
+        raise UsageError(f"scale range {spec!r} must be j1:j2 levels") from None
     if j2 <= j1:
         raise UsageError("scale range needs j1 < j2")
     return j1, j2
@@ -383,8 +387,16 @@ def run_replay(manifest_path: str, outdir: Path) -> int:
     p = Path(manifest_path)
     if not p.exists():
         raise DataError(f"no manifest at {p}")
-    doc = json.loads(p.read_text(encoding="utf-8"))
-    return _dispatch(doc["command"], doc["params"], outdir)
+    try:
+        doc = json.loads(p.read_text(encoding="utf-8"))
+        command, params = doc["command"], doc["params"]
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise DataError(f"malformed manifest {p}: {exc!r}") from exc
+    if not (isinstance(command, str) and command in _RUNNERS
+            and isinstance(params, dict)):
+        raise DataError(f"manifest {p} holds no runnable command: "
+                        f"{command!r}")
+    return _dispatch(command, params, outdir)
 
 
 def _build_parser() -> argparse.ArgumentParser:

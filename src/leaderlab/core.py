@@ -231,7 +231,10 @@ def read_signal(path) -> Signal:
     path = Path(path)
     if not path.exists():
         raise DataError(f"no such signal file: {path}")
-    text = path.read_text(encoding="utf-8").strip()
+    try:
+        text = path.read_text(encoding="utf-8").strip()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read signal file {path}: {exc}") from exc
     if not text:
         raise DataError(f"empty signal file: {path}")
     lines = text.splitlines()
@@ -240,10 +243,13 @@ def read_signal(path) -> Signal:
 
     side = path.with_suffix(path.suffix + ".json")
     if side.exists():
-        meta = json.loads(side.read_text(encoding="utf-8"))
-        label = meta.get("label", label)
-        t0 = float(meta.get("t0", t0))
-        dt = float(meta.get("dt", dt))
+        try:
+            meta = json.loads(side.read_text(encoding="utf-8"))
+            label = meta.get("label", label)
+            t0 = float(meta.get("t0", t0))
+            dt = float(meta.get("dt", dt))
+        except (OSError, ValueError, TypeError, AttributeError) as exc:
+            raise DataError(f"malformed sidecar {side}: {exc}") from exc
 
     first = lines[0].replace(" ", "")
     if first.lower().startswith("t,value"):

@@ -321,8 +321,7 @@ def _constraint_multipliers(prob: "_MLEProblem", knots_idx: np.ndarray,
     return lam
 
 
-def fit_logconcave_mle(samples, tol_objective: float = 1e-8,
-                       tol_concavity: float = 1e-9,
+def fit_logconcave_mle(samples, tol_concavity: float = 1e-9,
                        max_outer: int = 200,
                        max_inner: int = 200) -> LogConcaveMLE:
     """Maximum-likelihood log-concave density of a univariate sample.

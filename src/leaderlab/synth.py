@@ -55,14 +55,12 @@ class ProcessSpec:
 
 
 def _circulant_gaussian(acov: np.ndarray, n: int,
-                        gen: np.random.Generator,
-                        max_doublings: int = 3) -> np.ndarray:
+                        gen: np.random.Generator) -> np.ndarray:
     """Exact stationary Gaussian sample by circulant embedding.
 
-    `acov` must provide autocovariances for lags 0..M where M >= n (the
-    caller re-supplies a longer array when the embedding is retried at
-    doubled size).  Raises NonConvergenceError after `max_doublings` retries
-    with an indefinite embedding.
+    `acov` must provide autocovariances for lags 0..M where M >= n.  Raises
+    NonConvergenceError when the embedding is indefinite;
+    `_sample_with_retries` then retries at doubled size.
     """
     m = acov.size - 1
     if m < n:

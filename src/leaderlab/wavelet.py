@@ -291,44 +291,6 @@ def fits_levels(n: int, basis: WaveletBasis, j_max: int) -> bool:
     return n >> j_max >= basis.length
 
 
-def _analysis_step(a: np.ndarray, basis: WaveletBasis) -> tuple[np.ndarray, np.ndarray]:
-    m_len = a.size
-    half = m_len // 2
-    detail = np.zeros(half)
-    approx = np.zeros(half)
-    for m in range(basis.length):
-        shifted = np.roll(a, -m)[::2]
-        detail += basis.filter_hi[m] * shifted
-        approx += basis.filter_lo[m] * shifted
-    return approx, detail
-
-
-def _mask_step(bad: np.ndarray, filt_len: int) -> np.ndarray:
-    """Positions whose filter window wraps past the end or reads a sample
-    already tainted by the wrap."""
-    m_len = bad.size
-    out = np.zeros(m_len // 2, dtype=bool)
-    k = np.arange(m_len // 2)
-    for m in range(filt_len):
-        out |= bad[(2 * k + m) % m_len]
-    out |= 2 * k + filt_len - 1 >= m_len
-    return out
-
-
-def _synthesis_step(approx: np.ndarray, detail: np.ndarray,
-                    basis: WaveletBasis) -> np.ndarray:
-    m_len = 2 * approx.size
-    ua = np.zeros(m_len)
-    ud = np.zeros(m_len)
-    ua[::2] = approx
-    ud[::2] = detail
-    out = np.zeros(m_len)
-    for m in range(basis.length):
-        out += basis.filter_lo[m] * np.roll(ua, m)
-        out += basis.filter_hi[m] * np.roll(ud, m)
-    return out
-
-
 def dwt(signal: Signal, basis: WaveletBasis, j_max: int) -> CoefficientPyramid:
     """Periodic orthonormal DWT rescaled to the L1 coefficient convention.
 
@@ -345,15 +307,25 @@ def dwt(signal: Signal, basis: WaveletBasis, j_max: int) -> CoefficientPyramid:
         raise DataError(
             f"signal too short for {j_max} levels of {basis.name}: "
             f"need at least {(1 << j_max) * basis.length} samples, have {n}")
+    lo, hi, filt_len = basis.filter_lo, basis.filter_hi, basis.length
     coeffs: dict[int, np.ndarray] = {}
     valid: dict[int, np.ndarray] = {}
     approx = signal.samples.astype(float)
-    bad = np.zeros(n, dtype=bool)
+    n_clean = n
     for j in range(1, j_max + 1):
-        approx, detail = _analysis_step(approx, basis)
-        bad = _mask_step(bad, basis.length)
+        m_len = approx.size
+        ext = np.concatenate((approx, approx[:filt_len - 1]))
+        detail = np.zeros(m_len // 2)
+        approx = np.zeros(m_len // 2)
+        for m in range(filt_len):
+            window = ext[m:m + m_len:2]
+            detail += hi[m] * window
+            approx += lo[m] * window
+        # coefficient k is clean iff its footprint
+        # [2^j k, 2^j k + (2^j - 1)(L - 1)] lies in [0, n): a prefix of k
+        n_clean = max((n_clean - filt_len) // 2 + 1, 0)
         coeffs[j] = detail * 2.0 ** (-j / 2.0)
-        valid[j] = ~bad
+        valid[j] = np.arange(m_len // 2) < n_clean
     return CoefficientPyramid(coeffs=coeffs, valid=valid)
 
 
@@ -363,16 +335,28 @@ def idwt(pyramid: CoefficientPyramid, basis: WaveletBasis,
     levels = pyramid.levels
     if not levels:
         raise DataError("empty pyramid")
+    _validate_halving(pyramid.coeffs)
     top = levels[-1]
     if approx is None:
         approx = np.zeros(pyramid.n_at(top))
     approx = np.asarray(approx, dtype=float)
     if approx.size != pyramid.n_at(top):
         raise DataError("approximation length does not match the coarsest level")
+    lo, hi = basis.filter_lo, basis.filter_hi
+    p = (basis.length - 1) // 2
     out = approx
-    for j in sorted(levels, reverse=True):
-        detail = pyramid.coeffs[j] * 2.0 ** (j / 2.0)
-        out = _synthesis_step(out, detail, basis)
+    for j in reversed(levels):
+        h = out.size
+        # p leading samples by wrap indexing, so levels shorter than the
+        # filter work too; tap m reads input k - m // 2 into out[2k + m % 2]
+        wrap = np.arange(-p, h) % h
+        ea = out[wrap]
+        ed = (pyramid.coeffs[j] * 2.0 ** (j / 2.0))[wrap]
+        out = np.zeros(2 * h)
+        for m in range(basis.length):
+            s = p - m // 2
+            out[m % 2::2] += lo[m] * ea[s:s + h]
+            out[m % 2::2] += hi[m] * ed[s:s + h]
     return out
 
 

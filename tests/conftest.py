@@ -48,7 +48,10 @@ def brute_force_leaders(pyramid, variant):
 
 
 def naive_periodic_dwt(samples, lo, hi, j_max):
-    """Scalar-level periodic filter bank, L1-normalized, for oracle use."""
+    """Scalar-level periodic filter bank, L1-normalized, for oracle use.
+
+    Returns the details per level and the coarsest approximation; taps are
+    summed in filter order, as `dwt` sums them, so the bits agree."""
     approx = np.asarray(samples, dtype=float).copy()
     out = {}
     for j in range(1, j_max + 1):
@@ -66,4 +69,42 @@ def naive_periodic_dwt(samples, lo, hi, j_max):
             app[k] = acc_a
         out[j] = det * 2.0 ** (-j / 2.0)
         approx = app
+    return out, approx
+
+
+def naive_periodic_idwt(coeffs, approx, lo, hi):
+    """Scalar-level periodic synthesis, coarsest level first, for oracle use.
+
+    out[i] sums, over the taps m with i - m even in filter order, lo[m] times
+    the approximation then hi[m] times the detail at (i - m) / 2 modulo the
+    level length, as `idwt` sums them."""
+    out = np.asarray(approx, dtype=float)
+    for j in sorted(coeffs, reverse=True):
+        det = np.asarray(coeffs[j], dtype=float) * 2.0 ** (j / 2.0)
+        h = out.size
+        nxt = np.zeros(2 * h)
+        for i in range(2 * h):
+            acc = 0.0
+            for m in range(len(lo)):
+                if (i - m) % 2 == 0:
+                    k = ((i - m) // 2) % h
+                    acc += lo[m] * out[k]
+                    acc += hi[m] * det[k]
+            nxt[i] = acc
+        out = nxt
+    return out
+
+
+def footprint_valid(n, filt_len, j_max):
+    """Wrap masks of a length-n periodic DWT by enumeration: a coefficient
+    is clean when every sample it reads, through every finer level, is read
+    without wrapping.  A wrapped read stands for the out-of-range sample n."""
+    reads = [{t} for t in range(n)]
+    out = {}
+    for j in range(1, j_max + 1):
+        size = len(reads)
+        reads = [set().union(*(reads[2 * k + m] if 2 * k + m < size else {n}
+                               for m in range(filt_len)))
+                 for k in range(size // 2)]
+        out[j] = np.array([max(r) < n for r in reads])
     return out

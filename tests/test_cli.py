@@ -91,6 +91,20 @@ class TestReplay:
     def test_missing_manifest(self, tmp_path):
         assert run(["replay", tmp_path / "none.json", "-o", tmp_path / "o"]) == 3
 
+    @pytest.mark.parametrize("text", [
+        "{", '{"params": {}}', '{"command": "verify"}',
+        '{"command": "nope", "params": {}}', '["verify"]',
+        '{"command": "verify", "params": [1]}'])
+    def test_malformed_manifest(self, tmp_path, capsys, text):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(text, encoding="utf-8")
+        out = tmp_path / "o"
+        assert run(["replay", manifest, "-o", out]) == 3
+        err = capsys.readouterr().err
+        assert "manifest" in err and "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
 
 class TestAnalyze:
     def test_outputs(self, tmp_path):
@@ -123,6 +137,13 @@ class TestAnalyze:
                              for r in rows}
         for q, z1 in vals["1"].items():
             assert abs(z1 - vals["3"][q]) <= 0.1, q
+
+    def test_directory_input_data_error(self, tmp_path, capsys):
+        code = run(["analyze", "--input", tmp_path, "--jmax", 5,
+                    "-o", tmp_path / "an"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "cannot read" in err and "Traceback" not in err
 
     def test_missing_input_no_partial_outputs(self, tmp_path):
         out = tmp_path / "an"
@@ -273,6 +294,30 @@ class TestTestCommand:
         err = capsys.readouterr().err
         assert "--scale" in err and "Traceback" not in err
         assert not (out / "tests.csv").exists()
+
+
+class TestGridArguments:
+    @pytest.mark.parametrize("args", [
+        ["estimate", "--scales", "x:y"],
+        ["analyze", "--jmax", 5, "--q", "abc"],
+        ["analyze", "--jmax", 5, "--q", "0:x:2"],
+        ["analyze", "--jmax", 5, "--q", "0:1:inf"],
+        ["verify", "--alpha", 1, "--ggbeta", 2, "--A-grid", "x"]],
+        ids=["scales-x:y", "q-abc", "q-step-x", "q-inf", "A-grid-x"])
+    def test_non_numeric_grid_usage_error(self, tmp_path, capsys, args):
+        ens = tmp_path / "ens"
+        run(["generate", "--process", "fbm", "--H", 0.5, "--n", 1024,
+             "--seed", 33, "--ensemble", 3, "-o", ens])
+        capsys.readouterr()
+        inputs = {"estimate": ["--inputs", ens],
+                  "analyze": ["--input", ens / "signal_0000.csv"],
+                  "verify": []}[args[0]]
+        out = tmp_path / "o"
+        assert run(args + inputs + ["-o", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+        assert not any(out.glob("*.csv"))
 
 
 class TestVerify:

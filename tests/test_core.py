@@ -167,3 +167,21 @@ class TestSignalIO:
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError):
             read_signal(tmp_path / "nope.csv")
+
+    @pytest.mark.parametrize("sidecar", ["{", "[1, 2]", '{"dt": "fast"}'])
+    def test_malformed_sidecar(self, tmp_path, sidecar):
+        p = tmp_path / "signal.csv"
+        p.write_text("1.5\n2.5\n", encoding="utf-8")
+        (tmp_path / "signal.csv.json").write_text(sidecar, encoding="utf-8")
+        with pytest.raises(DataError, match="sidecar"):
+            read_signal(p)
+
+    def test_not_utf8(self, tmp_path):
+        p = tmp_path / "latin1.csv"
+        p.write_bytes("t,value\n0,1.5\xe9\n".encode("latin-1"))
+        with pytest.raises(DataError, match="cannot read"):
+            read_signal(p)
+
+    def test_directory(self, tmp_path):
+        with pytest.raises(DataError, match="cannot read"):
+            read_signal(tmp_path)

@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from conftest import brute_force_leaders, build_pyramid, naive_periodic_dwt
+from conftest import (brute_force_leaders, build_pyramid, footprint_valid,
+                      naive_periodic_dwt, naive_periodic_idwt)
 from leaderlab.core import DataError, RngSpec, Signal
-from leaderlab.synth import gen_fbm
+from leaderlab.synth import gen_fbm, gen_rws_pyramid
 from leaderlab.wavelet import (DAUBECHIES_FILTERS, basis_from_name,
                                compute_leaders, daubechies_basis, dwt,
                                fits_levels, hmin_regression, idwt, legendre_spectrum,
@@ -54,13 +55,44 @@ class TestDwt:
             interior = pyr.coeffs[j][pyr.valid_at(j)]
             assert np.max(np.abs(interior)) <= 1e-8 * scale
 
-    def test_matches_naive_filter_bank(self):
-        basis = daubechies_basis(2)
-        x = np.random.default_rng(42).normal(size=256)
-        pyr = dwt(Signal(x), basis, 4)
-        ref = naive_periodic_dwt(x, basis.filter_lo, basis.filter_hi, 4)
+    @pytest.mark.parametrize("j_max", [1, 4, 6])
+    @pytest.mark.parametrize("order", sorted(DAUBECHIES_FILTERS))
+    def test_matches_naive_filter_bank(self, order, j_max):
+        # same taps in the same order: the same bits, not just close
+        basis = daubechies_basis(order)
+        x = np.random.default_rng(42).normal(size=(basis.length + 3) << j_max)
+        pyr = dwt(Signal(x), basis, j_max)
+        ref, _ = naive_periodic_dwt(x, basis.filter_lo, basis.filter_hi, j_max)
+        assert pyr.levels == list(range(1, j_max + 1))
         for j in pyr.levels:
-            assert np.max(np.abs(pyr.coeffs[j] - ref[j])) <= 1e-10
+            assert np.array_equal(pyr.coeffs[j], ref[j])
+
+    @pytest.mark.parametrize("order", sorted(DAUBECHIES_FILTERS))
+    def test_valid_is_the_footprint_prefix(self, order):
+        basis = daubechies_basis(order)
+        L = basis.length
+        for n in (L << 3, (L + 1) << 3, (3 * L + 5) << 3):
+            pyr = dwt(Signal(np.zeros(n)), basis, 3)
+            ref = footprint_valid(n, L, 3)
+            for j in pyr.levels:
+                assert pyr.valid[j].dtype == bool
+                assert np.array_equal(pyr.valid[j], ref[j]), (n, j)
+
+    @pytest.mark.parametrize("order", [1, 3, 10])
+    def test_clean_coefficients_do_not_see_the_wrap(self, order):
+        # a clean coefficient reads no sample past the end, so it keeps its
+        # bits when the signal goes on with other samples; a wrapped one
+        # reads the start of the signal instead and changes
+        basis = daubechies_basis(order)
+        gen = np.random.default_rng(order)
+        x = gen.normal(size=basis.length << 4)
+        short = dwt(Signal(x), basis, 4)
+        long = dwt(Signal(np.concatenate((x, gen.normal(size=x.size)))),
+                   basis, 4)
+        for j in short.levels:
+            head = long.coeffs[j][:short.n_at(j)]
+            same = short.coeffs[j] == head
+            assert np.array_equal(same, short.valid[j]), j
 
     def test_shift_covariance(self):
         basis = daubechies_basis(3)
@@ -76,12 +108,30 @@ class TestDwt:
         basis = daubechies_basis(4)
         x = np.random.default_rng(5).normal(size=256)
         pyr = dwt(Signal(x), basis, 3)
-        approx = x.copy()
-        from leaderlab.wavelet import _analysis_step
-        for _ in range(3):
-            approx, _detail = _analysis_step(approx, basis)
+        _, approx = naive_periodic_dwt(x, basis.filter_lo, basis.filter_hi, 3)
         back = idwt(pyr, basis, approx=approx)
         assert np.max(np.abs(back - x)) <= 1e-10
+
+    @pytest.mark.parametrize("order", sorted(DAUBECHIES_FILTERS))
+    def test_idwt_matches_naive_synthesis(self, order):
+        basis = daubechies_basis(order)
+        lo, hi = basis.filter_lo, basis.filter_hi
+        gen = np.random.default_rng(100 + order)
+        for j_max in (1, 3):
+            x = gen.normal(size=(basis.length + 1) << j_max)
+            pyr = dwt(Signal(x), basis, j_max)
+            approx = gen.normal(size=pyr.n_at(j_max))
+            assert np.array_equal(idwt(pyr, basis, approx=approx),
+                                  naive_periodic_idwt(pyr.coeffs, approx,
+                                                      lo, hi))
+        # random wavelet series: the coarsest levels hold fewer
+        # coefficients than the filter has taps
+        for J in (1, 3, 8):
+            sig, pyr = gen_rws_pyramid(0.8, 1.5, basis, J, RngSpec(order, J))
+            zeros = np.zeros(pyr.n_at(J + 1))
+            assert np.array_equal(sig.samples,
+                                  naive_periodic_idwt(pyr.coeffs, zeros,
+                                                      lo, hi))
 
     def test_length_errors(self):
         basis = daubechies_basis(3)
@@ -91,6 +141,10 @@ class TestDwt:
             dwt(Signal(np.arange(32, dtype=float)), basis, 3)  # too short
         with pytest.raises(DataError):
             dwt(Signal(np.arange(64, dtype=float)), basis, 0)
+
+    def test_idwt_needs_exact_halving(self):
+        with pytest.raises(DataError, match="halving"):
+            idwt(build_pyramid([np.ones(8), np.ones(3)]), daubechies_basis(3))
 
     @pytest.mark.parametrize("j_max", [1, 2, 3, 4])
     def test_fits_levels_is_the_depth_rule(self, j_max):
