@@ -108,8 +108,10 @@ def _validate_process_params(kind: str, n: int, p: dict) -> None:
         h = p.get("H")
         if h is None or not 0.0 < h < 1.0:
             raise UsageError("mrw requires --H strictly inside (0, 1)")
-        if p.get("beta", 0.05) < 0:
-            raise UsageError("mrw requires --beta >= 0")
+        beta = p.get("beta", 0.05)
+        if not (beta >= 0 and math.isfinite(beta * beta)):
+            raise UsageError("mrw requires a finite --beta >= 0 whose "
+                             "square is finite")
         if p.get("L", n) < n:
             raise UsageError("mrw requires integral scale --L >= n")
     elif kind == "cmc":
@@ -396,7 +398,38 @@ def run_replay(manifest_path: str, outdir: Path) -> int:
             and isinstance(params, dict)):
         raise DataError(f"manifest {p} holds no runnable command: "
                         f"{command!r}")
-    return _dispatch(command, params, outdir)
+    return _dispatch(command, _manifest_params(command, params, p), outdir)
+
+
+def _manifest_params(command: str, params: dict, path: Path) -> dict:
+    """Check recorded params as the command's own flags would: each value
+    goes through its flag's type (from its text, as argparse reads it) and
+    choices, and every required flag must be present."""
+    sub = next(a for a in _build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    out = dict(params)
+    for action in sub.choices[command]._actions:
+        key, value = action.dest, params.get(action.dest)
+        if key == "outdir":
+            continue
+        if value is None:
+            if action.required:
+                raise DataError(f"manifest {path}: {command} needs "
+                                f"param {key!r}")
+            continue
+        typ = action.type or str
+        bad = DataError(f"manifest {path}: param {key!r} = {value!r} is "
+                        f"not a valid {typ.__name__}")
+        if not isinstance(value, str) and typ is str:
+            raise bad
+        try:
+            out[key] = typ(str(value))
+        except ValueError:
+            raise bad from None
+        if action.choices is not None and out[key] not in action.choices:
+            raise DataError(f"manifest {path}: param {key!r} = {value!r} "
+                            f"is not one of {list(action.choices)}")
+    return out
 
 
 def _build_parser() -> argparse.ArgumentParser:

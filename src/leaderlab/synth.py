@@ -11,6 +11,7 @@ ProcessSpec reproduces bit-identical output.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -54,47 +55,43 @@ class ProcessSpec:
                 "params": dict(self.params), "rng": self.rng.to_dict()}
 
 
-def _circulant_gaussian(acov: np.ndarray, n: int,
-                        gen: np.random.Generator) -> np.ndarray:
-    """Exact stationary Gaussian sample by circulant embedding.
-
-    `acov` must provide autocovariances for lags 0..M where M >= n.  Raises
-    NonConvergenceError when the embedding is indefinite;
-    `_sample_with_retries` then retries at doubled size.
-    """
-    m = acov.size - 1
-    if m < n:
-        raise DataError("autocovariance array shorter than requested output")
-    c = np.concatenate([acov, acov[-2:0:-1]])
-    eig = np.fft.fft(c).real
-    tol = 1e-8 * max(eig.max(), 1.0)
-    if eig.min() < -tol:
-        raise NonConvergenceError("indefinite circulant embedding")
-    eig = np.clip(eig, 0.0, None)
-    two_m = 2 * m
-    z = np.zeros(two_m, dtype=complex)
-    z[0] = gen.standard_normal()
-    z[m] = gen.standard_normal()
-    uv = gen.standard_normal((m - 1, 2))
-    z[1:m] = (uv[:, 0] + 1j * uv[:, 1]) / math.sqrt(2.0)
-    z[m + 1:] = np.conj(z[1:m][::-1])
-    x = math.sqrt(two_m) * np.fft.ifft(np.sqrt(eig) * z).real
-    return x[:n]
+@functools.lru_cache(maxsize=4)
+def _circulant_sqrt_eig(kind: str, params: tuple, n: int) -> np.ndarray:
+    """sqrt of the eigenvalues of the circulant embedding of the `kind`
+    autocovariance ("fgn": params (H,); "mrw": (beta, L)) over lags 0..m,
+    with m = n doubled until it is nonnegative definite.  It does not depend
+    on the stream: cached and read-only; an MRW parameter set takes two."""
+    for doublings in range(4):
+        m = n << doublings
+        acov = (fgn_autocovariance(*params, m) if kind == "fgn"
+                else mrw_log_field_autocovariance(*params, m))
+        eig = np.fft.fft(np.concatenate([acov, acov[-2:0:-1]])).real
+        if not eig.min() < -1e-8 * max(eig.max(), 1.0):
+            sqrt_eig = np.sqrt(np.clip(eig, 0.0, None))
+            sqrt_eig.setflags(write=False)
+            return sqrt_eig
+    raise NonConvergenceError("circulant embedding still indefinite after "
+                              f"3 doublings (final size {m})")
 
 
-def _sample_with_retries(acov_fn, n: int, gen: np.random.Generator,
-                         max_doublings: int = 3) -> np.ndarray:
-    m = n
-    for attempt in range(max_doublings + 1):
-        try:
-            return _circulant_gaussian(acov_fn(m), n, gen)
-        except NonConvergenceError:
-            if attempt == max_doublings:
-                raise NonConvergenceError(
-                    f"circulant embedding still indefinite after "
-                    f"{max_doublings} doublings (final size {m})")
-            m *= 2
-    raise AssertionError("unreachable")
+def _circulant_draw(sqrt_eig: np.ndarray, n: int,
+                    gen: np.random.Generator) -> np.ndarray:
+    """Exact stationary Gaussian sample of length n (Wood & Chan 1994).
+    The stream fills z[0], z[m], then the real and imaginary parts of
+    z[1:m]; z[m+1:] is their conjugate mirror."""
+    two_m = sqrt_eig.size
+    m = two_m // 2
+    z = np.empty(two_m, dtype=complex)
+    zf = z.view(np.float64).reshape(two_m, 2)
+    zf[0] = gen.standard_normal(), 0.0
+    zf[m] = gen.standard_normal(), 0.0
+    # numpy divides complex by real as (a + b*0) * (1/s): the same bits
+    np.multiply(gen.standard_normal((m - 1, 2)), 1.0 / math.sqrt(2.0),
+                out=zf[1:m])
+    zf[m + 1:] = zf[m - 1:0:-1]
+    np.negative(zf[m + 1:, 1], out=zf[m + 1:, 1])
+    z *= sqrt_eig
+    return math.sqrt(two_m) * np.fft.ifft(z, out=z).real[:n]
 
 
 def fgn_autocovariance(h: float, lags: int) -> np.ndarray:
@@ -114,8 +111,8 @@ def gen_fbm(H: float, n: int, rng: RngSpec) -> Signal:
         raise DataError("Hurst exponent must lie in (0, 1)")
     if n < 2:
         raise DataError("need n >= 2")
-    gen = rng.generator(0)
-    fgn = _sample_with_retries(lambda m: fgn_autocovariance(H, m), n, gen)
+    fgn = _circulant_draw(_circulant_sqrt_eig("fgn", (float(H),), n), n,
+                          rng.generator(0))
     return Signal(np.cumsum(fgn), t0=0.0, dt=1.0 / n, label=f"fbm(H={H:g})")
 
 
@@ -137,18 +134,19 @@ def gen_mrw(H: float, beta: float, L: int, n: int, rng: RngSpec) -> Signal:
     """
     if not 0.0 < H < 1.0:
         raise DataError("Hurst exponent must lie in (0, 1)")
+    if not math.isfinite(beta * beta):
+        raise DataError("beta and beta**2 must be finite")
     if beta < 0:
         raise DataError("beta must be >= 0")
     if L < n:
         raise DataError("integral scale L must be >= signal length n")
-    gen_g = rng.generator(0)
-    fgn = _sample_with_retries(lambda m: fgn_autocovariance(H, m), n, gen_g)
+    fgn = _circulant_draw(_circulant_sqrt_eig("fgn", (float(H),), n), n,
+                          rng.generator(0))
     if beta == 0.0:
         w = np.zeros(n)
     else:
-        gen_w = rng.generator(1)
-        w = _sample_with_retries(
-            lambda m: mrw_log_field_autocovariance(beta, L, m), n, gen_w)
+        w = _circulant_draw(_circulant_sqrt_eig("mrw", (float(beta), L), n),
+                            n, rng.generator(1))
     return Signal(np.cumsum(fgn * np.exp(w)), t0=0.0, dt=1.0 / n,
                   label=f"mrw(H={H:g},beta={beta:g},L={L})")
 

@@ -108,3 +108,19 @@ def footprint_valid(n, filt_len, j_max):
                  for k in range(size // 2)]
         out[j] = np.array([max(r) < n for r in reads])
     return out
+
+
+def naive_circulant_gaussian(acov, n, gen):
+    """Circulant-embedding sample of length n from lags 0..m of `acov`,
+    built as a complex vector, for oracle use; it reads the stream as the
+    generators do."""
+    m = acov.size - 1
+    eig = np.clip(np.fft.fft(np.concatenate([acov, acov[-2:0:-1]])).real,
+                  0.0, None)
+    z = np.zeros(2 * m, dtype=complex)
+    z[0] = gen.standard_normal()
+    z[m] = gen.standard_normal()
+    uv = gen.standard_normal((m - 1, 2))
+    z[1:m] = (uv[:, 0] + 1j * uv[:, 1]) / np.sqrt(2.0)
+    z[m + 1:] = np.conj(z[1:m][::-1])
+    return (np.sqrt(2.0 * m) * np.fft.ifft(np.sqrt(eig) * z).real)[:n]

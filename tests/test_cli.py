@@ -60,6 +60,17 @@ class TestGenerate:
         assert code == 2
         assert "--H" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("beta", ["1e200", "nan", "inf", "-0.1"])
+    def test_bad_mrw_beta_usage_error(self, tmp_path, capsys, beta):
+        out = tmp_path / "m"
+        code = run(["generate", "--process", "mrw", "--H", 0.6,
+                    f"--beta={beta}", "--n", 256, "--seed", 1, "-o", out])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--beta" in err and "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+        assert not (out / "signal.csv").exists()
+
     def test_study_default_mrw_flags(self, tmp_path):
         code = run(["generate", "--process", "mrw", "--H", 0.6, "--beta",
                     0.05, "--L", 4096, "--n", 4096, "--seed", 2,
@@ -102,6 +113,36 @@ class TestReplay:
         assert run(["replay", manifest, "-o", out]) == 3
         err = capsys.readouterr().err
         assert "manifest" in err and "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize("doc,words", [
+        ({"command": "generate", "params": {"process": "fbm", "n": "abc",
+                                            "seed": 1, "H": 0.5}},
+         "'n' = 'abc' is not a valid int"),
+        ({"command": "generate", "params": {"process": "fbm", "n": 64,
+                                            "seed": 1, "H": "x"}},
+         "'H' = 'x' is not a valid float"),
+        ({"command": "verify", "params": {"ggbeta": 2}},
+         "verify needs param 'alpha'"),
+        ({"command": "generate", "params": {"process": "fbm", "n": 2.5,
+                                            "seed": 1, "H": 0.5}},
+         "'n' = 2.5 is not a valid int"),
+        ({"command": "analyze", "params": {"input": 5, "jmax": 3}},
+         "'input' = 5 is not a valid str"),
+        ({"command": "analyze", "params": {"input": "s.csv", "jmax": 3,
+                                           "variant": "7"}},
+         "'variant' = '7' is not one of"),
+    ], ids=["n_text", "H_text", "verify_no_alpha", "n_float", "input_int",
+            "variant_choice"])
+    def test_bad_manifest_params(self, tmp_path, capsys, doc, words):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "o"
+        assert run(["replay", manifest, "-o", out]) == 3
+        err = capsys.readouterr().err
+        assert words in err and "Traceback" not in err
         assert len(err.strip().splitlines()) == 1
         assert not out.exists()
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -5,7 +6,10 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import gammainc
 
-from leaderlab.core import DataError, RngSpec
+from conftest import naive_circulant_gaussian
+from leaderlab import synth
+from leaderlab.cli import main
+from leaderlab.core import DataError, NonConvergenceError, RngSpec
 from leaderlab.synth import (GenGaussianParams, ProcessSpec, cpc_cone_mass,
                              fgn_autocovariance, gen_cmc_motion,
                              gen_cpc_motion, gen_fbm, gen_mrw,
@@ -13,6 +17,62 @@ from leaderlab.synth import (GenGaussianParams, ProcessSpec, cpc_cone_mass,
                              mrw_log_field_autocovariance,
                              sample_gen_gaussian)
 from leaderlab.wavelet import daubechies_basis, dwt
+
+# sha256 of samples.tobytes(), recorded from the uncached
+# generator with RngSpec(7, 3)
+GOLDEN_FBM = {
+    (0.1, 2):
+        "5bc547eb6afbd2f186168a1163918a999ac829c392f065549d0ab1054b4832fe",
+    (0.1, 1000):
+        "a434fd79921686872f68822dedfac6728fc3429dd3ed405fa0909b99eb52adb8",
+    (0.1, 4096):
+        "72b02de53961086a7a37faf1ae9b75164fb4f83a7eb8eabd205f32fa026001f0",
+    (0.1, 32768):
+        "5a76f57ae3e576c01017d6fa6aa8539da22d2beefcabf87fa0db33276c2f899d",
+    (0.5, 2):
+        "2bac9175cc7ea33801c7cd5a551ca1a097da8b5e205c33690772cda9c15638ba",
+    (0.5, 1000):
+        "8b9267099a979790d9e5f4270d8286b81a83d2ce5c2edcbb5080efd04d022714",
+    (0.5, 4096):
+        "909c024d3822bc02fbb63e77447642b7faab37b803cbe628165f31470ae2fd4e",
+    (0.5, 32768):
+        "2c8c84d3f6169b9a110d69ae083edf54cadc4e5ca50d52d6b3d2da5aee77caf4",
+    (0.7, 2):
+        "328a9060675a8be9c2093679375486457eefca109815c084062c86d295e76441",
+    (0.7, 1000):
+        "346b9ed9f8827ddb083b804c747bf7f0b1bedd4226faacc3928ba99383404a32",
+    (0.7, 4096):
+        "47a0cf6db048e62ec2cbc946defee8f5a1155c675f16f34378d7aa6bd4e3e4a9",
+    (0.7, 32768):
+        "d2c8420f55b3b0d9e8df86fa941578b2d91588f17289239be69f920a2ae8d963",
+    (0.95, 2):
+        "e04cb26bc09d5783a5d71dce5fc391a1bbc6ba41383edbd6e47a0454bf62445d",
+    (0.95, 1000):
+        "0e85c1cf1d1a272bd435d978bd0abb449d3fc2877ec3f5a72c20de775eb5433a",
+    (0.95, 4096):
+        "06c71e6c31da54f45a016edbf682e7ddde3505e373713fa72efe0acec04ff78b",
+    (0.95, 32768):
+        "a34c399a3e779bf18725258834095da0da4c0259478fda92ddd0848e7e474bb8",
+}
+# H = 0.6, n = 4096; L is n or 3n + 1
+GOLDEN_MRW = {
+    (0.0, 4096):
+        "c278927413d9e5b2422e3eb7bb60af7aeb95f4fd5b2a7844ed1b6eca84d6c0d2",
+    (0.0, 12289):
+        "c278927413d9e5b2422e3eb7bb60af7aeb95f4fd5b2a7844ed1b6eca84d6c0d2",
+    (0.05, 4096):
+        "6bb5cc66257965001f16fe44237f386726671d978470f058b5f1ef7cb10d14f2",
+    (0.05, 12289):
+        "06e2eae2f7f1da451d93ccae7bf7e83ee8ca4ab5eca920fda746150507ad54d2",
+    (0.1, 4096):
+        "dcb9255b63c141c6672413fb75e05eafbb607e29f5342fff96250d05a313ffd7",
+    (0.1, 12289):
+        "b16b90e1ed7ec409561fef365c1579dfe7aeb3882dd22654fbf9b3b1bb0680f7",
+    (0.5, 4096):
+        "bd76304759211f7113ed7f165da9925b47f03028c4d67a11c10efd432c23d040",
+    (0.5, 12289):
+        "c5aebc9d6a04896d337d02095c4d6dc54eba8baecddc5ecf2114fda42b033741",
+}
 
 
 class TestFbm:
@@ -93,6 +153,97 @@ class TestMrw:
             gen_mrw(0.6, 0.05, 100, 200, RngSpec(1))  # L < n
         with pytest.raises(DataError):
             gen_mrw(0.6, -0.1, 256, 256, RngSpec(1))
+
+
+def _sha(sig):
+    return hashlib.sha256(sig.samples.tobytes()).hexdigest()
+
+
+@pytest.fixture
+def cold_cache():
+    synth._circulant_sqrt_eig.cache_clear()
+    yield synth._circulant_sqrt_eig
+    synth._circulant_sqrt_eig.cache_clear()
+
+
+def _fgn_indefinite_at(sizes, calls):
+    """fGn autocovariance with lag 1 at twice lag 0 (an indefinite
+    embedding) when `lags` is in `sizes`; records every size asked for."""
+    exact = synth.fgn_autocovariance
+
+    def kernel(h, lags):
+        calls.append(lags)
+        acov = exact(h, lags)
+        if sizes is None or lags in sizes:
+            acov[1] = 2.0 * acov[0]
+        return acov
+    return kernel
+
+
+class TestCirculantEmbedding:
+    @pytest.mark.parametrize("H,n", sorted(GOLDEN_FBM))
+    def test_fbm_golden_bits(self, cold_cache, H, n):
+        assert _sha(gen_fbm(H, n, RngSpec(7, 3))) == GOLDEN_FBM[H, n]
+
+    @pytest.mark.parametrize("beta,L", sorted(GOLDEN_MRW))
+    def test_mrw_golden_bits(self, cold_cache, beta, L):
+        sig = gen_mrw(0.6, beta, L, 4096, RngSpec(7, 3))
+        assert _sha(sig) == GOLDEN_MRW[beta, L]
+
+    def test_warm_cache_same_bytes(self, cold_cache):
+        cold = gen_mrw(0.6, 0.1, 12289, 4096, RngSpec(7, 3))
+        assert cold_cache.cache_info().hits == 0
+        warm = gen_mrw(0.6, 0.1, 12289, 4096, RngSpec(7, 3))
+        assert cold_cache.cache_info().hits == 2
+        assert cold.samples.tobytes() == warm.samples.tobytes()
+        assert _sha(warm) == GOLDEN_MRW[0.1, 12289]
+
+    def test_matches_complex_vector_oracle(self, cold_cache):
+        for h, n in [(0.3, 5), (0.8, 777)]:
+            want = naive_circulant_gaussian(fgn_autocovariance(h, n), n,
+                                            RngSpec(4, 1).generator(0))
+            got = gen_fbm(h, n, RngSpec(4, 1)).samples
+            assert np.array_equal(got, np.cumsum(want))
+
+    def test_cached_spectrum_is_read_only(self, cold_cache):
+        gen_fbm(0.7, 64, RngSpec(1))
+        sqrt_eig = cold_cache("fgn", (0.7,), 64)
+        assert cold_cache.cache_info().hits == 1
+        with pytest.raises(ValueError):
+            sqrt_eig[0] = 1.0
+
+    def test_doubling_when_indefinite_at_n(self, cold_cache, monkeypatch):
+        n, calls = 300, []
+        monkeypatch.setattr(synth, "fgn_autocovariance",
+                            _fgn_indefinite_at({n}, calls))
+        sig = gen_fbm(0.7, n, RngSpec(8, 2))
+        assert calls == [n, 2 * n]
+        assert len(sig) == n
+        want = naive_circulant_gaussian(fgn_autocovariance(0.7, 2 * n), n,
+                                        RngSpec(8, 2).generator(0))
+        assert np.array_equal(sig.samples, np.cumsum(want))
+
+    def test_indefinite_at_every_size(self, cold_cache, monkeypatch,
+                                      tmp_path, capsys):
+        n, calls = 64, []
+        monkeypatch.setattr(synth, "fgn_autocovariance",
+                            _fgn_indefinite_at(None, calls))
+        with pytest.raises(NonConvergenceError,
+                           match="after 3 doublings \\(final size 512\\)"):
+            gen_fbm(0.7, n, RngSpec(1))
+        assert calls == [64, 128, 256, 512]
+        code = main(["generate", "--process", "fbm", "--H", "0.7", "--n",
+                     str(n), "--seed", "1", "-o", str(tmp_path / "g")])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("nonconvergence:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("beta", [1e200, 1.4e154, math.inf, math.nan])
+    def test_non_finite_beta_rejected_before_synthesis(self, cold_cache,
+                                                       beta):
+        with pytest.raises(DataError, match="finite"):
+            gen_mrw(0.6, beta, 256, 256, RngSpec(1))
+        assert cold_cache.cache_info().currsize == 0
 
 
 class TestCmc:
