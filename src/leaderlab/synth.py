@@ -91,7 +91,7 @@ def _circulant_draw(sqrt_eig: np.ndarray, n: int,
     zf[m + 1:] = zf[m - 1:0:-1]
     np.negative(zf[m + 1:, 1], out=zf[m + 1:, 1])
     z *= sqrt_eig
-    return math.sqrt(two_m) * np.fft.ifft(z, out=z).real[:n]
+    return math.sqrt(two_m) * np.fft.ifft(z).real[:n]
 
 
 def fgn_autocovariance(h: float, lags: int) -> np.ndarray:
