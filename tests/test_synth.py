@@ -212,6 +212,17 @@ class TestCirculantEmbedding:
         with pytest.raises(ValueError):
             sqrt_eig[0] = 1.0
 
+    def test_fft_calls_take_numpy1_arguments(self, cold_cache, monkeypatch):
+        # numpy.fft has taken `out` only since 2.0; the floor is numpy 1.24
+        def numpy1(fn):
+            def call(a, n=None, axis=-1, norm=None):
+                return fn(a, n, axis, norm)
+            return call
+        for name in ("fft", "ifft"):
+            monkeypatch.setattr(np.fft, name, numpy1(getattr(np.fft, name)))
+        sig = gen_mrw(0.6, 0.1, 12289, 4096, RngSpec(7, 3))
+        assert _sha(sig) == GOLDEN_MRW[0.1, 12289]
+
     def test_doubling_when_indefinite_at_n(self, cold_cache, monkeypatch):
         n, calls = 300, []
         monkeypatch.setattr(synth, "fgn_autocovariance",
