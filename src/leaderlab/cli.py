@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .core import (DataError, NonConvergenceError, RegimeError, RngSpec,
-                   Signal, read_signal, write_signal)
+                   Signal, read_signal, write_csv, write_json, write_signal)
 from .cumulants import (bootstrap_percentile, estimate_c1_c2,
                         estimation_scale_candidates, select_scale_range,
                         write_estimation_outputs)
@@ -45,15 +45,13 @@ def _now() -> str:
 
 def _write_manifest(outdir: Path, command: str, params: dict, seed,
                     outputs: list[str], started: str) -> str:
-    doc = {"command": command, "params": params,
+    doc = {"command": command,
+           "params": {k: v for k, v in params.items() if v is not None},
            "seed": seed.to_dict() if isinstance(seed, RngSpec) else seed,
            "tool_version": __version__,
            "started_at": started, "finished_at": _now(),
            "outputs": sorted(str(Path(o).name) for o in outputs)}
-    path = outdir / "manifest.json"
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
-    return str(path)
+    return write_json(outdir / "manifest.json", doc)
 
 
 def _parse_range(spec: str) -> np.ndarray:
@@ -112,8 +110,8 @@ def _validate_process_params(kind: str, n: int, p: dict) -> None:
         if not (beta >= 0 and math.isfinite(beta * beta)):
             raise UsageError("mrw requires a finite --beta >= 0 whose "
                              "square is finite")
-        if p.get("L", n) < n:
-            raise UsageError("mrw requires integral scale --L >= n")
+        if not n <= p.get("L", n) <= sys.float_info.max:
+            raise UsageError("mrw requires n <= --L <= largest float")
     elif kind == "cmc":
         if p.get("mu", 0.37) <= 0:
             raise UsageError("cmc requires --mu > 0")
@@ -131,12 +129,12 @@ def _validate_process_params(kind: str, n: int, p: dict) -> None:
 
 def run_generate(params: dict, outdir: Path) -> list[str]:
     kind = params["process"]
-    n = int(params["n"])
+    n = params["n"]
     proc_params = {k: params[k] for k in _PROCESS_PARAM_KEYS
-                   if params.get(k) is not None}
+                   if params[k] is not None}
     _validate_process_params(kind, n, proc_params)
-    seed = RngSpec(int(params["seed"]))
-    ensemble = int(params.get("ensemble", 1))
+    seed = RngSpec(params["seed"])
+    ensemble = params["ensemble"]
     if ensemble < 1:
         raise UsageError("--ensemble must be >= 1")
 
@@ -162,6 +160,12 @@ def _load_signals(path_spec: str) -> list[tuple[str, Signal]]:
     return [(p.stem, read_signal(p))]
 
 
+def _basis_variant(params: dict):
+    """The wavelet basis and leader variant that --wavelet/--variant name."""
+    return (basis_from_name(params["wavelet"]),
+            {"1": "one_leader", "3": "three_leader"}[params["variant"]])
+
+
 def _truncate_for_levels(sig: Signal, j_max: int) -> Signal:
     block = 1 << j_max
     usable = (len(sig) // block) * block
@@ -175,16 +179,14 @@ def _truncate_for_levels(sig: Signal, j_max: int) -> Signal:
 
 def run_analyze(params: dict, outdir: Path) -> list[str]:
     sig = read_signal(params["input"])
-    basis = basis_from_name(params.get("wavelet", "db3"))
-    j_max = int(params["jmax"])
-    variant = {("1"): "one_leader", ("3"): "three_leader"}[
-        str(params.get("variant", "3"))]
+    basis, variant = _basis_variant(params)
+    j_max = params["jmax"]
     sig = _truncate_for_levels(sig, j_max)
     pyramid = dwt(sig, basis, j_max)
     leaders = compute_leaders(pyramid, variant)
-    q_grid = _parse_range(params.get("q", "-5:0.5:5"))
+    q_grid = _parse_range(params["q"])
     scales = (_parse_scale_pair(params["scales"])
-              if params.get("scales") else (1, j_max))
+              if params["scales"] else (1, j_max))
     table = structure_functions(leaders, q_grid)
     zeta = scaling_function(table, scales)
     h_grid = np.round(np.arange(-0.2, 1.6001, 0.02), 10)
@@ -193,30 +195,19 @@ def run_analyze(params: dict, outdir: Path) -> list[str]:
     pyramid_to_json(leaders, outdir / "leaders.json")
     outputs = [str(outdir / "leaders.json")]
     outputs.append(table.to_csv(outdir / "structure.csv"))
-    zeta_lines = ["q,zeta,intercept,r2"]
-    for q in sorted(zeta):
-        f = zeta[q]
-        zeta_lines.append(f"{q:.17g},{f.slope:.17g},{f.intercept:.17g},"
-                          f"{f.r_squared:.17g}")
-    (outdir / "zeta.csv").write_text("\n".join(zeta_lines) + "\n",
-                                     encoding="utf-8")
-    outputs.append(str(outdir / "zeta.csv"))
-    leg_lines = ["h,L"]
-    for h in sorted(spectrum):
-        leg_lines.append(f"{h:.17g},{spectrum[h]:.17g}")
-    (outdir / "legendre.csv").write_text("\n".join(leg_lines) + "\n",
-                                         encoding="utf-8")
-    outputs.append(str(outdir / "legendre.csv"))
+    outputs.append(write_csv(
+        outdir / "zeta.csv", ["q", "zeta", "intercept", "r2"],
+        [(q, zeta[q].slope, zeta[q].intercept, zeta[q].r_squared)
+         for q in sorted(zeta)]))
+    outputs.append(write_csv(outdir / "legendre.csv", ["h", "L"],
+                             [(h, spectrum[h]) for h in sorted(spectrum)]))
     for j in leaders.levels:
         ell = leaders.clean_values(j)
         if ell.size < 2 or np.any(ell <= 0):
             continue
-        pairs = qq_data(np.log(ell))
-        qq_lines = ["theoretical,empirical"]
-        qq_lines += [f"{a:.17g},{b:.17g}" for a, b in pairs]
-        path = outdir / f"qq_j{j}.csv"
-        path.write_text("\n".join(qq_lines) + "\n", encoding="utf-8")
-        outputs.append(str(path))
+        outputs.append(write_csv(outdir / f"qq_j{j}.csv",
+                                 ["theoretical", "empirical"],
+                                 qq_data(np.log(ell)).tolist()))
     return outputs
 
 
@@ -224,18 +215,12 @@ def run_estimate(params: dict, outdir: Path) -> list[str]:
     named = _load_signals(params["inputs"])
     if len(named) < 2:
         raise DataError("estimation requires at least 2 realizations")
-    basis = basis_from_name(params.get("wavelet", "db3"))
-    variant = {("1"): "one_leader", ("3"): "three_leader"}[
-        str(params.get("variant", "3"))]
-    alpha = float(params.get("alpha", 0.05))
-    method = params.get("method", "clt")
-    if method not in ("clt", "bootstrap"):
-        raise UsageError("--method must be clt or bootstrap")
+    basis, variant = _basis_variant(params)
+    alpha, method = params["alpha"], params["method"]
 
-    j_max = params.get("jmax")
+    j_max = params["jmax"]
     if j_max is None:
         j_max = min(max_levels(len(sig), basis) for _, sig in named)
-    j_max = int(j_max)
     if j_max < 3:
         raise DataError("signals too short for a 3-scale analysis")
 
@@ -243,7 +228,7 @@ def run_estimate(params: dict, outdir: Path) -> list[str]:
                 for _, sig in named]
     leaders = [compute_leaders(pyr, variant) for pyr in pyramids]
 
-    scales_flag = params.get("scales", "auto")
+    scales_flag = params["scales"]
     if scales_flag == "auto":
         candidates = estimation_scale_candidates(j_max)
         j_range = select_scale_range(pyramids, candidates)
@@ -251,12 +236,11 @@ def run_estimate(params: dict, outdir: Path) -> list[str]:
         j_range = _parse_scale_pair(scales_flag)
 
     result = estimate_c1_c2(leaders, j_range, alpha=alpha)
-    seed = RngSpec(int(params["seed"])) if params.get("seed") is not None \
-        else None
+    seed = RngSpec(params["seed"]) if params["seed"] is not None else None
     if method == "bootstrap":
         if seed is None:
             raise UsageError("--method bootstrap requires --seed")
-        b_reps = int(params.get("B", 100))
+        b_reps = params["B"]
         n_real = result.n_realizations
         boot_c1 = bootstrap_percentile(result.c1_samples, np.mean, B=b_reps,
                                        level=1 - alpha, rng=seed.substream(1))
@@ -274,9 +258,7 @@ def run_estimate(params: dict, outdir: Path) -> list[str]:
 def run_test(params: dict, outdir: Path) -> list[str]:
     named = _load_signals(params["input"])
     which = params["which"]
-    if which not in ("shapiro", "logconcave"):
-        raise UsageError("--which must be shapiro or logconcave")
-    spec = str(params.get("scale", "4,5,6"))
+    spec = params["scale"]
     try:
         scales = [int(s) for s in spec.split(",")]
     except ValueError:
@@ -284,15 +266,11 @@ def run_test(params: dict, outdir: Path) -> list[str]:
                          "integer levels") from None
     if min(scales) < 1:
         raise UsageError("--scale levels must be >= 1")
-    alpha = float(params.get("alpha", 0.05))
-    b_reps = int(params.get("B", 99))
-    reps = int(params.get("reps", 1))
+    alpha, b_reps, reps = params["alpha"], params["B"], params["reps"]
     if reps < 1:
         raise UsageError("--reps must be >= 1")
-    seed = RngSpec(int(params["seed"]))
-    basis = basis_from_name(params.get("wavelet", "db3"))
-    variant = {("1"): "one_leader", ("3"): "three_leader"}[
-        str(params.get("variant", "3"))]
+    seed = RngSpec(params["seed"])
+    basis, variant = _basis_variant(params)
     j_max = max(scales)
     for name, sig in named:
         if not fits_levels(len(sig), basis, j_max):
@@ -311,11 +289,15 @@ def run_test(params: dict, outdir: Path) -> list[str]:
             if ell.size == 0 or np.any(ell <= 0):
                 raise DataError(f"no usable leaders in {name} at scale {j}")
             logs = np.log(ell)
+            rep_out = None
             for _ in range(reps):
                 rng = seed.substream(idx)
                 idx += 1
                 if which == "shapiro":
-                    rep_out = shapiro_wilk(logs, alpha=alpha, rng=rng)
+                    # a report that drew no subsample used no random
+                    # numbers, so a further rep would only repeat it
+                    if rep_out is None or rep_out.details["subsampled"]:
+                        rep_out = shapiro_wilk(logs, alpha=alpha, rng=rng)
                     p_or_t, thr = rep_out.p_value, alpha
                 else:
                     rep_out = logconcavity_test(logs, B=b_reps, alpha=alpha,
@@ -323,40 +305,36 @@ def run_test(params: dict, outdir: Path) -> list[str]:
                     p_or_t, thr = (rep_out.statistic,
                                    rep_out.details["threshold"])
                 rows.append((name, j, rep_out.name, rep_out.statistic,
-                             p_or_t, thr, rep_out.rejected))
+                             p_or_t, thr, int(rep_out.rejected)))
 
-    lines = ["signal,scale,test,statistic,p_or_T,threshold,rejected"]
-    for name, j, tname, stat, p_or_t, thr, rej in rows:
-        lines.append(f"{name},{j},{tname},{stat:.17g},{p_or_t:.17g},"
-                     f"{thr:.17g},{int(rej)}")
-    (outdir / "tests.csv").write_text("\n".join(lines) + "\n",
-                                      encoding="utf-8")
-    agg_lines = ["source,scale,n_runs,prop_rejected"]
+    source = Path(params["input"]).name
+    aggregate = []
     for j in scales:
         sub = [r for r in rows if r[1] == j]
-        prop = sum(r[6] for r in sub) / len(sub)
-        agg_lines.append(f"{Path(params['input']).name},{j},{len(sub)},"
-                         f"{prop:.17g}")
-    (outdir / "tests_aggregate.csv").write_text("\n".join(agg_lines) + "\n",
-                                                encoding="utf-8")
-    return [str(outdir / "tests.csv"), str(outdir / "tests_aggregate.csv")]
+        aggregate.append((source, j, len(sub),
+                          sum(r[6] for r in sub) / len(sub)))
+    return [write_csv(outdir / "tests.csv",
+                      ["signal", "scale", "test", "statistic", "p_or_T",
+                       "threshold", "rejected"], rows),
+            write_csv(outdir / "tests_aggregate.csv",
+                      ["source", "scale", "n_runs", "prop_rejected"],
+                      aggregate)]
 
 
 def run_verify(params: dict, outdir: Path) -> list[str]:
-    model = RwsModel(alpha=float(params["alpha"]),
-                     beta=float(params["ggbeta"]))
-    if params.get("A_grid"):
+    model = RwsModel(alpha=params["alpha"], beta=params["ggbeta"])
+    if params["A_grid"]:
         grid = _parse_range(params["A_grid"])
     else:
         small = [2.0 ** (-k) for k in range(9, 3, -1)]
         grid = np.array(small + [7.1, 8.0, 10.0])
-    mc_paths = int(params.get("mc_paths", 0))
+    mc_paths = params["mc_paths"]
     rng = None
     if mc_paths > 0:
-        if params.get("seed") is None:
+        if params["seed"] is None:
             raise UsageError("--mc-paths > 0 requires --seed")
-        rng = RngSpec(int(params["seed"]))
-    report = verify_tail_rates(model, grid, tol=float(params.get("tol", 1e-12)),
+        rng = RngSpec(params["seed"])
+    report = verify_tail_rates(model, grid, tol=params["tol"],
                                mc_paths=mc_paths, rng=rng,
                                json_path=outdir / "tailbounds.json",
                                csv_path=outdir / "tailbounds.csv")
@@ -376,12 +354,12 @@ _RANDOMIZED = {"generate", "test"}
 def _dispatch(command: str, params: dict, outdir: Path) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     started = _now()
-    if command in _RANDOMIZED and params.get("seed") is None:
+    seed = params.get("seed")      # analyze takes no --seed
+    if command in _RANDOMIZED and seed is None:
         raise UsageError(f"{command} is randomized and requires --seed")
     outputs = _RUNNERS[command](params, outdir)
     _write_manifest(outdir, command, params,
-                    RngSpec(int(params["seed"])) if params.get("seed")
-                    is not None else None, outputs, started)
+                    None if seed is None else RngSpec(seed), outputs, started)
     return 0
 
 
@@ -404,18 +382,20 @@ def run_replay(manifest_path: str, outdir: Path) -> int:
 def _manifest_params(command: str, params: dict, path: Path) -> dict:
     """Check recorded params as the command's own flags would: each value
     goes through its flag's type (from its text, as argparse reads it) and
-    choices, and every required flag must be present."""
+    choices, every required flag must be present, and an absent optional
+    flag takes its default."""
     sub = next(a for a in _build_parser()._actions
                if isinstance(a, argparse._SubParsersAction))
     out = dict(params)
     for action in sub.choices[command]._actions:
         key, value = action.dest, params.get(action.dest)
-        if key == "outdir":
+        if key == "outdir" or action.default == argparse.SUPPRESS:
             continue
         if value is None:
             if action.required:
                 raise DataError(f"manifest {path}: {command} needs "
                                 f"param {key!r}")
+            out[key] = action.default
             continue
         typ = action.type or str
         bad = DataError(f"manifest {path}: param {key!r} = {value!r} is "
@@ -506,7 +486,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     params = {k: v for k, v in vars(ns).items()
-              if k not in ("command", "outdir", "manifest") and v is not None}
+              if k not in ("command", "outdir", "manifest")}
     try:
         if ns.command == "replay":
             return run_replay(ns.manifest, Path(ns.outdir))

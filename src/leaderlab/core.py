@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import io
 import json
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -203,31 +205,65 @@ def standard_normal_quantile(p):
     return float(x[0]) if scalar else x
 
 
+def write_csv(path, header, rows) -> str:
+    """Write a table as CSV: a header line, then one line per row, with `\\n`
+    endings in UTF-8.  Floats are written at 17 significant digits, so they
+    read back exactly; None is an empty cell; anything else goes through
+    `str`.  Every row must have one cell per header name.
+    """
+    width = len(header)
+    cells = []
+    for row in rows:
+        if len(row) != width:
+            raise ValueError(f"row {row!r} does not have {width} cells")
+        cells.extend(row)
+    # an all-float column stays numeric for one %-format of the whole
+    # table; any other column is made text cell by cell
+    specs = []
+    for i in range(width):
+        col = cells[i::width]
+        if all(isinstance(v, float) for v in col):
+            specs.append("%.17g")
+        else:
+            specs.append("%s")
+            cells[i::width] = ["" if v is None else "%.17g" % v
+                               if isinstance(v, float) else str(v)
+                               for v in col]
+    body = (",".join(specs) + "\n") * (len(cells) // width) % tuple(cells)
+    Path(path).write_text(",".join(header) + "\n" + body, encoding="utf-8")
+    return str(path)
+
+
+def write_json(path, doc) -> str:
+    """Write `doc` as JSON indented 2 with sorted keys and a final newline."""
+    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n",
+                          encoding="utf-8")
+    return str(path)
+
+
 def write_signal(signal: Signal, path, sidecar: dict | None = None) -> list[str]:
     """Write a signal as `t,value` CSV; optional JSON sidecar with metadata.
 
-    Returns the list of paths written.  Numeric formatting is fixed at 17
-    significant digits so that reruns are byte-identical.
+    Returns the list of paths written.
     """
     path = Path(path)
-    lines = ["t,value"]
-    t = signal.times
-    for ti, vi in zip(t, signal.samples):
-        lines.append(f"{ti:.17g},{vi:.17g}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    written = [str(path)]
+    written = [write_csv(path, ["t", "value"],
+                         zip(signal.times.tolist(), signal.samples.tolist()))]
     if sidecar is not None:
         meta = {"label": signal.label, "t0": signal.t0, "dt": signal.dt}
         meta.update(sidecar)
-        side = path.with_suffix(path.suffix + ".json")
-        side.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n",
-                        encoding="utf-8")
-        written.append(str(side))
+        written.append(write_json(path.with_suffix(path.suffix + ".json"),
+                                  meta))
     return written
 
 
+_BLANK_LINES = re.compile(r"\n\s*\n")
+
+
 def read_signal(path) -> Signal:
-    """Read a `t,value` CSV or a headerless single-column file (dt = 1)."""
+    """Read a `t,value` CSV or a headerless file whose first column holds
+    the samples (dt = 1).  Cells are parsed by `np.loadtxt`; blank lines
+    are skipped, `#` is not a comment and extra columns are ignored."""
     path = Path(path)
     if not path.exists():
         raise DataError(f"no such signal file: {path}")
@@ -237,7 +273,6 @@ def read_signal(path) -> Signal:
         raise DataError(f"cannot read signal file {path}: {exc}") from exc
     if not text:
         raise DataError(f"empty signal file: {path}")
-    lines = text.splitlines()
     label = path.stem
     t0, dt = 0.0, 1.0
 
@@ -251,23 +286,21 @@ def read_signal(path) -> Signal:
         except (OSError, ValueError, TypeError, AttributeError) as exc:
             raise DataError(f"malformed sidecar {side}: {exc}") from exc
 
-    first = lines[0].replace(" ", "")
-    if first.lower().startswith("t,value"):
-        rows = [ln.split(",") for ln in lines[1:] if ln.strip()]
-        try:
-            t = np.array([float(r[0]) for r in rows])
-            v = np.array([float(r[1]) for r in rows])
-        except (ValueError, IndexError) as exc:
-            raise DataError(f"malformed CSV row in {path}") from exc
-        if t.size >= 2:
-            steps = np.diff(t)
-            if steps.size and np.allclose(steps, steps[0], rtol=1e-9, atol=0):
-                dt = float(steps[0])
-            t0 = float(t[0])
-        return Signal(v, t0=t0, dt=dt, label=label)
-
+    # loadtxt skips empty lines but not lines of blanks
+    text = _BLANK_LINES.sub("\n", text)
+    first, _, body = text.partition("\n")
+    header = first.replace(" ", "").lower().startswith("t,value")
+    if header and not body:
+        raise DataError(f"no data rows under the header in {path}")
     try:
-        v = np.array([float(ln.split(",")[0]) for ln in lines if ln.strip()])
+        data = np.loadtxt(io.StringIO(body if header else text),
+                          delimiter=",", comments=None,
+                          usecols=(0, 1) if header else 0, ndmin=2)
     except ValueError as exc:
-        raise DataError(f"malformed value in {path}") from exc
-    return Signal(v, t0=t0, dt=dt, label=label)
+        raise DataError(f"malformed CSV in {path}: {exc}") from exc
+    if header and data.shape[0] >= 2:
+        steps = np.diff(data[:, 0])
+        if np.allclose(steps, steps[0], rtol=1e-9, atol=0):
+            dt = float(steps[0])
+        t0 = float(data[0, 0])
+    return Signal(np.ascontiguousarray(data[:, -1]), t0=t0, dt=dt, label=label)

@@ -6,16 +6,15 @@ scale-range selection.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from collections import Counter
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .core import DataError, RngSpec, standard_normal_quantile
+from .core import (DataError, RngSpec, standard_normal_quantile,
+                   write_csv, write_json)
 from .wavelet import (CoefficientPyramid, LeaderPyramid, _level_sups,
                       hmin_regression)
 
@@ -273,12 +272,8 @@ def write_estimation_outputs(result: C1C2Estimate, out_json, out_csv,
                              extra: dict | None = None) -> list[str]:
     """Write the JSON report plus a CSV with LB/UB/width columns."""
     doc = estimation_report(result, seed=seed, extra=extra)
-    Path(out_json).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n",
-                              encoding="utf-8")
-    lines = ["param,method,estimate,stderr,LB,UB,UB-LB"]
-    for name, est in (("c1", result.c1), ("c2", result.c2)):
-        lines.append(f"{name},{est.method},{est.estimate:.17g},"
-                     f"{est.stderr:.17g},{est.lower:.17g},{est.upper:.17g},"
-                     f"{est.width:.17g}")
-    Path(out_csv).write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return [str(out_json), str(out_csv)]
+    rows = [(name, est.method, est.estimate, est.stderr, est.lower, est.upper,
+             est.width) for name, est in (("c1", result.c1), ("c2", result.c2))]
+    return [write_json(out_json, doc),
+            write_csv(out_csv, ["param", "method", "estimate", "stderr", "LB",
+                                "UB", "UB-LB"], rows)]

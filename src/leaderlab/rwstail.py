@@ -11,16 +11,15 @@ supremum of |coefficient| over the whole tree.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 from scipy.integrate import quad
 from scipy.special import gammainc, gammaincc, gammainccinv
 
-from .core import DataError, NonConvergenceError, RegimeError, RngSpec, linfit
+from .core import (DataError, NonConvergenceError, RegimeError, RngSpec,
+                   linfit, write_csv, write_json)
 from .synth import GenGaussianParams
 
 LN2 = math.log(2.0)
@@ -446,30 +445,20 @@ class TailBoundReport:
         return doc
 
     def to_json(self, path) -> str:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2,
-                                         sort_keys=True) + "\n",
-                              encoding="utf-8")
-        return str(path)
+        return write_json(path, self.to_dict())
 
     def to_csv(self, path) -> str:
-        cols = ["A", "exact_cdf", "lower_env", "upper_env", "upper_large"]
+        """The grid table; a bound that does not apply at a point (NaN,
+        null in the JSON) is an empty cell."""
+        doc = self.to_dict()
+        header = ["A", "exact_cdf", "lower_env", "upper_env", "upper_large"]
+        cols = [doc[k] for k in ("A_grid", "exact_cdf", "lower_small",
+                                 "upper_small", "upper_large")]
         if self.mc is not None:
-            cols += ["mc_cdf", "mc_stderr"]
-        lines = [",".join(cols)]
-        for i, a in enumerate(self.A_grid):
-            row = [f"{a:.17g}", f"{self.exact_cdf[i]:.17g}",
-                   _csv_num(self.lower_small[i]), _csv_num(self.upper_small[i]),
-                   _csv_num(self.upper_large[i])]
-            if self.mc is not None:
-                row += [f"{self.mc[i].estimate:.17g}",
-                        f"{self.mc[i].stderr:.17g}"]
-            lines.append(",".join(row))
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-        return str(path)
-
-
-def _csv_num(v: float) -> str:
-    return "" if math.isnan(v) else f"{v:.17g}"
+            header += ["mc_cdf", "mc_stderr"]
+            cols += [[r[k] for r in doc["monte_carlo"]]
+                     for k in ("estimate", "stderr")]
+        return write_csv(path, header, zip(*cols))
 
 
 def verify_tail_rates(model: RwsModel, A_grid, tol: float = 1e-12,

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -138,8 +139,8 @@ def gen_mrw(H: float, beta: float, L: int, n: int, rng: RngSpec) -> Signal:
         raise DataError("beta and beta**2 must be finite")
     if beta < 0:
         raise DataError("beta must be >= 0")
-    if L < n:
-        raise DataError("integral scale L must be >= signal length n")
+    if not n <= L <= sys.float_info.max:
+        raise DataError("integral scale L must lie in [n, largest float]")
     fgn = _circulant_draw(_circulant_sqrt_eig("fgn", (float(H),), n), n,
                           rng.generator(0))
     if beta == 0.0:

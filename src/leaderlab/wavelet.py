@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import DataError, RegressionFit, Signal, linfit
+from .core import DataError, RegressionFit, Signal, linfit, write_csv
 
 # Daubechies scaling filters, N = 1..10 vanishing moments, generated offline
 # by spectral factorization of the binomial half-band polynomial at 60-digit
@@ -428,13 +428,10 @@ class StructureFunctionTable:
         return float(self.s[ji, qi])
 
     def to_csv(self, path) -> str:
-        lines = ["j,q,S,logS"]
-        for ji, j in enumerate(self.j_values):
-            for qi, q in enumerate(self.q_values):
-                s = self.s[ji, qi]
-                lines.append(f"{int(j)},{q:.17g},{s:.17g},{math.log2(s):.17g}")
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-        return str(path)
+        return write_csv(path, ["j", "q", "S", "logS"],
+                         [(int(j), q, s, math.log2(s))
+                          for j, row in zip(self.j_values, self.s.tolist())
+                          for q, s in zip(self.q_values.tolist(), row)])
 
 
 def structure_functions(leaders: LeaderPyramid, q_values,

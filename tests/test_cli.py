@@ -4,10 +4,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from leaderlab import cli
+from leaderlab import cli, synth
 from leaderlab.cli import main
-from leaderlab.core import RngSpec, read_signal
-from leaderlab.stattests import logconcavity_test
+from leaderlab.core import DataError, RngSpec, read_signal
+from leaderlab.stattests import logconcavity_test, shapiro_wilk
 from leaderlab.wavelet import basis_from_name, compute_leaders, dwt
 
 
@@ -70,6 +70,24 @@ class TestGenerate:
         assert "--beta" in err and "Traceback" not in err
         assert len(err.strip().splitlines()) == 1
         assert not (out / "signal.csv").exists()
+
+    def test_mrw_L_beyond_float_range_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "m"
+        code = run(["generate", "--process", "mrw", "--H", 0.6,
+                    "--L", "1" + "0" * 400, "--n", 256, "--seed", 1,
+                    "-o", out])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--L" in err and "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+        assert not (out / "signal.csv").exists()
+
+    def test_gen_mrw_L_beyond_float_range_data_error(self):
+        before = synth._circulant_sqrt_eig.cache_info()
+        with pytest.raises(DataError, match="largest float"):
+            synth.gen_mrw(0.6, 0.05, 10 ** 400, 256, RngSpec(1))
+        after = synth._circulant_sqrt_eig.cache_info()
+        assert (after.hits, after.misses) == (before.hits, before.misses)
 
     def test_study_default_mrw_flags(self, tmp_path):
         code = run(["generate", "--process", "mrw", "--H", 0.6, "--beta",
@@ -266,6 +284,27 @@ class TestTestCommand:
         assert len(rows) == 1 + 2 * 3
         agg = (out / "tests_aggregate.csv").read_text().splitlines()
         assert agg[1].split(",")[2] == "6"  # n_runs aggregates signals x reps
+
+    def test_shapiro_reps_subsample_above_5000(self, tmp_path, monkeypatch):
+        # level 1 of a 16384-sample signal holds more than 5000 leaders, so
+        # each rep draws its own subsample from its own substream
+        ens = tmp_path / "ens"
+        run(["generate", "--process", "fbm", "--H", 0.5, "--n", 16384,
+             "--seed", 34, "-o", ens])
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return shapiro_wilk(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "shapiro_wilk", counting)
+        out = tmp_path / "t"
+        assert run(["test", "--input", ens, "--which", "shapiro",
+                    "--scale", "1", "--reps", 2, "--seed", 35,
+                    "-o", out]) == 0
+        assert len(calls) == 2 and calls[0][0].size > 5000
+        rows = (out / "tests.csv").read_text().splitlines()[1:]
+        assert len(rows) == 2 and rows[0] != rows[1]
 
     def test_requires_seed(self, tmp_path):
         assert run(["test", "--input", tmp_path, "--which", "shapiro",

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leaderlab.core import (DataError, RngSpec, Signal, linfit, normal_cdf,
                             read_signal, standard_normal_quantile,
@@ -185,3 +187,64 @@ class TestSignalIO:
     def test_directory(self, tmp_path):
         with pytest.raises(DataError, match="cannot read"):
             read_signal(tmp_path)
+
+
+# (file text, samples the reader returns, or DataError); each outcome but
+# the `1_0` one was recorded with the earlier per-row `float()` reader
+READER_CASES = {
+    "spaces_around_cells": ("t,value\n 0 , 1.5 \n\t1\t,\t2.5\t\n",
+                            [1.5, 2.5]),
+    "crlf": ("t,value\r\n0,1.5\r\n1,2.5\r\n", [1.5, 2.5]),
+    "blank_middle_lines": ("t,value\n0,1.5\n\n   \n1,2.5\n", [1.5, 2.5]),
+    "leading_blank_lines": ("\n \nt,value\n0,1.5\n1,2.5\n", [1.5, 2.5]),
+    "three_columns": ("t,value,x\n0,1.5,9\n1,2.5,9\n", [1.5, 2.5]),
+    "ragged_short_row": ("t,value\n0,1.5\n1\n2,3.5\n", DataError),
+    "ragged_long_row": ("t,value\n0,1.5\n1,2.5,7\n", [1.5, 2.5]),
+    "headerless_two_columns": ("1.5,9\n2.5,x\n", [1.5, 2.5]),
+    "headerless_ragged": ("1.5,9\n2.5\n", [1.5, 2.5]),
+    "plus_exponent": ("t,value\n0,+1e3\n1,2\n", [1000.0, 2.0]),
+    "inf": ("t,value\n0,inf\n1,2\n", DataError),
+    "empty_cell": ("t,value\n0,\n1,2\n", DataError),
+    "one_column_under_header": ("t,value\n1.5\n2.5\n", DataError),
+    "header_only": ("t,value\n", DataError),
+    "header_then_blanks": ("t,value\n\n  \n", DataError),
+    "one_row": ("t,value\n0,1.5\n", DataError),
+    "hash_line": ("t,value\n# note\n0,1.5\n1,2.5\n", DataError),
+    "hash_line_headerless": ("# note\n1.5\n2.5\n", DataError),
+    # Python's float() reads 1_0 as 10.0; the CSV reader does not
+    "underscore_digits": ("t,value\n0,1_0\n1,2\n", DataError),
+}
+
+
+class TestReadSignalInputs:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("case", sorted(READER_CASES))
+    def test_outcome(self, tmp_path, case):
+        text, expected = READER_CASES[case]
+        p = tmp_path / "s.csv"
+        p.write_bytes(text.encode("utf-8"))
+        if expected is DataError:
+            with pytest.raises(DataError):
+                read_signal(p)
+        else:
+            got = read_signal(p).samples
+            assert got.tobytes() == np.array(expected).tobytes()
+
+
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -2.225073858507201e-308, 1e308, -1e308,
+               1.7976931348623157e308, 0.1, 1 / 3]
+
+
+@settings(max_examples=150, deadline=None)
+@given(samples=st.lists(st.one_of(st.sampled_from(EDGE_FLOATS),
+                                  st.floats(allow_nan=False,
+                                            allow_infinity=False)),
+                        min_size=2, max_size=40),
+       dt=st.floats(min_value=1e-6, max_value=1e6))
+def test_write_read_round_trip_bits(tmp_path_factory, samples, dt):
+    p = tmp_path_factory.mktemp("round") / "s.csv"
+    sig = Signal(np.array(samples), t0=0.0, dt=dt)
+    write_signal(sig, p)
+    back = read_signal(p)
+    assert back.samples.tobytes() == sig.samples.tobytes()
+    assert back.t0 == 0.0 and back.dt == dt
