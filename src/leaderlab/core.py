@@ -209,7 +209,8 @@ def write_csv(path, header, rows) -> str:
     """Write a table as CSV: a header line, then one line per row, with `\\n`
     endings in UTF-8.  Floats are written at 17 significant digits, so they
     read back exactly; None is an empty cell; anything else goes through
-    `str`.  Every row must have one cell per header name.
+    `str`, quoted as RFC 4180 has it when it holds `,`, `"`, CR or LF.
+    Every row must have one cell per header name.
     """
     width = len(header)
     cells = []
@@ -227,11 +228,16 @@ def write_csv(path, header, rows) -> str:
         else:
             specs.append("%s")
             cells[i::width] = ["" if v is None else "%.17g" % v
-                               if isinstance(v, float) else str(v)
+                               if isinstance(v, float) else _csv_text(str(v))
                                for v in col]
     body = (",".join(specs) + "\n") * (len(cells) // width) % tuple(cells)
     Path(path).write_text(",".join(header) + "\n" + body, encoding="utf-8")
     return str(path)
+
+
+def _csv_text(text: str) -> str:
+    return ('"%s"' % text.replace('"', '""')
+            if any(c in text for c in ',"\r\n') else text)
 
 
 def write_json(path, doc) -> str:

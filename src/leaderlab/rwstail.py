@@ -12,11 +12,11 @@ supremum of |coefficient| over the whole tree.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import gammainc, gammaincc, gammainccinv
+from scipy.special import gammainc, gammaincc
 
 from .core import (DataError, NonConvergenceError, RegimeError, RngSpec,
                    linfit, write_csv, write_json)
@@ -26,6 +26,11 @@ LN2 = math.log(2.0)
 
 # envelope rate constants are only defined for alpha above this threshold
 SMALL_A_ALPHA_MIN = math.log(1.13 * math.pi) / math.log(4.0)
+
+_MAX_DEPTH = 200        # levels the exact product may take to converge
+_I_CAP = 200            # last level find_l_beta checks
+_J_SPLIT = 100_000      # explicit factors of the infinite products
+_MC_DEPTH = 18          # tree depth of the Monte Carlo cross-check
 
 
 def gg_cdf(x, beta: float):
@@ -81,43 +86,45 @@ def a_threshold(model: RwsModel) -> float:
     return pow_a / (pow_a - 1.0)
 
 
-def leader_log_cdf_exact(model: RwsModel, A: float, tol: float = 1e-12,
-                         max_depth: int = 200) -> float:
+def _level_tail(model: RwsModel, A: float, j: int) -> float:
+    """P(|X| > 2^(alpha j) A): one depth-j coefficient exceeds A."""
+    return gg_two_sided_tail(2.0 ** (model.alpha * j) * A, model.beta)
+
+
+def leader_log_cdf_exact(model: RwsModel, A: float,
+                         tol: float = 1e-12) -> float:
     """log P(leader <= A) as the truncated product sum_j 2^j log F(2^(alpha j) A).
 
     Truncation stops once the remaining mass bound falls below `tol`; the
     stopping rule requires the per-level term ratio to be certifiably below
     1/2, and a NonConvergenceError reports alpha/A combinations for which
-    that never happens within `max_depth` levels.
+    that never happens within 200 levels.
     """
     if A <= 0:
         raise DataError("A must be > 0")
     if tol <= 0:
         raise DataError("tol must be > 0")
     total = 0.0
-    j = 0
-    while True:
-        x = 2.0 ** (model.alpha * j) * A
-        tail = gg_two_sided_tail(x, model.beta)
+    tail = _level_tail(model, A, 0)
+    for j in range(_MAX_DEPTH + 1):
         if tail >= 1.0:
             return -math.inf
         total += 2.0 ** j * math.log1p(-tail)
+        next_tail = _level_tail(model, A, j + 1)
         # once the ratio of consecutive weighted tails is certified <= 1/2,
         # the remainder is below twice the next term
-        gap = (2.0 ** (model.alpha * (j + 1)) * A) ** model.beta - x ** model.beta
+        gap = (2.0 ** (model.alpha * (j + 1)) * A) ** model.beta \
+            - (2.0 ** (model.alpha * j) * A) ** model.beta
         if gap >= math.log(4.0):
-            next_tail = gg_two_sided_tail(2.0 ** (model.alpha * (j + 1)) * A,
-                                          model.beta)
             remainder = 2.0 * 2.0 ** (j + 1) * next_tail / max(1.0 - next_tail,
                                                                0.5)
             if remainder < tol:
                 return total
-        j += 1
-        if j > max_depth:
-            raise NonConvergenceError(
-                f"leader CDF product does not certify convergence within "
-                f"{max_depth} levels (alpha={model.alpha}, A={A}); "
-                "alpha is too small for the requested A")
+        tail = next_tail
+    raise NonConvergenceError(
+        f"leader CDF product does not certify convergence within "
+        f"{_MAX_DEPTH} levels (alpha={model.alpha}, A={A}); "
+        "alpha is too small for the requested A")
 
 
 def leader_cdf_exact(model: RwsModel, A: float, tol: float = 1e-12) -> float:
@@ -137,11 +144,17 @@ def leader_cdf_monte_carlo(model: RwsModel, A: float, J: int, n_paths: int,
                            rng: RngSpec) -> MonteCarloCdf:
     """Empirical P(leader <= A) over independent depth-J trees.
 
-    Per level the maximum of the 2^j i.i.d. |X| draws is sampled exactly by
-    inverse CDF at u^(1/2^j), so the cost is one draw per level per path.
+    A path lies below A iff, at every level j <= J, its uniform u_j is
+    <= tau_j = F(2^(alpha j) A)^(2^j), the probability that all 2^j draws
+    of level j stay below 2^(alpha j) A: tau_j is the exp of the j-th term
+    of `leader_log_cdf_exact`.  The decisions equal those of sampling each
+    level maximum by inverse CDF at u_j^(1/2^j), except where a draw lies
+    within rounding of tau_j.
     The depth is capped at 24; the reported truncation bias bounds the
     probability that some level beyond J would exceed A.
     """
+    if A <= 0:
+        raise DataError("A must be > 0")
     if J < 1:
         raise DataError("need J >= 1")
     if J > 24:
@@ -149,20 +162,17 @@ def leader_cdf_monte_carlo(model: RwsModel, A: float, J: int, n_paths: int,
     if n_paths < 1:
         raise DataError("need n_paths >= 1")
     gen = rng.generator(0)
-    inv_beta = 1.0 / model.beta
-    best = np.full(n_paths, -np.inf)
+    below = np.ones(n_paths, dtype=bool)
     for j in range(J + 1):
         u = gen.random(n_paths)
-        # tail prob of the level max: 1 - u^(1/2^j), computed stably
-        t = -np.expm1(np.log(u) / 2.0 ** j)
-        level_max = gammainccinv(inv_beta, t) ** inv_beta
-        best = np.maximum(best, 2.0 ** (-model.alpha * j) * level_max)
-    p_hat = float(np.mean(best <= A))
+        tail = _level_tail(model, A, j)
+        tau = math.exp(2.0 ** j * math.log1p(-tail)) if tail < 1.0 else 0.0
+        below &= u <= tau
+    p_hat = float(np.mean(below))
     stderr = math.sqrt(max(p_hat * (1.0 - p_hat), 1e-12) / n_paths)
     bias = 0.0
     for j in range(J + 1, J + 60):
-        term = 2.0 ** j * gg_two_sided_tail(2.0 ** (model.alpha * j) * A,
-                                            model.beta)
+        term = 2.0 ** j * _level_tail(model, A, j)
         bias += term
         if term < 1e-18:
             break
@@ -178,11 +188,11 @@ def partial_product_one_minus(l: int, j_stop: int) -> float:
     return float(np.exp(np.sum(np.log1p(-1.0 / (4.0 * j * j)))))
 
 
-def infinite_product_one_minus(l: int = 1, j_split: int = 100_000) -> float:
-    """prod_{j>=l} (1 - 1/(4 j^2)): explicit product to j_split plus an
+def infinite_product_one_minus(l: int = 1) -> float:
+    """prod_{j>=l} (1 - 1/(4 j^2)): explicit product to J = 100000 plus an
     analytic tail from the asymptotic expansion of sum_{j>J} j^-2k."""
-    head = partial_product_one_minus(l, j_split)
-    jj = float(j_split)
+    head = partial_product_one_minus(l, _J_SPLIT)
+    jj = float(_J_SPLIT)
     s2 = 1.0 / jj - 1.0 / (2.0 * jj ** 2) + 1.0 / (6.0 * jj ** 3) \
         - 1.0 / (30.0 * jj ** 5)
     s4 = 1.0 / (3.0 * jj ** 3)
@@ -190,12 +200,12 @@ def infinite_product_one_minus(l: int = 1, j_split: int = 100_000) -> float:
     return head * math.exp(tail_log)
 
 
-def infinite_product_one_plus(j_split: int = 100_000) -> float:
-    """prod_{j>=1} (1 + 1/(4 j (j+1))): explicit head plus the telescoping
-    tail sum_{j>J} 1/(4 j (j+1)) = 1/(4(J+1))."""
-    j = np.arange(1, j_split + 1, dtype=float)
+def infinite_product_one_plus() -> float:
+    """prod_{j>=1} (1 + 1/(4 j (j+1))): explicit head to J = 100000 plus the
+    telescoping tail sum_{j>J} 1/(4 j (j+1)) = 1/(4(J+1))."""
+    j = np.arange(1, _J_SPLIT + 1, dtype=float)
     head = float(np.exp(np.sum(np.log1p(1.0 / (4.0 * j * (j + 1.0))))))
-    jj = float(j_split)
+    jj = float(_J_SPLIT)
     tail_log = 1.0 / (4.0 * (jj + 1.0)) - 1.0 / (96.0 * jj ** 3)
     return head * math.exp(tail_log)
 
@@ -226,36 +236,31 @@ def _mills_epsilon(model: RwsModel, i: float) -> float:
         / (model.beta * x ** (model.beta - 1.0))
 
 
-def find_l_beta(model: RwsModel, i_cap: int = 200) -> int:
+def find_l_beta(model: RwsModel) -> int:
     """Smallest level l such that the Mills approximation is 1%-accurate at
     2^(alpha l) and the per-level product inequality
     (1 - 1/(4 i^2)) <= (1 - eps_i)^(2^(i+l+1)) holds for every i >= l."""
     thr = a_threshold(model) if model.beta != 1.0 else 1.0
     l_min = max(1, math.ceil(math.log2(thr) / model.alpha)) if thr > 1.0 else 1
     worst: dict[int, float] = {}
-    for l in range(l_min, i_cap + 1):
-        ok = True
-        for i in range(l, i_cap + 1):
+    for l in range(l_min, _I_CAP + 1):
+        for i in range(l, _I_CAP + 1):
             eps = _mills_epsilon(model, i)
-            lhs = math.log1p(-1.0 / (4.0 * i * i))
+            if eps == 0.0:
+                return l  # every deeper level holds as well
             if eps >= 1.0:
-                ok = False
                 worst[l] = math.inf
                 break
-            if eps == 0.0:
-                break
-            exponent = i + l + 1
-            rhs = (2.0 ** exponent) * math.log1p(-eps) if exponent < 1000 \
-                else -math.inf if eps > 0 else 0.0
+            lhs = math.log1p(-1.0 / (4.0 * i * i))
+            rhs = 2.0 ** (i + l + 1) * math.log1p(-eps)
             if lhs > rhs:
-                ok = False
                 worst[l] = lhs - rhs
                 break
-        if ok:
+        else:
             return l
     raise RegimeError(
         "no level satisfies the tail-product inequality up to "
-        f"i={i_cap}; worst residuals per candidate: "
+        f"i={_I_CAP}; worst residuals per candidate: "
         + ", ".join(f"l={l}: {r:.3e}" for l, r in list(worst.items())[:5]))
 
 
@@ -277,6 +282,7 @@ class SmallABounds:
     upper: float
     rate: float
     constants: dict
+    rate_interval: tuple[float, float]
 
     def __iter__(self):
         return iter((self.lower, self.upper, self.rate))
@@ -289,7 +295,8 @@ def small_A_bounds(model: RwsModel, A: float) -> SmallABounds:
     The envelope (2^alpha / A) exp(A^(-1/alpha) log(2 c_l kappa Lambda /
     2^(2 alpha))) is evaluated at the interval ends Lambda = 1 (lower) and
     Lambda = pi/2 (upper); `rate` is the log-decay coefficient at the
-    interval midpoint.  Useful for decay-rate verification only; absolute
+    interval midpoint and `rate_interval` its values at Lambda = pi/2 and
+    Lambda = 1.  Useful for decay-rate verification only; absolute
     values carry unknown constants.
     """
     if not model.small_a_condition():
@@ -306,18 +313,19 @@ def small_A_bounds(model: RwsModel, A: float) -> SmallABounds:
     kappa = model.gg.kappa
     lam = implied_lambda(model, l_beta)
 
-    def envelope(lmbda: float) -> float:
-        log_ratio = math.log(2.0 * c_l * kappa * lmbda) - 2.0 * model.alpha * LN2
-        return (2.0 ** model.alpha / A) * math.exp(A ** (-1.0 / model.alpha)
-                                                   * log_ratio)
+    def rate(lmbda: float) -> float:
+        return 2.0 * model.alpha * LN2 - math.log(2.0 * c_l * kappa * lmbda)
 
-    lam_mid = (1.0 + math.pi / 2.0) / 2.0
-    rate = 2.0 * model.alpha * LN2 - math.log(2.0 * c_l * kappa * lam_mid)
+    def envelope(lmbda: float) -> float:
+        return (2.0 ** model.alpha / A) * math.exp(-(A ** (-1.0 / model.alpha)
+                                                     * rate(lmbda)))
+
     constants = {"l_beta": l_beta, "c_lbeta": c_l, "kappa_beta": kappa,
                  "lambda_interval": (1.0, math.pi / 2.0),
                  "lambda_implied": lam, "A_beta": a_threshold(model)}
-    return SmallABounds(lower=envelope(1.0), upper=envelope(math.pi / 2.0),
-                        rate=rate, constants=constants)
+    return SmallABounds(envelope(1.0), envelope(math.pi / 2.0),
+                        rate((1.0 + math.pi / 2.0) / 2.0), constants,
+                        (rate(math.pi / 2.0), rate(1.0)))
 
 
 def large_A_bound(model: RwsModel, A: float) -> float:
@@ -437,11 +445,7 @@ class TailBoundReport:
             "checks_passed": self.checks_passed,
         }
         if self.mc is not None:
-            doc["monte_carlo"] = [{"estimate": r.estimate, "stderr": r.stderr,
-                                   "n_paths": r.n_paths, "depth": r.depth,
-                                   "truncation_bias_bound":
-                                       r.truncation_bias_bound}
-                                  for r in self.mc]
+            doc["monte_carlo"] = [asdict(r) for r in self.mc]
         return doc
 
     def to_json(self, path) -> str:
@@ -462,8 +466,7 @@ class TailBoundReport:
 
 
 def verify_tail_rates(model: RwsModel, A_grid, tol: float = 1e-12,
-                      mc_paths: int = 0, mc_depth: int = 18,
-                      rng: RngSpec | None = None,
+                      mc_paths: int = 0, rng: RngSpec | None = None,
                       json_path=None, csv_path=None) -> TailBoundReport:
     """Exact leader CDF over a grid plus decay-rate and domination checks.
 
@@ -472,7 +475,8 @@ def verify_tail_rates(model: RwsModel, A_grid, tol: float = 1e-12,
     coefficients compared against the Lambda-interval envelope (membership
     is reported, with and without the A^(-1)-prefactor correction budget).
     Large-regime points (A > A_beta) must be dominated by the explicit
-    bound.  Grid points in neither regime raise a RegimeError.
+    bound.  Grid points in neither regime raise a RegimeError.  With
+    `mc_paths` > 0 every point also gets a Monte Carlo estimate at J = 18.
     """
     grid = np.sort(np.atleast_1d(np.asarray(A_grid, dtype=float)))
     if grid.size == 0 or np.any(grid <= 0.0):
@@ -493,41 +497,30 @@ def verify_tail_rates(model: RwsModel, A_grid, tol: float = 1e-12,
     log_cdf = np.array([leader_log_cdf_exact(model, a, tol) for a in grid])
     exact = np.exp(log_cdf)
     n = grid.size
-    lower_small = np.full(n, np.nan)
-    upper_small = np.full(n, np.nan)
-    upper_large = np.full(n, np.nan)
-    rate_hat = np.full(n, np.nan)
-    rate_in = [False] * n
-    rate_in_corr = [False] * n
+    lower_small, upper_small, upper_large, rate_hat = np.full((4, n), np.nan)
+    rate_in, rate_in_corr = [False] * n, [False] * n
     dominates = []
 
     small_idx = [i for i, r in enumerate(regime) if r == "small"]
     constants: dict = {"A_beta": a_beta}
     rate_lo = rate_hi = math.nan
-    if small_idx:
-        sb = small_A_bounds(model, grid[small_idx[0]])
+    for i in small_idx:
+        a = grid[i]
+        sb = small_A_bounds(model, a)
+        # the constants and the rate interval do not depend on A
         constants.update(sb.constants)
-        c_l, kappa = sb.constants["c_lbeta"], sb.constants["kappa_beta"]
-        rate_lo = 2.0 * model.alpha * LN2 \
-            - math.log(2.0 * c_l * kappa * (math.pi / 2.0))
-        rate_hi = 2.0 * model.alpha * LN2 - math.log(2.0 * c_l * kappa)
-        for i in small_idx:
-            a = grid[i]
-            sb_i = small_A_bounds(model, a)
-            lower_small[i], upper_small[i] = sb_i.lower, sb_i.upper
-            prefactor = math.log(2.0 ** model.alpha / a)
-            rate_hat[i] = -(log_cdf[i] - prefactor) * a ** (1.0 / model.alpha)
-            rate_in[i] = rate_lo <= rate_hat[i] <= rate_hi
-            budget = abs(prefactor) * a ** (1.0 / model.alpha)
-            rate_in_corr[i] = (rate_lo - budget) <= rate_hat[i] \
-                <= (rate_hi + budget)
+        rate_lo, rate_hi = sb.rate_interval
+        lower_small[i], upper_small[i] = sb.lower, sb.upper
+        prefactor = math.log(2.0 ** model.alpha / a)
+        rate_hat[i] = -(log_cdf[i] - prefactor) * a ** (1.0 / model.alpha)
+        rate_in[i] = rate_lo <= rate_hat[i] <= rate_hi
+        budget = abs(prefactor) * a ** (1.0 / model.alpha)
+        rate_in_corr[i] = (rate_lo - budget) <= rate_hat[i] \
+            <= (rate_hi + budget)
 
-    slope = slope_r2 = None
-    slope_ok = None
+    slope = slope_r2 = slope_ok = None
     if len(small_idx) >= 2:
-        xs = np.log(grid[small_idx])
-        ys = np.log(-log_cdf[small_idx])
-        fit = linfit(xs, ys)
+        fit = linfit(np.log(grid[small_idx]), np.log(-log_cdf[small_idx]))
         slope, slope_r2 = fit.slope, fit.r_squared
         # the asymptotic exponent needs some depth to show; with fewer than
         # four small-regime points the fit is reported but not judged
@@ -543,7 +536,7 @@ def verify_tail_rates(model: RwsModel, A_grid, tol: float = 1e-12,
     if mc_paths > 0:
         if rng is None:
             raise DataError("Monte Carlo cross-check requires an RngSpec")
-        mc_results = [leader_cdf_monte_carlo(model, a, mc_depth, mc_paths,
+        mc_results = [leader_cdf_monte_carlo(model, a, _MC_DEPTH, mc_paths,
                                              rng.substream(i))
                       for i, a in enumerate(grid)]
 

@@ -25,6 +25,10 @@ __all__ = [
     "logconcavity_test",
 ]
 
+_TOL_CONCAVITY = 1e-9   # largest kink a fitted log-concave MLE may show
+_MAX_OUTER = 200        # active-set passes of the MLE
+_MAX_INNER = 200        # Newton steps per active-set pass
+
 
 @dataclass
 class TestReport:
@@ -199,7 +203,6 @@ class LogConcaveMLE:
     log_density_at_knots: np.ndarray
     n: int
     objective_path: list = field(default_factory=list)
-    converged: bool = True
 
     @property
     def domain(self) -> tuple[float, float]:
@@ -321,9 +324,7 @@ def _constraint_multipliers(prob: "_MLEProblem", knots_idx: np.ndarray,
     return lam
 
 
-def fit_logconcave_mle(samples, tol_concavity: float = 1e-9,
-                       max_outer: int = 200,
-                       max_inner: int = 200) -> LogConcaveMLE:
+def fit_logconcave_mle(samples) -> LogConcaveMLE:
     """Maximum-likelihood log-concave density of a univariate sample.
 
     Maximizes (1/n) sum_i phi(X_i) - integral exp(phi) over concave phi; the
@@ -352,13 +353,13 @@ def fit_logconcave_mle(samples, tol_concavity: float = 1e-9,
     aw = prob.data_weights(knots)
     path: list[float] = [prob.objective(knots, v, aw)]
 
-    for _outer in range(max_outer):
+    for _outer in range(_MAX_OUTER):
         # inner solve over the current knot set; terminates when Newton can
         # no longer raise the objective (optimality is judged by the outer
         # multiplier scan, not by the coordinate gradient, whose scale blows
         # up on the tiny segments between adjacent order statistics)
         stall = 0
-        for _inner in range(max_inner):
+        for _inner in range(_MAX_INNER):
             grad, hess = prob.grad_hess(knots, v, aw)
             try:
                 step = np.linalg.solve(hess, grad)
@@ -424,7 +425,7 @@ def fit_logconcave_mle(samples, tol_concavity: float = 1e-9,
         # KKT scan: Lagrange multipliers of the active (no-kink) constraints;
         # a negative multiplier marks a point where a downward bend raises
         # the objective, so that point becomes a knot
-        best_i, best_score = -1, -tol_concavity
+        best_i, best_score = -1, -_TOL_CONCAVITY
         lam = _constraint_multipliers(prob, knots, v)
         worst = int(np.argmin(lam))
         if lam[worst] < best_score:
@@ -441,17 +442,17 @@ def fit_logconcave_mle(samples, tol_concavity: float = 1e-9,
         aw = prob.data_weights(knots)
     else:
         raise NonConvergenceError(
-            f"active set did not settle after {max_outer} passes "
+            f"active set did not settle after {_MAX_OUTER} passes "
             f"(last insertion score {best_score:.3e})")
 
     model = LogConcaveMLE(knots=prob.y[knots], log_density_at_knots=v, n=n,
-                          objective_path=path, converged=True)
+                          objective_path=path)
     mass = model.total_mass()
     if abs(mass - 1.0) > 1e-6:
         raise NonConvergenceError(
             f"fitted density mass {mass} deviates from 1 beyond tolerance")
     kinks = _kinks(model.knots, model.log_density_at_knots)
-    if kinks.size and float(np.max(kinks)) > tol_concavity:
+    if kinks.size and float(np.max(kinks)) > _TOL_CONCAVITY:
         raise NonConvergenceError(
             f"concavity violated by {float(np.max(kinks)):.3e}")
     return model

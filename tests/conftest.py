@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import settings
+from scipy.special import gammainccinv
 
 from leaderlab.core import RngSpec
 from leaderlab.wavelet import CoefficientPyramid
+
+# the same examples on every run, whatever the .hypothesis/ database holds
+settings.register_profile("leaderlab", derandomize=True, deadline=None)
+settings.load_profile("leaderlab")
 
 
 @pytest.fixture
@@ -124,3 +130,19 @@ def naive_circulant_gaussian(acov, n, gen):
     z[1:m] = (uv[:, 0] + 1j * uv[:, 1]) / np.sqrt(2.0)
     z[m + 1:] = np.conj(z[1:m][::-1])
     return (np.sqrt(2.0 * m) * np.fft.ifft(np.sqrt(eig) * z).real)[:n]
+
+
+def inverse_cdf_leader_cdf_monte_carlo(model, A, J, n_paths, rng):
+    """Empirical P(leader <= A) over depth-J trees, each level maximum drawn
+    by inverse CDF at u^(1/2^j), for oracle use; it reads the stream as
+    `leader_cdf_monte_carlo` does and returns the estimate."""
+    gen = rng.generator(0)
+    inv_beta = 1.0 / model.beta
+    best = np.full(n_paths, -np.inf)
+    for j in range(J + 1):
+        u = gen.random(n_paths)
+        # tail prob of the level max: 1 - u^(1/2^j), computed stably
+        t = -np.expm1(np.log(u) / 2.0 ** j)
+        level_max = gammainccinv(inv_beta, t) ** inv_beta
+        best = np.maximum(best, 2.0 ** (-model.alpha * j) * level_max)
+    return float(np.mean(best <= A))

@@ -1,3 +1,4 @@
+import csv
 import json
 from pathlib import Path
 
@@ -260,6 +261,27 @@ class TestTestCommand:
         agg = (out / "tests_aggregate.csv").read_text().splitlines()
         assert agg[0] == "source,scale,n_runs,prop_rejected"
         assert len(agg) == 3
+
+    def test_comma_in_names_is_quoted(self, tmp_path):
+        gen = tmp_path / "gen"
+        run(["generate", "--process", "fbm", "--H", 0.5, "--n", 1024,
+             "--seed", 35, "-o", gen])
+        src = tmp_path / "x,y"
+        src.mkdir()
+        for name in ("a,b", "c"):
+            (src / f"{name}.csv").write_bytes((gen / "signal.csv").read_bytes())
+        out = tmp_path / "t"
+        assert run(["test", "--input", src, "--which", "shapiro",
+                    "--scale", "3", "--seed", 36, "-o", out]) == 0
+        with open(out / "tests.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert [len(r) for r in rows] == [7, 7, 7]
+        assert [r[0] for r in rows[1:]] == ["a,b", "c"]
+        with open(out / "tests_aggregate.csv", newline="",
+                  encoding="utf-8") as fh:
+            agg = list(csv.reader(fh))
+        assert agg == [["source", "scale", "n_runs", "prop_rejected"],
+                       ["x,y", "3", "2", agg[1][3]]]
 
     def test_logconcave_defaults(self, tmp_path):
         ens = tmp_path / "ens"

@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from leaderlab.core import (DataError, RngSpec, Signal, linfit, normal_cdf,
                             read_signal, standard_normal_quantile,
-                            write_signal)
+                            write_csv, write_signal)
 
 
 class TestLinfit:
@@ -248,3 +249,19 @@ def test_write_read_round_trip_bits(tmp_path_factory, samples, dt):
     back = read_signal(p)
     assert back.samples.tobytes() == sig.samples.tobytes()
     assert back.t0 == 0.0 and back.dt == dt
+
+
+class TestWriteCsv:
+    def test_text_cells_quoted_only_when_needed(self, tmp_path):
+        p = tmp_path / "t.csv"
+        names = ["a,b", 'say "hi"', "two\nlines", "cr\r", "plain"]
+        write_csv(p, ["name", "k", "x"],
+                  [(name, k, 0.5 * k) for k, name in enumerate(names)])
+        with open(p, newline="", encoding="utf-8") as fh:
+            back = list(csv.reader(fh))
+        assert back[0] == ["name", "k", "x"]
+        assert [len(r) for r in back] == [3] * 6
+        assert [r[0] for r in back[1:]] == names
+        text = p.read_text(encoding="utf-8")
+        assert text.startswith('name,k,x\n"a,b",0,0\n"say ""hi""",1,0.5\n')
+        assert text.endswith("\nplain,4,2\n")

@@ -1,12 +1,16 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from conftest import inverse_cdf_leader_cdf_monte_carlo
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from leaderlab.core import DataError, NonConvergenceError, RegimeError, RngSpec
 from leaderlab.rwstail import (RwsModel, a_threshold, c_l_constant, find_l_beta,
-                               gg_cdf, implied_lambda,
+                               gg_cdf, gg_two_sided_tail, implied_lambda,
                                infinite_product_one_minus,
                                infinite_product_one_plus, large_A_bound,
                                leader_cdf_exact, leader_cdf_monte_carlo,
@@ -75,6 +79,31 @@ class TestLeaderCdfExact:
             leader_cdf_exact(model, 0.5, tol=0.0)
 
 
+@given(alpha=st.floats(0.5, 3.0), beta=st.floats(0.5, 4.0),
+       a_pair=st.lists(st.floats(1e-3, 50.0), min_size=2, max_size=2))
+def test_log_cdf_nonpositive_and_nondecreasing(alpha, beta, a_pair):
+    model = RwsModel(alpha, beta)
+    a_lo, a_hi = sorted(a_pair)
+    lo = leader_log_cdf_exact(model, a_lo)
+    hi = leader_log_cdf_exact(model, a_hi)
+    assert lo <= hi <= 0.0
+
+
+CLI_GRID = [2.0 ** (-k) for k in range(9, 3, -1)] + [7.1, 8.0, 10.0]
+
+
+class _FixedUniforms:
+    """Stands in for an RngSpec whose stream hands out `rows`, one value
+    per level, repeated over the paths."""
+
+    def __init__(self, rows):
+        self.rows = rows
+
+    def generator(self, *path):
+        rows = iter(self.rows)
+        return SimpleNamespace(random=lambda n: np.full(n, next(rows)))
+
+
 class TestLeaderCdfMonteCarlo:
     def test_agrees_with_truncated_product(self):
         model = RwsModel(1.0, 2.0)
@@ -104,6 +133,41 @@ class TestLeaderCdfMonteCarlo:
             leader_cdf_monte_carlo(model, 0.5, J=0, n_paths=10, rng=RngSpec(1))
         with pytest.raises(DataError):
             leader_cdf_monte_carlo(model, 0.5, J=30, n_paths=10, rng=RngSpec(1))
+        for a_val in (0.0, -0.5):
+            with pytest.raises(DataError):
+                leader_cdf_monte_carlo(model, a_val, J=4, n_paths=10,
+                                       rng=RngSpec(1))
+
+    @pytest.mark.parametrize("alpha,beta", [(1.0, 2.0), (1.0, 1.0),
+                                            (1.5, 0.7), (0.8, 3.0)])
+    def test_same_estimates_as_inverse_cdf_oracle(self, alpha, beta):
+        # the event count decides as the inverse-CDF draw of each level
+        # maximum does, on the CLI's default grid and its depth
+        model = RwsModel(alpha, beta)
+        for seed in (3, 4):
+            for i, a_val in enumerate(CLI_GRID):
+                rng = RngSpec(seed).substream(i)
+                mine = leader_cdf_monte_carlo(model, a_val, 18, 2000, rng)
+                assert mine.estimate == inverse_cdf_leader_cdf_monte_carlo(
+                    model, a_val, 18, 2000, rng), (seed, a_val)
+
+    def test_draw_at_threshold_counts_as_below(self):
+        # tau_j = exp(2^j log1p(-P(|X| > 2^(alpha j) A))), the exp of the
+        # j-th term of the exact product; a draw equal to tau_j is below A
+        # and the next float up is not
+        model = RwsModel(1.0, 2.0)
+        a_val, depth = 0.5, 4
+        taus = [math.exp(2.0 ** j * math.log1p(-gg_two_sided_tail(
+            2.0 ** j * a_val, 2.0))) for j in range(depth + 1)]
+        at = leader_cdf_monte_carlo(model, a_val, depth, 3,
+                                    _FixedUniforms(taus))
+        assert at.estimate == 1.0
+        for j in range(depth + 1):
+            above = list(taus)
+            above[j] = np.nextafter(taus[j], 2.0)
+            res = leader_cdf_monte_carlo(model, a_val, depth, 3,
+                                         _FixedUniforms(above))
+            assert res.estimate == 0.0, j
 
 
 class TestConstants:
@@ -146,6 +210,16 @@ class TestSmallABounds:
         lower, upper, rate = res
         assert lower <= upper
         assert rate > 0.0
+
+    @pytest.mark.parametrize("alpha,beta", [(1.0, 2.0), (1.5, 0.7)])
+    def test_rate_interval_is_the_reported_one(self, alpha, beta):
+        model = RwsModel(alpha, beta)
+        report = verify_tail_rates(model, CLI_GRID[:6])
+        lo, hi = report.rate_interval
+        for a_val in CLI_GRID[:6]:
+            res = small_A_bounds(model, a_val)
+            assert res.rate_interval == (lo, hi)
+            assert lo < res.rate < hi
 
     def test_regime_errors(self):
         with pytest.raises(RegimeError):
