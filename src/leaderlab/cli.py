@@ -24,15 +24,15 @@ import numpy as np
 from . import __version__
 from .core import (DataError, NonConvergenceError, RegimeError, RngSpec,
                    Signal, read_signal, write_csv, write_json, write_signal)
-from .cumulants import (bootstrap_percentile, estimate_c1_c2,
+from .cumulants import (_c2_statistic, bootstrap_percentile, estimate_c1_c2,
                         estimation_scale_candidates, select_scale_range,
                         write_estimation_outputs)
 from .rwstail import RwsModel, verify_tail_rates
 from .stattests import logconcavity_test, qq_data, shapiro_wilk
 from .synth import ProcessSpec, generate
 from .wavelet import (basis_from_name, compute_leaders, dwt, fits_levels,
-                      max_levels, pyramid_to_json, scaling_function,
-                      structure_functions, legendre_spectrum)
+                      pyramid_to_json, scaling_function, structure_functions,
+                      legendre_spectrum)
 
 
 class UsageError(Exception):
@@ -91,61 +91,26 @@ def _parse_scale_pair(spec: str) -> tuple[int, int]:
     return j1, j2
 
 
-_PROCESS_PARAM_KEYS = ("H", "beta", "L", "mu", "T", "rmin", "sigma2", "w",
-                       "alpha", "ggbeta", "J", "intensity", "nvanish")
-
-
-def _validate_process_params(kind: str, n: int, p: dict) -> None:
-    if n < 2:
-        raise UsageError("--n must be >= 2")
-    if kind == "fbm":
-        h = p.get("H")
-        if h is None or not 0.0 < h < 1.0:
-            raise UsageError("fbm requires --H strictly inside (0, 1)")
-    elif kind == "mrw":
-        h = p.get("H")
-        if h is None or not 0.0 < h < 1.0:
-            raise UsageError("mrw requires --H strictly inside (0, 1)")
-        beta = p.get("beta", 0.05)
-        if not (beta >= 0 and math.isfinite(beta * beta)):
-            raise UsageError("mrw requires a finite --beta >= 0 whose "
-                             "square is finite")
-        if not n <= p.get("L", n) <= sys.float_info.max:
-            raise UsageError("mrw requires n <= --L <= largest float")
-    elif kind == "cmc":
-        if p.get("mu", 0.37) <= 0:
-            raise UsageError("cmc requires --mu > 0")
-    elif kind in ("cpc-ln", "cpc-lp"):
-        if not 0.0 < p.get("rmin", 0.02) <= 1.0:
-            raise UsageError("cpc requires --rmin in (0, 1]")
-        if p.get("T", 100.0) <= 0:
-            raise UsageError("cpc requires --T > 0")
-    elif kind == "rws":
-        if p.get("alpha", 1.0) <= 0 or p.get("ggbeta", 2.0) <= 0:
-            raise UsageError("rws requires --alpha > 0 and --ggbeta > 0")
-    else:
-        raise UsageError(f"unknown process {kind!r}")
-
-
 def run_generate(params: dict, outdir: Path) -> list[str]:
-    kind = params["process"]
-    n = params["n"]
-    proc_params = {k: params[k] for k in _PROCESS_PARAM_KEYS
-                   if params[k] is not None}
-    _validate_process_params(kind, n, proc_params)
     seed = RngSpec(params["seed"])
     ensemble = params["ensemble"]
     if ensemble < 1:
         raise UsageError("--ensemble must be >= 1")
+    proc_params = {k: v for k, v in params.items() if v is not None
+                   and k not in ("process", "n", "seed", "ensemble")}
 
     outputs: list[str] = []
     for i in range(ensemble):
-        spec = ProcessSpec(kind=kind, n=n, params=proc_params,
-                           rng=seed.substream(i))
+        spec = ProcessSpec(kind=params["process"], n=params["n"],
+                           params=proc_params, rng=seed.substream(i))
+        try:
+            sig = generate(spec)
+        except DataError as exc:
+            # synth names the bad parameter first, as its flag is named
+            raise UsageError(f"--{exc}") from None
         name = outdir / (f"signal_{i:04d}.csv" if ensemble > 1
                          else "signal.csv")
-        outputs.extend(write_signal(generate(spec), name,
-                                    sidecar=spec.to_dict()))
+        outputs.extend(write_signal(sig, name, sidecar=spec.to_dict()))
     return outputs
 
 
@@ -166,24 +131,35 @@ def _basis_variant(params: dict):
             {"1": "one_leader", "3": "three_leader"}[params["variant"]])
 
 
-def _truncate_for_levels(sig: Signal, j_max: int) -> Signal:
-    block = 1 << j_max
-    usable = (len(sig) // block) * block
-    if usable < block:
-        raise DataError(f"signal of length {len(sig)} too short for "
-                        f"{j_max} levels")
-    if usable == len(sig):
-        return sig
-    return Signal(sig.samples[:usable], t0=sig.t0, dt=sig.dt, label=sig.label)
+def _deepest_level(n: int, basis) -> int:
+    """The deepest level `fits_levels` allows n samples (0 if none)."""
+    return max((j for j in range(1, n.bit_length())
+                if fits_levels(n, basis, j)), default=0)
+
+
+def _dwt_leaders(name: str, sig: Signal, basis, variant: str, j_max: int,
+                 flag: str):
+    """The DWT of `sig`, truncated to a multiple of 2^j_max, and its
+    leaders.  A j_max the signal cannot reach is a usage error of `flag`."""
+    deepest = _deepest_level(len(sig), basis)
+    if not 1 <= j_max <= deepest:
+        raise UsageError(f"{flag} {j_max} is outside the levels 1..{deepest} "
+                         f"that {basis.name} allows on {name} of {len(sig)} "
+                         "samples")
+    usable = len(sig) >> j_max << j_max
+    if usable < len(sig):
+        sig = Signal(sig.samples[:usable], t0=sig.t0, dt=sig.dt,
+                     label=sig.label)
+    pyramid = dwt(sig, basis, j_max)
+    return pyramid, compute_leaders(pyramid, variant)
 
 
 def run_analyze(params: dict, outdir: Path) -> list[str]:
     sig = read_signal(params["input"])
     basis, variant = _basis_variant(params)
     j_max = params["jmax"]
-    sig = _truncate_for_levels(sig, j_max)
-    pyramid = dwt(sig, basis, j_max)
-    leaders = compute_leaders(pyramid, variant)
+    _, leaders = _dwt_leaders(Path(params["input"]).name, sig, basis, variant,
+                              j_max, "--jmax")
     q_grid = _parse_range(params["q"])
     scales = (_parse_scale_pair(params["scales"])
               if params["scales"] else (1, j_max))
@@ -220,15 +196,17 @@ def run_estimate(params: dict, outdir: Path) -> list[str]:
 
     j_max = params["jmax"]
     if j_max is None:
-        j_max = min(max_levels(len(sig), basis) for _, sig in named)
-    if j_max < 3:
-        raise DataError("signals too short for a 3-scale analysis")
-
-    pyramids = [dwt(_truncate_for_levels(sig, j_max), basis, j_max)
-                for _, sig in named]
-    leaders = [compute_leaders(pyr, variant) for pyr in pyramids]
-
+        j_max = min(_deepest_level(len(sig), basis) for _, sig in named)
+    # estimation_scale_candidates is empty below 4 levels; an explicit
+    # j1:j2 range needs 3
     scales_flag = params["scales"]
+    need = 4 if scales_flag == "auto" else 3
+    if j_max < need:
+        raise UsageError(f"--scales {scales_flag} needs --jmax >= {need}, "
+                         f"and --jmax or the shortest signal gives {j_max}")
+    pyramids, leaders = zip(*(_dwt_leaders(name, sig, basis, variant, j_max,
+                                           "--jmax") for name, sig in named))
+
     if scales_flag == "auto":
         candidates = estimation_scale_candidates(j_max)
         j_range = select_scale_range(pyramids, candidates)
@@ -241,12 +219,11 @@ def run_estimate(params: dict, outdir: Path) -> list[str]:
         if seed is None:
             raise UsageError("--method bootstrap requires --seed")
         b_reps = params["B"]
-        n_real = result.n_realizations
         boot_c1 = bootstrap_percentile(result.c1_samples, np.mean, B=b_reps,
                                        level=1 - alpha, rng=seed.substream(1))
-        boot_c2 = bootstrap_percentile(
-            result.c2_samples, lambda s: s.sum() / (n_real - 1), B=b_reps,
-            level=1 - alpha, rng=seed.substream(2))
+        boot_c2 = bootstrap_percentile(result.c2_samples, _c2_statistic,
+                                       B=b_reps, level=1 - alpha,
+                                       rng=seed.substream(2))
         result.c1, result.c2 = boot_c1, boot_c2
     extra = {"method": method, "variant": variant, "wavelet": basis.name,
              "scales_mode": scales_flag}
@@ -272,18 +249,13 @@ def run_test(params: dict, outdir: Path) -> list[str]:
     seed = RngSpec(params["seed"])
     basis, variant = _basis_variant(params)
     j_max = max(scales)
-    for name, sig in named:
-        if not fits_levels(len(sig), basis, j_max):
-            raise UsageError(f"--scale {j_max} is deeper than {name} of "
-                             f"{len(sig)} samples allows")
 
     # substreams are numbered in (signal, scale, rep) order; replayed
     # tests.csv bytes depend on that numbering
     rows = []
     idx = 0
     for name, sig in named:
-        leaders = compute_leaders(
-            dwt(_truncate_for_levels(sig, j_max), basis, j_max), variant)
+        _, leaders = _dwt_leaders(name, sig, basis, variant, j_max, "--scale")
         for j in scales:
             ell = leaders.clean_values(j)
             if ell.size == 0 or np.any(ell <= 0):
@@ -382,11 +354,11 @@ def run_replay(manifest_path: str, outdir: Path) -> int:
 def _manifest_params(command: str, params: dict, path: Path) -> dict:
     """Check recorded params as the command's own flags would: each value
     goes through its flag's type (from its text, as argparse reads it) and
-    choices, every required flag must be present, and an absent optional
-    flag takes its default."""
+    choices, every required flag must be present, an absent optional flag
+    takes its default, and a param that names no flag is dropped."""
     sub = next(a for a in _build_parser()._actions
                if isinstance(a, argparse._SubParsersAction))
-    out = dict(params)
+    out = {}
     for action in sub.choices[command]._actions:
         key, value = action.dest, params.get(action.dest)
         if key == "outdir" or action.default == argparse.SUPPRESS:

@@ -60,10 +60,6 @@ class RngSpec:
     def to_dict(self) -> dict:
         return {"seed": int(self.seed), "stream_id": int(self.stream_id)}
 
-    @staticmethod
-    def from_dict(d: dict) -> "RngSpec":
-        return RngSpec(int(d["seed"]), int(d.get("stream_id", 0)))
-
 
 @dataclass
 class Signal:
@@ -109,9 +105,6 @@ class RegressionFit:
     intercept: float
     r_squared: float
     n_points: int
-
-    def predict(self, x):
-        return self.intercept + self.slope * np.asarray(x, dtype=float)
 
 
 def linfit(x, y) -> RegressionFit:

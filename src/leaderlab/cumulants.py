@@ -20,6 +20,12 @@ from .wavelet import (CoefficientPyramid, LeaderPyramid, _level_sups,
 
 LN2 = math.log(2.0)
 
+# scale-range candidates span 3 to 5 levels; leader cumulant fits start no
+# finer than level 4 when the pyramid is deep enough
+_MIN_WIDTH = 3
+_MAX_WIDTH = 5
+_CONE_FLOOR = 4
+
 
 @dataclass
 class CumulantFit:
@@ -107,19 +113,19 @@ class C1C2Estimate:
     j_range: tuple[int, int]
     n_realizations: int
 
-    def __iter__(self):
-        return iter((self.c1, self.c2))
+
+def _c2_statistic(c2_samples: np.ndarray) -> float:
+    """The ensemble c2: the sum of the N per-realization values over N - 1."""
+    return c2_samples.sum() / (c2_samples.size - 1)
 
 
 def estimate_c1_c2(realizations: list[LeaderPyramid], j_range: tuple[int, int],
-                   alpha: float = 0.05,
-                   c2_prefactor: str = "n_minus_1") -> C1C2Estimate:
+                   alpha: float = 0.05) -> C1C2Estimate:
     """Ensemble estimate of (c1, c2) with CLT confidence intervals.
 
     Each realization contributes one per-realization least-squares pair; c1
-    is their mean, c2 uses the 1/(N-1) prefactor over the plain sum by
-    default (`c2_prefactor="mean"` switches to the ordinary mean, and the
-    mean variant is always reported in `c2_mean_variant`).  Intervals are
+    is their mean, c2 uses the 1/(N-1) prefactor over the plain sum (the
+    ordinary mean is reported in `c2_mean_variant`).  Intervals are
     estimate +/- z_(alpha/2) stderr/sqrt(N) with the sample standard
     deviation (ddof=1); the normal approximation is standard for N >= 30.
     """
@@ -129,8 +135,6 @@ def estimate_c1_c2(realizations: list[LeaderPyramid], j_range: tuple[int, int],
     if n_real < 30:
         warnings.warn(f"N={n_real} < 30: CLT interval coverage is approximate",
                       stacklevel=2)
-    if c2_prefactor not in ("n_minus_1", "mean"):
-        raise DataError("c2_prefactor must be 'n_minus_1' or 'mean'")
     c1s = np.empty(n_real)
     c2s = np.empty(n_real)
     for i, leaders in enumerate(realizations):
@@ -147,8 +151,7 @@ def estimate_c1_c2(realizations: list[LeaderPyramid], j_range: tuple[int, int],
                         1.0 - alpha, "clt", n_real)
 
     c2_mean = float(c2s.mean())
-    c2_hat = float(c2s.sum() / (n_real - 1)) if c2_prefactor == "n_minus_1" \
-        else c2_mean
+    c2_hat = float(_c2_statistic(c2s))
     c2_se = float(c2s.std(ddof=1))
     c2 = EstimateWithCI(c2_hat, c2_se,
                         c2_hat - z * c2_se / math.sqrt(n_real),
@@ -197,28 +200,25 @@ def bootstrap_percentile(samples, statistic, B: int = 100, level: float = 0.95,
                           "bootstrap_percentile", B)
 
 
-def default_scale_candidates(j_min: int, j_max: int, min_width: int = 3,
-                             max_width: int = 5) -> list[tuple[int, int]]:
+def default_scale_candidates(j_min: int, j_max: int) -> list[tuple[int, int]]:
     out = []
     for j1 in range(j_min, j_max + 1):
-        for width in range(min_width, max_width + 1):
+        for width in range(_MIN_WIDTH, _MAX_WIDTH + 1):
             if j1 + width <= j_max:
                 out.append((j1, j1 + width))
     return out
 
 
-def estimation_scale_candidates(j_max: int, cone_floor: int = 4,
-                                min_width: int = 3,
-                                max_width: int = 5) -> list[tuple[int, int]]:
+def estimation_scale_candidates(j_max: int) -> list[tuple[int, int]]:
     """Candidate ranges for leader cumulant fits.
 
     Leaders at level j aggregate a cone of only j levels, and the log-mean
     slope is still in its truncation transient below roughly four levels, so
-    candidates start no finer than `cone_floor` whenever the pyramid is deep
-    enough to afford it.
+    candidates start no finer than level 4 whenever the pyramid is deep
+    enough to afford it.  The list is empty below j_max = 4.
     """
-    floor = max(1, min(cone_floor, j_max - min_width))
-    return default_scale_candidates(floor, j_max, min_width, max_width)
+    floor = max(1, min(_CONE_FLOOR, j_max - _MIN_WIDTH))
+    return default_scale_candidates(floor, j_max)
 
 
 def select_scale_range(pyramids: list[CoefficientPyramid],
@@ -255,8 +255,10 @@ def select_scale_range(pyramids: list[CoefficientPyramid],
     return tied[0]
 
 
-def estimation_report(result: C1C2Estimate, seed: RngSpec | None = None,
-                      extra: dict | None = None) -> dict:
+def write_estimation_outputs(result: C1C2Estimate, out_json, out_csv,
+                             seed: RngSpec | None = None,
+                             extra: dict | None = None) -> list[str]:
+    """Write the JSON report plus a CSV with LB/UB/width columns."""
     doc = {"c1": result.c1.to_dict(), "c2": result.c2.to_dict(),
            "c2_mean_variant": result.c2_mean_variant,
            "j_range": list(result.j_range), "N": result.n_realizations}
@@ -264,14 +266,6 @@ def estimation_report(result: C1C2Estimate, seed: RngSpec | None = None,
         doc["seed"] = seed.to_dict()
     if extra:
         doc.update(extra)
-    return doc
-
-
-def write_estimation_outputs(result: C1C2Estimate, out_json, out_csv,
-                             seed: RngSpec | None = None,
-                             extra: dict | None = None) -> list[str]:
-    """Write the JSON report plus a CSV with LB/UB/width columns."""
-    doc = estimation_report(result, seed=seed, extra=extra)
     rows = [(name, est.method, est.estimate, est.stderr, est.lower, est.upper,
              est.width) for name, est in (("c1", result.c1), ("c2", result.c2))]
     return [write_json(out_json, doc),

@@ -393,6 +393,15 @@ def mills_bounds(x: float, beta: float) -> tuple[float, float, float]:
 # ---------------------------------------------------------------------------
 # grid verification report
 
+def _finite_or_null(obj):
+    """`obj` with every non-finite float in its dicts and lists as None."""
+    if isinstance(obj, dict):
+        return {k: _finite_or_null(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_finite_or_null(v) for v in obj]
+    return None if isinstance(obj, float) and not math.isfinite(obj) else obj
+
+
 @dataclass
 class TailBoundReport:
     alpha: float
@@ -422,9 +431,10 @@ class TailBoundReport:
         return slope_fine and all(self.large_dominates)
 
     def to_dict(self) -> dict:
+        """The report as strict JSON: every NaN or infinite number is
+        null."""
         def arr(a):
-            return [None if (isinstance(v, float) and math.isnan(v)) else v
-                    for v in np.asarray(a, dtype=float).tolist()]
+            return np.asarray(a, dtype=float).tolist()
         doc = {
             "alpha": self.alpha, "beta": self.beta,
             "A_grid": arr(self.A_grid), "log_cdf": arr(self.log_cdf),
@@ -446,7 +456,7 @@ class TailBoundReport:
         }
         if self.mc is not None:
             doc["monte_carlo"] = [asdict(r) for r in self.mc]
-        return doc
+        return _finite_or_null(doc)
 
     def to_json(self, path) -> str:
         return write_json(path, self.to_dict())
@@ -519,12 +529,14 @@ def verify_tail_rates(model: RwsModel, A_grid, tol: float = 1e-12,
             <= (rate_hi + budget)
 
     slope = slope_r2 = slope_ok = None
-    if len(small_idx) >= 2:
-        fit = linfit(np.log(grid[small_idx]), np.log(-log_cdf[small_idx]))
+    # a point whose exact CDF underflows to 0 has no log(-log P)
+    fit_idx = [i for i in small_idx if np.isfinite(log_cdf[i])]
+    if len(fit_idx) >= 2:
+        fit = linfit(np.log(grid[fit_idx]), np.log(-log_cdf[fit_idx]))
         slope, slope_r2 = fit.slope, fit.r_squared
         # the asymptotic exponent needs some depth to show; with fewer than
-        # four small-regime points the fit is reported but not judged
-        if len(small_idx) >= 4:
+        # four fitted points the fit is reported but not judged
+        if len(fit_idx) >= 4:
             slope_ok = abs(slope - (-1.0 / model.alpha)) <= 0.1
 
     for i, r in enumerate(regime):

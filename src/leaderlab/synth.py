@@ -20,7 +20,22 @@ import numpy as np
 from scipy.special import gammaln
 
 from .core import DataError, NonConvergenceError, RngSpec, Signal
-from .wavelet import CoefficientPyramid, WaveletBasis, idwt
+from .wavelet import (DAUBECHIES_FILTERS, CoefficientPyramid, WaveletBasis,
+                      daubechies_basis, idwt)
+
+# so that synthesis cannot exhaust memory, a cascade (cmc) or a wavelet
+# series (rws) holds at most 2^24 samples, and a compound Poisson cascade
+# expects at most 10^6 points (about 50 bytes each)
+_MAX_LOG2_N = 24
+_MAX_CPC_POINTS = 1e6
+
+
+def _require(ok: bool, name: str, rule: str, value) -> None:
+    """Reject a value of parameter `name` that breaks its rule.  Parameters
+    are named as in `ProcessSpec.params` (r_min as rmin, the rws shape as
+    ggbeta), first in the message."""
+    if not ok:
+        raise DataError(f"{name} must {rule}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -108,10 +123,8 @@ def gen_fbm(H: float, n: int, rng: RngSpec) -> Signal:
     The increments are exact fractional Gaussian noise with Hurst exponent H,
     produced by circulant embedding; the path is their cumulative sum.
     """
-    if not 0.0 < H < 1.0:
-        raise DataError("Hurst exponent must lie in (0, 1)")
-    if n < 2:
-        raise DataError("need n >= 2")
+    _require(0.0 < H < 1.0, "H", "lie strictly inside (0, 1)", H)
+    _require(n >= 2, "n", "be >= 2", n)
     fgn = _circulant_draw(_circulant_sqrt_eig("fgn", (float(H),), n), n,
                           rng.generator(0))
     return Signal(np.cumsum(fgn), t0=0.0, dt=1.0 / n, label=f"fbm(H={H:g})")
@@ -133,14 +146,11 @@ def gen_mrw(H: float, beta: float, L: int, n: int, rng: RngSpec) -> Signal:
     gen_fbm at the same RngSpec.  The log-cumulants are c1 = H + beta^2/2 and
     c2 = -beta^2.
     """
-    if not 0.0 < H < 1.0:
-        raise DataError("Hurst exponent must lie in (0, 1)")
-    if not math.isfinite(beta * beta):
-        raise DataError("beta and beta**2 must be finite")
-    if beta < 0:
-        raise DataError("beta must be >= 0")
-    if not n <= L <= sys.float_info.max:
-        raise DataError("integral scale L must lie in [n, largest float]")
+    _require(0.0 < H < 1.0, "H", "lie strictly inside (0, 1)", H)
+    _require(beta >= 0 and math.isfinite(beta * beta), "beta",
+             "be >= 0 and finite, with a finite square", beta)
+    _require(n >= 2, "n", "be >= 2", n)
+    _require(n <= L <= sys.float_info.max, "L", "lie in [n, largest float]", L)
     fgn = _circulant_draw(_circulant_sqrt_eig("fgn", (float(H),), n), n,
                           rng.generator(0))
     if beta == 0.0:
@@ -148,7 +158,10 @@ def gen_mrw(H: float, beta: float, L: int, n: int, rng: RngSpec) -> Signal:
     else:
         w = _circulant_draw(_circulant_sqrt_eig("mrw", (float(beta), L), n),
                             n, rng.generator(1))
-    return Signal(np.cumsum(fgn * np.exp(w)), t0=0.0, dt=1.0 / n,
+    path = np.cumsum(fgn * np.exp(w))
+    # a cumulative sum is finite everywhere iff its last value is
+    _require(math.isfinite(path[-1]), "beta", "keep the path finite", beta)
+    return Signal(path, t0=0.0, dt=1.0 / n,
                   label=f"mrw(H={H:g},beta={beta:g},L={L})")
 
 
@@ -160,14 +173,12 @@ def gen_cmc_motion(mu: float, J: int, rng: RngSpec,
     (E[W] = 1) fixes sigma2 = 2 mu / ln 2, which is the default.  The output
     is the cumulative integral of the cascade density on 2^J cells.
     """
-    if mu <= 0 and (sigma2 is None or sigma2 > 0):
-        raise DataError("mu must be > 0 (or pass sigma2 explicitly)")
-    if J < 1:
-        raise DataError("need J >= 1")
+    _require(math.isfinite(mu) and (mu > 0 or sigma2 == 0), "mu",
+             "be finite, and > 0 unless sigma2 = 0 is passed", mu)
+    _require(1 <= J <= _MAX_LOG2_N, "J", f"lie in [1, {_MAX_LOG2_N}]", J)
     if sigma2 is None:
         sigma2 = 2.0 * mu / math.log(2.0)
-    if sigma2 < 0:
-        raise DataError("sigma2 must be >= 0")
+    _require(0 <= sigma2 < math.inf, "sigma2", "be finite and >= 0", sigma2)
     gen = rng.generator(0)
     n = 1 << J
     log2_q = np.zeros(n)
@@ -176,6 +187,7 @@ def gen_cmc_motion(mu: float, J: int, rng: RngSpec,
         log2_q -= np.repeat(u, n >> level)
     q = np.exp2(log2_q)
     a = np.cumsum(q) / n
+    _require(math.isfinite(a[-1]), "sigma2", "keep the path finite", sigma2)
     return Signal(a, t0=0.0, dt=1.0 / n, label=f"cmc(mu={mu:g},J={J})")
 
 
@@ -199,15 +211,26 @@ def gen_cpc_motion(kind: str, T: float, r_min: float, n: int, rng: RngSpec,
     """
     if kind not in ("ln", "lp"):
         raise DataError("cpc kind must be 'ln' or 'lp'")
-    if not (0.0 < r_min <= 1.0):
-        raise DataError("r_min must lie in (0, 1]")
-    if T <= 0:
-        raise DataError("T must be > 0")
-    if n < 2:
-        raise DataError("need n >= 2")
-    gen = rng.generator(0)
+    _require(n >= 2, "n", "be >= 2", n)
+    _require(0.0 < r_min <= 1.0, "rmin", "lie in (0, 1]", r_min)
+    _require(math.isfinite(T) and T / n > 0, "T", "be finite and > 0", T)
+    _require(0 <= intensity < math.inf, "intensity", "be finite and >= 0",
+             intensity)
+    if kind == "ln":
+        _require(0 <= sigma2 < math.inf, "sigma2", "be finite and >= 0",
+                 sigma2)
+        _require(mu is None or math.isfinite(mu), "mu", "be finite", mu)
+    else:
+        _require(0 < w < math.inf, "w", "be finite and > 0", w)
     span = T + 1.0
     total_mass = intensity * span * (1.0 / r_min - 1.0)
+    # the largest of the three factors takes the blame
+    _, name, value = max((span, "T", T), (1.0 / r_min - 1.0, "rmin", r_min),
+                         (intensity, "intensity", intensity))
+    _require(total_mass <= _MAX_CPC_POINTS, name,
+             "keep the expected point count intensity * (T + 1) * "
+             f"(1/rmin - 1) at most {_MAX_CPC_POINTS:g}", value)
+    gen = rng.generator(0)
     n_points = int(gen.poisson(total_mass))
     dt = T / n
     grid = dt * np.arange(n)
@@ -229,6 +252,8 @@ def gen_cpc_motion(kind: str, T: float, r_min: float, n: int, rng: RngSpec,
     q = np.exp(log_q)
     q /= q.mean()
     a = np.cumsum(q) * dt
+    name, value = ("sigma2", sigma2) if kind == "ln" else ("w", w)
+    _require(math.isfinite(a[-1]), name, "keep the path finite", value)
     return Signal(a, t0=0.0, dt=dt,
                   label=f"cpc-{kind}(T={T:g},rmin={r_min:g})")
 
@@ -261,10 +286,9 @@ def gen_rws_pyramid(alpha: float, beta: float, basis: WaveletBasis, J: int,
     periodic L1-normalized transform used for analysis, so a round trip
     through `dwt` returns the planted values.
     """
-    if alpha <= 0 or beta <= 0:
-        raise DataError("alpha and beta must be > 0")
-    if J < 1:
-        raise DataError("need J >= 1")
+    _require(0 < alpha < math.inf, "alpha", "be finite and > 0", alpha)
+    _require(0 < beta < math.inf, "ggbeta", "be finite and > 0", beta)
+    _require(1 <= J < _MAX_LOG2_N, "J", f"lie in [1, {_MAX_LOG2_N - 1}]", J)
     gen = rng.generator(0)
     coeffs: dict[int, np.ndarray] = {}
     for depth in range(J + 1):
@@ -272,6 +296,7 @@ def gen_rws_pyramid(alpha: float, beta: float, basis: WaveletBasis, J: int,
         coeffs[J + 1 - depth] = 2.0 ** (-alpha * depth) * x
     pyramid = CoefficientPyramid(coeffs=coeffs)
     samples = idwt(pyramid, basis)
+    _require(np.isfinite(samples).all(), "ggbeta", "keep the path finite", beta)
     n = samples.size
     sig = Signal(samples, t0=0.0, dt=1.0 / n,
                  label=f"rws(alpha={alpha:g},beta={beta:g},J={J})")
@@ -284,32 +309,39 @@ def gen_rws(alpha: float, beta: float, basis: WaveletBasis, J: int,
 
 
 def generate(spec: ProcessSpec) -> Signal:
-    """Dispatch a ProcessSpec to the matching generator."""
-    kind = spec.kind
-    p = dict(spec.params)
+    """Dispatch a ProcessSpec to the matching generator; the realization
+    has exactly `spec.n` samples.  A cmc of depth J has 2^J samples and an
+    rws 2^(J+1); J defaults to the smallest depth that covers n."""
+    kind, n, p = spec.kind, spec.n, spec.params
+    if kind in ("fbm", "mrw"):
+        _require("H" in p, "H", f"be given for {kind}", None)
     if kind == "fbm":
-        return gen_fbm(float(p.get("H", 0.7)), spec.n, spec.rng)
+        return gen_fbm(float(p["H"]), n, spec.rng)
     if kind == "mrw":
-        return gen_mrw(float(p.get("H", 0.6)), float(p.get("beta", 0.05)),
-                       int(p.get("L", spec.n)), spec.n, spec.rng)
+        return gen_mrw(float(p["H"]), float(p.get("beta", 0.05)),
+                       int(p.get("L", n)), n, spec.rng)
+    if kind in ("cpc-ln", "cpc-lp"):
+        optional = {k: p[k] for k in ("mu", "sigma2", "w", "intensity")
+                    if k in p}
+        return gen_cpc_motion(kind.split("-")[1], float(p.get("T", 100.0)),
+                              float(p.get("rmin", 0.02)), n, spec.rng,
+                              **optional)
+    if kind not in ("cmc", "rws"):
+        raise DataError(f"unknown process kind {kind!r}")
+    _require(n >= 2, "n", "be >= 2", n)
+    # ceil(log2 n) levels cover n; rws gains one from its depth-0 level
+    depth = max(1, (int(n) - 1).bit_length() - (kind == "rws"))
+    j = int(p.get("J", depth))
+    _require(j >= depth, "J", f"be >= {depth} to cover n = {n} samples", j)
     if kind == "cmc":
-        j = int(p.get("J", max(1, round(math.log2(spec.n)))))
         sig = gen_cmc_motion(float(p.get("mu", 0.37)), j, spec.rng,
                              sigma2=p.get("sigma2"))
-        if len(sig) < spec.n:
-            raise DataError(f"cascade depth J={j} yields only {len(sig)} samples")
-        return Signal(sig.samples[: spec.n], t0=sig.t0, dt=sig.dt,
-                      label=sig.label) if len(sig) > spec.n else sig
-    if kind in ("cpc-ln", "cpc-lp"):
-        return gen_cpc_motion(kind.split("-")[1], float(p.get("T", 100.0)),
-                              float(p.get("rmin", 0.02)), spec.n, spec.rng,
-                              mu=p.get("mu"), sigma2=float(p.get("sigma2", 0.2)),
-                              w=float(p.get("w", 1.5)),
-                              intensity=float(p.get("intensity", 1.0)))
-    if kind == "rws":
-        from .wavelet import daubechies_basis
-        j = int(p.get("J", max(1, round(math.log2(spec.n)) - 1)))
-        basis = daubechies_basis(int(p.get("nvanish", 3)))
-        return gen_rws(float(p.get("alpha", 1.0)), float(p.get("ggbeta", 2.0)),
-                       basis, j, spec.rng)
-    raise DataError(f"unknown process kind {kind!r}")
+    else:
+        nvanish = int(p.get("nvanish", 3))
+        _require(nvanish in DAUBECHIES_FILTERS, "nvanish",
+                 f"lie in [1, {max(DAUBECHIES_FILTERS)}]", nvanish)
+        sig = gen_rws(float(p.get("alpha", 1.0)), float(p.get("ggbeta", 2.0)),
+                      daubechies_basis(nvanish), j, spec.rng)
+    if len(sig) == n:
+        return sig
+    return Signal(sig.samples[:n], t0=sig.t0, dt=sig.dt, label=sig.label)

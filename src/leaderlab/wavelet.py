@@ -138,11 +138,15 @@ DAUBECHIES_FILTERS: dict[int, tuple[float, ...]] = {
 }
 
 
+# WaveletBasis.validate's tolerances (the moment one is relative)
+_TOL_QMF = 1e-12
+_TOL_MOMENTS = 1e-10
+
+
 @dataclass
 class WaveletBasis:
     """Orthonormal Daubechies analysis filter pair with N vanishing moments."""
 
-    family: str
     n_vanishing: int
     filter_lo: np.ndarray
     filter_hi: np.ndarray
@@ -155,30 +159,30 @@ class WaveletBasis:
     def name(self) -> str:
         return f"db{self.n_vanishing}"
 
-    def validate(self, tol_qmf: float = 1e-12, tol_moments: float = 1e-10) -> None:
+    def validate(self) -> None:
         """Check the orthonormal quadrature-mirror relations and moments.
 
         Moment sums are checked relative to sum(|m^p hi|), which is the
         resolution attainable in double precision for large N.
         """
         lo, hi = self.filter_lo, self.filter_hi
-        if abs(lo.sum() - math.sqrt(2.0)) > tol_qmf:
+        if abs(lo.sum() - math.sqrt(2.0)) > _TOL_QMF:
             raise DataError("lowpass filter does not sum to sqrt(2)")
         L = lo.size
         for r in range(L // 2):
             acc = float(np.dot(lo[: L - 2 * r], lo[2 * r:]))
             target = 1.0 if r == 0 else 0.0
-            if abs(acc - target) > tol_qmf:
+            if abs(acc - target) > _TOL_QMF:
                 raise DataError(f"lowpass autocorrelation fails at lag {2 * r}")
             cross = float(np.dot(lo[: L - 2 * r], hi[2 * r:]))
             cross2 = float(np.dot(hi[: L - 2 * r], lo[2 * r:]))
-            if max(abs(cross), abs(cross2)) > tol_qmf:
+            if max(abs(cross), abs(cross2)) > _TOL_QMF:
                 raise DataError(f"lo/hi orthogonality fails at lag {2 * r}")
         m = np.arange(L, dtype=float)
         for p in range(self.n_vanishing):
             num = abs(float(np.sum(m ** p * hi)))
             scale = max(float(np.sum(m ** p * np.abs(hi))), 1.0)
-            if num > tol_moments * scale:
+            if num > _TOL_MOMENTS * scale:
                 raise DataError(f"moment {p} of highpass filter does not vanish")
 
 
@@ -189,7 +193,7 @@ def daubechies_basis(n_vanishing: int) -> WaveletBasis:
     # quadrature mirror: hi[m] = (-1)^m lo[L-1-m]
     signs = np.where(np.arange(lo.size) % 2 == 0, 1.0, -1.0)
     hi = signs * lo[::-1]
-    basis = WaveletBasis("Daubechies", int(n_vanishing), lo, hi)
+    basis = WaveletBasis(int(n_vanishing), lo, hi)
     basis.validate()
     return basis
 
@@ -274,15 +278,6 @@ class LeaderPyramid:
 
     def clean_values(self, j: int) -> np.ndarray:
         return self.leaders[j][self.valid_at(j)]
-
-
-def max_levels(n: int, basis: WaveletBasis) -> int:
-    """Deepest level usable for a length-n signal, honoring the filter-length margin."""
-    j = 0
-    while n % 2 == 0 and n // 2 >= basis.length:
-        n //= 2
-        j += 1
-    return j
 
 
 def fits_levels(n: int, basis: WaveletBasis, j_max: int) -> bool:

@@ -1,5 +1,6 @@
 import csv
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,8 @@ from leaderlab import cli, synth
 from leaderlab.cli import main
 from leaderlab.core import DataError, RngSpec, read_signal
 from leaderlab.stattests import logconcavity_test, shapiro_wilk
-from leaderlab.wavelet import basis_from_name, compute_leaders, dwt
+from leaderlab.wavelet import (DAUBECHIES_FILTERS, basis_from_name,
+                               compute_leaders, daubechies_basis, dwt)
 
 
 def run(args):
@@ -97,6 +99,101 @@ class TestGenerate:
         assert code == 0
 
 
+PROCESS_FLAGS = {"fbm": ["--H", 0.7], "mrw": ["--H", 0.6], "cmc": [],
+                 "cpc-ln": [], "cpc-lp": [], "rws": []}
+
+GENERATE_ERRORS = [
+    (["--process", "cpc-lp", "--w", 0], "--w"),
+    (["--process", "cpc-lp", "--w", -1], "--w"),
+    (["--process", "cpc-ln", "--intensity", -1], "--intensity"),
+    (["--process", "cpc-ln", "--intensity", "nan"], "--intensity"),
+    (["--process", "cpc-ln", "--T", 1e308], "--T"),
+    *[(["--process", kind, *flags, "--n", n], "--n")
+      for kind, flags in PROCESS_FLAGS.items() for n in (1, 0, -5)],
+    *[(["--process", kind, "--J", j], "--J")
+      for kind in ("cmc", "rws") for j in (0, 40)],
+    (["--process", "fbm"], "--H"),
+    (["--process", "mrw"], "--H"),
+]
+
+
+class TestErrorPaths:
+    """Every bad parameter or level is one usage-error line naming its
+    flag: exit 2, no traceback and no output CSV."""
+
+    def check(self, capsys, code, flag, out):
+        assert code == 2
+        err = capsys.readouterr().err
+        assert flag in err and "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+        assert not any(out.glob("*.csv"))
+
+    @pytest.mark.parametrize(
+        "args,flag", GENERATE_ERRORS,
+        ids=[" ".join(map(str, a[1:])) for a, _ in GENERATE_ERRORS])
+    def test_generate(self, tmp_path, capsys, args, flag):
+        out = tmp_path / "g"
+        code = run(["generate", "--n", 1024, *args, "--seed", 1, "-o", out])
+        self.check(capsys, code, flag, out)
+
+    @pytest.fixture(scope="class")
+    def ensemble(self, tmp_path_factory):
+        ens = tmp_path_factory.mktemp("ens")
+        assert run(["generate", "--process", "fbm", "--H", 0.7, "--n", 1000,
+                    "--seed", 3, "--ensemble", 3, "-o", ens]) == 0
+        return ens
+
+    @pytest.mark.parametrize("command,jmax,words", [
+        ("analyze", -1, "--jmax"), ("analyze", 0, "--jmax"),
+        ("analyze", 20, "--jmax"), ("estimate", 20, "--jmax"),
+        ("estimate", 3, "--scales auto needs --jmax >= 4")],
+        ids=["analyze -1", "analyze 0", "analyze 20", "estimate 20",
+             "estimate 3"])
+    def test_levels(self, tmp_path, capsys, ensemble, command, jmax, words):
+        capsys.readouterr()
+        inputs = (["--input", ensemble / "signal_0000.csv"]
+                  if command == "analyze" else ["--inputs", ensemble])
+        out = tmp_path / "o"
+        code = run([command, "--jmax", jmax, *inputs, "-o", out])
+        self.check(capsys, code, words, out)
+
+
+class TestDepth:
+    @pytest.mark.parametrize("n", [1000, 2500])
+    @pytest.mark.parametrize("kind", sorted(PROCESS_FLAGS))
+    def test_generate_gives_n_samples(self, tmp_path, kind, n):
+        out = tmp_path / "g"
+        assert run(["generate", "--process", kind, *PROCESS_FLAGS[kind],
+                    "--n", n, "--seed", 4, "-o", out]) == 0
+        assert len(read_signal(out / "signal.csv")) == n
+
+    def test_estimate_default_depth_on_1000_samples(self, tmp_path):
+        # db3 fits 1000 >> 7 = 7 >= 6 samples at level 7, not at level 8;
+        # the auto candidates at j_max 7 are the one range (4, 7)
+        ens = tmp_path / "ens"
+        assert run(["generate", "--process", "fbm", "--H", 0.7, "--n", 1000,
+                    "--seed", 5, "--ensemble", 4, "-o", ens]) == 0
+        out = tmp_path / "e"
+        assert run(["estimate", "--inputs", ens, "-o", out]) == 0
+        doc = json.loads((out / "estimate.json").read_text())
+        assert doc["j_range"] == [4, 7]
+
+    @pytest.mark.parametrize("order", sorted(DAUBECHIES_FILTERS))
+    def test_default_depth_unchanged_on_powers_of_two(self, order):
+        # the depth rule the default replaced: halve while the half is at
+        # least one filter long
+        def halvings(n, length):
+            j = 0
+            while n % 2 == 0 and n // 2 >= length:
+                n //= 2
+                j += 1
+            return j
+        basis = daubechies_basis(order)
+        for k in range(1, 24):
+            assert cli._deepest_level(1 << k, basis) == halvings(1 << k,
+                                                                 basis.length)
+
+
 class TestReplay:
     def test_byte_identical_outputs(self, tmp_path):
         first = tmp_path / "first"
@@ -117,6 +214,16 @@ class TestReplay:
         an2 = tmp_path / "an2"
         assert run(["replay", an1 / "manifest.json", "-o", an2]) == 0
         assert read_all_bytes(an1) == read_all_bytes(an2)
+
+    def test_param_naming_no_flag_dropped(self, tmp_path):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"command": "generate", "params": {
+            "process": "fbm", "n": 64, "seed": 1, "H": 0.5, "bogus": 1}}),
+            encoding="utf-8")
+        out = tmp_path / "o"
+        assert run(["replay", manifest, "-o", out]) == 0
+        sidecar = json.loads((out / "signal.csv.json").read_text())
+        assert sidecar["params"] == {"H": 0.5}
 
     def test_missing_manifest(self, tmp_path):
         assert run(["replay", tmp_path / "none.json", "-o", tmp_path / "o"]) == 3
@@ -437,6 +544,21 @@ class TestVerify:
     def test_mc_requires_seed(self, tmp_path):
         assert run(["verify", "--alpha", 1, "--ggbeta", 2,
                     "--mc-paths", 1000, "-o", tmp_path / "v"]) == 2
+
+    @pytest.mark.parametrize("grid", ["1e-300", "1e-300,1e-200,1e-100,1e-50"])
+    def test_underflowing_cdf_strict_json(self, tmp_path, grid):
+        out = tmp_path / "v"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["verify", "--alpha", 1, "--ggbeta", 2,
+                        "--A-grid", grid, "-o", out]) == 0
+
+        def reject(name):
+            raise ValueError(f"non-JSON constant {name}")
+        doc = json.loads((out / "tailbounds.json").read_text(),
+                         parse_constant=reject)
+        assert doc["log_cdf"] == [None] * len(grid.split(","))
+        assert doc["slope"] is None
 
     def test_custom_grid_and_mc(self, tmp_path):
         out = tmp_path / "v"

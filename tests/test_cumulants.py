@@ -99,9 +99,6 @@ class TestEstimateC1C2:
         n = res.n_realizations
         assert res.c2.estimate == pytest.approx(
             res.c2_mean_variant * n / (n - 1), rel=1e-12)
-        res_mean = estimate_c1_c2(ens, (1, 5), c2_prefactor="mean")
-        assert res_mean.c2.estimate == pytest.approx(res.c2_mean_variant,
-                                                     rel=1e-12)
 
     def test_scaling_equivariance(self):
         ens = self._ensemble(30)
