@@ -158,7 +158,9 @@ def gen_mrw(H: float, beta: float, L: int, n: int, rng: RngSpec) -> Signal:
     else:
         w = _circulant_draw(_circulant_sqrt_eig("mrw", (float(beta), L), n),
                             n, rng.generator(1))
-    path = np.cumsum(fgn * np.exp(w))
+    # an overflowing path is rejected below, without numpy's warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        path = np.cumsum(fgn * np.exp(w))
     # a cumulative sum is finite everywhere iff its last value is
     _require(math.isfinite(path[-1]), "beta", "keep the path finite", beta)
     return Signal(path, t0=0.0, dt=1.0 / n,
@@ -185,8 +187,8 @@ def gen_cmc_motion(mu: float, J: int, rng: RngSpec,
     for level in range(1, J + 1):
         u = gen.normal(mu, math.sqrt(sigma2), size=1 << level)
         log2_q -= np.repeat(u, n >> level)
-    q = np.exp2(log2_q)
-    a = np.cumsum(q) / n
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = np.cumsum(np.exp2(log2_q)) / n
     _require(math.isfinite(a[-1]), "sigma2", "keep the path finite", sigma2)
     return Signal(a, t0=0.0, dt=1.0 / n, label=f"cmc(mu={mu:g},J={J})")
 
@@ -248,10 +250,9 @@ def gen_cpc_motion(kind: str, T: float, r_min: float, n: int, rng: RngSpec,
         hi = np.searchsorted(grid, t_pts + r_pts / 2.0, side="right")
         np.add.at(bump, np.clip(lo, 0, n), log_w)
         np.add.at(bump, np.clip(hi, 0, n), -log_w)
-    log_q = np.cumsum(bump[:n])
-    q = np.exp(log_q)
-    q /= q.mean()
-    a = np.cumsum(q) * dt
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = np.exp(np.cumsum(bump[:n]))
+        a = np.cumsum(q / q.mean()) * dt
     name, value = ("sigma2", sigma2) if kind == "ln" else ("w", w)
     _require(math.isfinite(a[-1]), name, "keep the path finite", value)
     return Signal(a, t0=0.0, dt=dt,
@@ -328,7 +329,8 @@ def generate(spec: ProcessSpec) -> Signal:
                               **optional)
     if kind not in ("cmc", "rws"):
         raise DataError(f"unknown process kind {kind!r}")
-    _require(n >= 2, "n", "be >= 2", n)
+    _require(2 <= n <= 1 << _MAX_LOG2_N, "n",
+             f"lie in [2, 2^{_MAX_LOG2_N}] for {kind}", n)
     # ceil(log2 n) levels cover n; rws gains one from its depth-0 level
     depth = max(1, (int(n) - 1).bit_length() - (kind == "rws"))
     j = int(p.get("J", depth))

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -209,75 +209,68 @@ def basis_from_name(name: str) -> WaveletBasis:
     return daubechies_basis(order)
 
 
-@dataclass
-class CoefficientPyramid:
-    """Detail coefficients per level, L1-normalized, periodic boundary.
+class _Pyramid:
+    """Per-level arrays with one clean slice per level, `clean[j]`: the
+    positions whose dependency cone avoided the periodic wrap point.  The
+    other positions stay in the arrays, so the dyadic halving stays exact,
+    but sup- and moment-statistics skip them.  `clean` defaults to every
+    position."""
 
-    `valid`, when present, flags the positions whose filter footprint never
-    crossed the periodic wrap point; positions mixing both signal ends are
-    excluded from sup- and moment-statistics but kept in the arrays so the
-    dyadic halving structure stays exact.
-    """
-
-    coeffs: dict[int, np.ndarray]
-    norm: str = "L1"
-    boundary: str = "periodic"
-    valid: dict[int, np.ndarray] | None = None
-
-    @property
-    def j_min(self) -> int:
-        return min(self.coeffs)
-
-    @property
-    def j_max(self) -> int:
-        return max(self.coeffs)
+    def __post_init__(self):
+        if not self.clean:
+            self.clean = {j: slice(0, a.size) for j, a in self._arrays.items()}
 
     @property
     def levels(self) -> list[int]:
-        return sorted(self.coeffs)
+        return sorted(self._arrays)
 
     def n_at(self, j: int) -> int:
-        return self.coeffs[j].size
+        return self._arrays[j].size
 
     def valid_at(self, j: int) -> np.ndarray:
-        if self.valid is None:
-            return np.ones(self.coeffs[j].size, dtype=bool)
-        return self.valid[j]
+        """`clean[j]` as a bool mask over level j."""
+        mask = np.zeros(self.n_at(j), dtype=bool)
+        mask[self.clean[j]] = True
+        return mask
 
     def clean_values(self, j: int) -> np.ndarray:
-        return self.coeffs[j][self.valid_at(j)]
+        return self._arrays[j][self.clean[j]]
 
 
 @dataclass
-class LeaderPyramid:
-    """Wavelet leaders per level.
+class CoefficientPyramid(_Pyramid):
+    """Detail coefficients per level, L1-normalized, periodic boundary."""
+
+    coeffs: dict[int, np.ndarray]
+    clean: dict[int, slice] = field(default_factory=dict)
+
+    @property
+    def _arrays(self) -> dict[int, np.ndarray]:
+        return self.coeffs
+
+
+@dataclass
+class LeaderPyramid(_Pyramid):
+    """Wavelet leaders per level, the supremum running down to the finest
+    level of the source pyramid.
 
     variant 'one_leader' restricts the supremum to the cube itself,
     'three_leader' extends it over the two same-level neighbours (periodic
-    wrap at the edges).  The supremum runs down to `finest_level`, the finest
-    scale available in the source pyramid.  `valid` marks leaders whose
-    whole dependency cone avoided the periodic wrap point.
+    wrap at the edges).
     """
 
     leaders: dict[int, np.ndarray]
     variant: str
-    finest_level: int
-    valid: dict[int, np.ndarray] | None = None
+    clean: dict[int, slice] = field(default_factory=dict)
 
     @property
-    def levels(self) -> list[int]:
-        return sorted(self.leaders)
+    def _arrays(self) -> dict[int, np.ndarray]:
+        return self.leaders
 
-    def n_at(self, j: int) -> int:
-        return self.leaders[j].size
 
-    def valid_at(self, j: int) -> np.ndarray:
-        if self.valid is None:
-            return np.ones(self.leaders[j].size, dtype=bool)
-        return self.valid[j]
-
-    def clean_values(self, j: int) -> np.ndarray:
-        return self.leaders[j][self.valid_at(j)]
+def _run(lo: int, hi: int) -> slice:
+    """The slice [lo, hi), or slice(0, 0) once hi <= lo."""
+    return slice(lo, hi) if hi > lo else slice(0, 0)
 
 
 def fits_levels(n: int, basis: WaveletBasis, j_max: int) -> bool:
@@ -304,7 +297,7 @@ def dwt(signal: Signal, basis: WaveletBasis, j_max: int) -> CoefficientPyramid:
             f"need at least {(1 << j_max) * basis.length} samples, have {n}")
     lo, hi, filt_len = basis.filter_lo, basis.filter_hi, basis.length
     coeffs: dict[int, np.ndarray] = {}
-    valid: dict[int, np.ndarray] = {}
+    clean: dict[int, slice] = {}
     approx = signal.samples.astype(float)
     n_clean = n
     for j in range(1, j_max + 1):
@@ -320,8 +313,8 @@ def dwt(signal: Signal, basis: WaveletBasis, j_max: int) -> CoefficientPyramid:
         # [2^j k, 2^j k + (2^j - 1)(L - 1)] lies in [0, n): a prefix of k
         n_clean = max((n_clean - filt_len) // 2 + 1, 0)
         coeffs[j] = detail * 2.0 ** (-j / 2.0)
-        valid[j] = np.arange(m_len // 2) < n_clean
-    return CoefficientPyramid(coeffs=coeffs, valid=valid)
+        clean[j] = slice(0, n_clean)
+    return CoefficientPyramid(coeffs=coeffs, clean=clean)
 
 
 def idwt(pyramid: CoefficientPyramid, basis: WaveletBasis,
@@ -378,34 +371,29 @@ def compute_leaders(pyramid: CoefficientPyramid,
     _validate_halving(pyramid.coeffs)
     levels = pyramid.levels
     leaders: dict[int, np.ndarray] = {}
-    valid: dict[int, np.ndarray] | None = \
-        None if pyramid.valid is None else {}
+    clean: dict[int, slice] = {}
     sv = None
-    sv_bad = None
     for j in levels:
         mag = np.abs(pyramid.coeffs[j])
+        coef = pyramid.clean[j]
         if sv is None:
             sv = mag.copy()
+            lo, hi = coef.start, coef.stop
         else:
             sv = np.maximum(mag, np.maximum(sv[0::2], sv[1::2]))
+            # the coefficient and both finer cubes, 2k and 2k + 1, are clean
+            lo, hi = max(coef.start, -(-lo // 2)), min(coef.stop, hi // 2)
         if variant == "one_leader":
             leaders[j] = sv.copy()
+            clean[j] = _run(lo, hi)
         else:
             leaders[j] = np.maximum(np.maximum(np.roll(sv, 1), sv),
                                     np.roll(sv, -1))
-        if valid is not None:
-            bad = ~pyramid.valid[j]
-            if sv_bad is None:
-                sv_bad = bad.copy()
-            else:
-                sv_bad = bad | sv_bad[0::2] | sv_bad[1::2]
-            if variant == "one_leader":
-                valid[j] = ~sv_bad
-            else:
-                valid[j] = ~(np.roll(sv_bad, 1) | sv_bad
-                             | np.roll(sv_bad, -1))
-    return LeaderPyramid(leaders=leaders, variant=variant,
-                         finest_level=levels[0], valid=valid)
+            # both neighbours clean: the run shrinks by one at each end,
+            # unless it is the whole level and the wrap reads clean cubes
+            clean[j] = (slice(lo, hi) if lo == 0 and hi == sv.size
+                        else _run(lo + 1, hi - 1))
+    return LeaderPyramid(leaders=leaders, variant=variant, clean=clean)
 
 
 @dataclass
@@ -429,21 +417,16 @@ class StructureFunctionTable:
                           for q, s in zip(self.q_values.tolist(), row)])
 
 
-def structure_functions(leaders: LeaderPyramid, q_values,
-                        valid_only: bool = True) -> StructureFunctionTable:
-    """S(j, q): mean of leader^q over positions at each level j.
-
-    With `valid_only` (the default) positions tainted by the periodic wrap
-    are dropped from the mean; pass False to use every array entry (the
-    combinatorial leader inequalities hold exactly in that mode).
-    """
+def structure_functions(leaders: LeaderPyramid,
+                        q_values) -> StructureFunctionTable:
+    """S(j, q): mean of leader^q over the clean positions of each level j."""
     q_values = np.atleast_1d(np.asarray(q_values, dtype=float))
     if q_values.size == 0:
         raise DataError("q_values must be non-empty")
     levels = leaders.levels
     values = {}
     for j in levels:
-        ell = leaders.clean_values(j) if valid_only else leaders.leaders[j]
+        ell = leaders.clean_values(j)
         if ell.size == 0:
             raise DataError(f"no usable leaders at level {j}")
         values[j] = ell
@@ -530,30 +513,46 @@ def hmin_regression(pyramid: CoefficientPyramid | dict[int, float | None],
 
 
 def pyramid_to_json(obj: CoefficientPyramid | LeaderPyramid, path=None) -> str:
-    """Serialize a pyramid to the interchange JSON schema."""
-    if isinstance(obj, CoefficientPyramid):
-        scales = {str(j): obj.coeffs[j].tolist() for j in obj.levels}
-        doc = {"j_min": obj.j_min, "j_max": obj.j_max, "norm": obj.norm,
-               "boundary": obj.boundary, "scales": scales}
-    else:
-        scales = {str(j): obj.leaders[j].tolist() for j in obj.levels}
-        doc = {"j_min": obj.levels[0], "j_max": obj.levels[-1],
-               "norm": "L1", "boundary": "periodic",
-               "variant": obj.variant, "finest_level": obj.finest_level,
-               "scales": scales}
-    if obj.valid is not None:
-        doc["valid"] = {str(j): [int(v) for v in obj.valid[j]]
-                        for j in obj.levels}
+    """Serialize a pyramid to the interchange JSON schema; `valid` writes
+    each level's clean slice as 0/1 flags."""
+    levels = obj.levels
+    doc = {"j_min": levels[0], "j_max": levels[-1], "norm": "L1",
+           "boundary": "periodic",
+           "scales": {str(j): obj._arrays[j].tolist() for j in levels},
+           "valid": {str(j): obj.valid_at(j).astype(int).tolist()
+                     for j in levels}}
+    if isinstance(obj, LeaderPyramid):
+        doc.update(variant=obj.variant, finest_level=levels[0])
     text = json.dumps(doc, sort_keys=True)
     if path is not None:
         Path(path).write_text(text + "\n", encoding="utf-8")
     return text
 
 
+def _clean_runs(valid: dict, scales: dict[int, np.ndarray]) -> dict[int, slice]:
+    """Each level's clean slice from its 0/1 flags in a JSON `valid` map;
+    the flags of a level must cover its length and set one run."""
+    flags = {int(j): v for j, v in valid.items()}
+    if set(flags) != set(scales):
+        raise ValueError(f"valid flags levels {sorted(flags)}, not "
+                         f"{sorted(scales)}")
+    clean = {}
+    for j, v in flags.items():
+        if (not isinstance(v, list) or len(v) != scales[j].size
+                or any(f not in (0, 1) for f in v)):
+            raise ValueError(f"valid[{j}] is not {scales[j].size} flags 0/1")
+        ones = [k for k, f in enumerate(v) if f]
+        lo, hi = (ones[0], ones[-1] + 1) if ones else (0, 0)
+        if hi - lo != len(ones):
+            raise ValueError(f"valid[{j}] flags more than one run")
+        clean[j] = slice(lo, hi)
+    return clean
+
+
 def pyramid_from_json(text_or_path) -> CoefficientPyramid | LeaderPyramid:
     """Parse the interchange JSON schema.  A str whose first non-blank
     character is '{' is the document itself; any other argument names a
-    file holding it."""
+    file holding it.  Without `valid` every position is clean."""
     text = str(text_or_path)
     if not (isinstance(text_or_path, str) and text.lstrip().startswith("{")):
         try:
@@ -564,16 +563,15 @@ def pyramid_from_json(text_or_path) -> CoefficientPyramid | LeaderPyramid:
         doc = json.loads(text)
         scales = {int(j): np.asarray(v, dtype=float)
                   for j, v in doc["scales"].items()}
-        valid = None
-        if "valid" in doc:
-            valid = {int(j): np.asarray(v, dtype=bool)
-                     for j, v in doc["valid"].items()}
-        if "variant" in doc:
-            return LeaderPyramid(leaders=scales, variant=doc["variant"],
-                                 finest_level=int(doc["finest_level"]),
-                                 valid=valid)
-        return CoefficientPyramid(coeffs=scales, norm=doc.get("norm", "L1"),
-                                  boundary=doc.get("boundary", "periodic"),
-                                  valid=valid)
+        if doc.get("norm", "L1") != "L1" \
+                or doc.get("boundary", "periodic") != "periodic":
+            raise ValueError("only the L1 norm and periodic boundary exist")
+        clean = _clean_runs(doc["valid"], scales) if "valid" in doc else {}
+        if "variant" not in doc:
+            return CoefficientPyramid(coeffs=scales, clean=clean)
+        if int(doc["finest_level"]) != min(scales):
+            raise ValueError("finest_level is not the first level")
+        return LeaderPyramid(leaders=scales, variant=doc["variant"],
+                             clean=clean)
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise DataError(f"malformed pyramid JSON: {exc!r}") from exc

@@ -116,6 +116,25 @@ def footprint_valid(n, filt_len, j_max):
     return out
 
 
+def cone_valid(coef_valid, variant):
+    """Leader wrap masks by enumeration from per-level coefficient masks
+    (level 1 finest): a leader is clean when every coefficient in its cone,
+    the level-j cube and every finer cube inside it, is clean; a
+    three_leader also needs the cones of its two periodic neighbours.
+    With the masks of `footprint_valid` these are the masks of a DWT."""
+    out = {}
+    for j in sorted(coef_valid):
+        size = coef_valid[j].size
+        cone = [all(coef_valid[jp][kp] for jp in range(1, j + 1)
+                    for kp in range(k << (j - jp), (k + 1) << (j - jp)))
+                for k in range(size)]
+        if variant == "three_leader":
+            cone = [cone[k - 1] and cone[k] and cone[(k + 1) % size]
+                    for k in range(size)]
+        out[j] = np.array(cone, dtype=bool)
+    return out
+
+
 def naive_circulant_gaussian(acov, n, gen):
     """Circulant-embedding sample of length n from lags 0..m of `acov`,
     built as a complex vector, for oracle use; it reads the stream as the

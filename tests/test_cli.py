@@ -114,6 +114,14 @@ GENERATE_ERRORS = [
       for kind in ("cmc", "rws") for j in (0, 40)],
     (["--process", "fbm"], "--H"),
     (["--process", "mrw"], "--H"),
+    # paths that overflow, rejected without numpy's RuntimeWarnings
+    (["--process", "mrw", "--H", 0.6, "--beta", 1e100], "--beta"),
+    (["--process", "cpc-lp", "--w", 1e300], "--w"),
+    (["--process", "cpc-ln", "--sigma2", 1e300], "--sigma2"),
+    (["--process", "cmc", "--sigma2", 1e300], "--sigma2"),
+    # beyond the 2^24-sample cap, with no --J passed
+    *[(["--process", kind, "--n", (1 << 24) + 1], "--n")
+      for kind in ("cmc", "rws")],
 ]
 
 
@@ -128,6 +136,8 @@ class TestErrorPaths:
         assert len(err.strip().splitlines()) == 1
         assert not any(out.glob("*.csv"))
 
+    # pytest captures warnings apart from stderr; as errors they show
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize(
         "args,flag", GENERATE_ERRORS,
         ids=[" ".join(map(str, a[1:])) for a, _ in GENERATE_ERRORS])

@@ -23,8 +23,7 @@ def synthetic_leaders(values_per_level):
     """LeaderPyramid with the given arrays directly as leaders."""
     leaders = {j + 1: np.asarray(a, dtype=float)
                for j, a in enumerate(values_per_level)}
-    return LeaderPyramid(leaders=leaders, variant="one_leader",
-                         finest_level=1)
+    return LeaderPyramid(leaders=leaders, variant="one_leader")
 
 
 class TestPerScaleCumulants:
@@ -107,7 +106,7 @@ class TestEstimateC1C2:
         for lead in ens:
             scaled.append(LeaderPyramid(
                 leaders={j: lam * a for j, a in lead.leaders.items()},
-                variant=lead.variant, finest_level=lead.finest_level))
+                variant=lead.variant))
         a = estimate_c1_c2(ens, (1, 5))
         b = estimate_c1_c2(scaled, (1, 5))
         assert b.c1.estimate == pytest.approx(a.c1.estimate, abs=1e-12)

@@ -4,12 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from conftest import (brute_force_leaders, build_pyramid, footprint_valid,
-                      naive_periodic_dwt, naive_periodic_idwt)
+from conftest import (brute_force_leaders, build_pyramid, cone_valid,
+                      footprint_valid, naive_periodic_dwt,
+                      naive_periodic_idwt)
 from leaderlab.core import DataError, RngSpec, Signal
 from leaderlab.synth import gen_fbm, gen_rws_pyramid
-from leaderlab.wavelet import (DAUBECHIES_FILTERS, basis_from_name,
-                               compute_leaders, daubechies_basis, dwt,
+from leaderlab.wavelet import (DAUBECHIES_FILTERS, CoefficientPyramid,
+                               basis_from_name, compute_leaders,
+                               daubechies_basis, dwt,
                                fits_levels, hmin_regression, idwt, legendre_spectrum,
                                pyramid_from_json, pyramid_to_json,
                                scaling_function, structure_functions)
@@ -75,8 +77,7 @@ class TestDwt:
             pyr = dwt(Signal(np.zeros(n)), basis, 3)
             ref = footprint_valid(n, L, 3)
             for j in pyr.levels:
-                assert pyr.valid[j].dtype == bool
-                assert np.array_equal(pyr.valid[j], ref[j]), (n, j)
+                assert np.array_equal(pyr.valid_at(j), ref[j]), (n, j)
 
     @pytest.mark.parametrize("order", [1, 3, 10])
     def test_clean_coefficients_do_not_see_the_wrap(self, order):
@@ -92,7 +93,7 @@ class TestDwt:
         for j in short.levels:
             head = long.coeffs[j][:short.n_at(j)]
             same = short.coeffs[j] == head
-            assert np.array_equal(same, short.valid[j]), j
+            assert np.array_equal(same, short.valid_at(j)), j
 
     def test_shift_covariance(self):
         basis = daubechies_basis(3)
@@ -200,6 +201,46 @@ class TestLeaders:
             assert np.all(one.leaders[j] <= three.leaders[j])
             assert np.all(one.leaders[j] >= np.abs(pyr.coeffs[j]))
 
+    @pytest.mark.parametrize("order", sorted(DAUBECHIES_FILTERS))
+    def test_clean_slices_match_enumerated_cones(self, order):
+        # every depth fits_levels allows; 1000 is truncated at each depth
+        basis = daubechies_basis(order)
+        for n in (256, 768, 1000):
+            j_max = 1
+            while fits_levels(n, basis, j_max):
+                m = n - n % (1 << j_max)
+                pyr = dwt(Signal(np.zeros(m)), basis, j_max)
+                coef = footprint_valid(m, basis.length, j_max)
+                for variant in ("one_leader", "three_leader"):
+                    lead = compute_leaders(pyr, variant)
+                    ref = cone_valid(coef, variant)
+                    for j in lead.levels:
+                        assert np.array_equal(lead.valid_at(j), ref[j]), \
+                            (n, j_max, variant, j)
+                j_max += 1
+
+    @pytest.mark.parametrize("variant", ["one_leader", "three_leader"])
+    def test_clean_slices_of_any_runs(self, variant):
+        # a DWT's runs are prefixes; any run per level, empty and whole
+        # ones included, follows the same cone rule
+        gen = np.random.default_rng(77)
+        for _ in range(300):
+            depth, top = int(gen.integers(1, 6)), int(gen.integers(1, 6))
+            coeffs, clean = {}, {}
+            for j in range(1, depth + 1):
+                size = top << (depth - j)
+                lo, hi = sorted(int(v) for v in gen.integers(0, size + 1, 2))
+                if gen.random() < 0.3:
+                    lo, hi = 0, size
+                coeffs[j] = np.ones(size)
+                clean[j] = slice(lo, hi)
+            pyr = CoefficientPyramid(coeffs=coeffs, clean=clean)
+            lead = compute_leaders(pyr, variant)
+            ref = cone_valid({j: pyr.valid_at(j) for j in pyr.levels},
+                             variant)
+            for j in lead.levels:
+                assert np.array_equal(lead.valid_at(j), ref[j]), (clean, j)
+
     def test_shape_validation(self):
         with pytest.raises(DataError):
             compute_leaders(build_pyramid([np.ones(6), np.ones(2)]))
@@ -246,15 +287,16 @@ class TestStructureFunctions:
         three = compute_leaders(pyr, "three_leader")
         qs_pos = [0.5, 1.0, 2.0, 5.0]
         qs_neg = [-0.5, -1.0, -2.0]
-        t1 = structure_functions(one, qs_pos + qs_neg, valid_only=False)
-        t3 = structure_functions(three, qs_pos + qs_neg, valid_only=False)
+        # every array entry, wrapped or not: the inequalities are exact there
+        def s(lead, j, q):
+            return float(np.mean(lead.leaders[j] ** q))
         for q in qs_pos:
             for j in pyr.levels:
-                assert t3.value(j, q) <= 3.0 * t1.value(j, q) * (1 + 1e-12)
+                assert s(three, j, q) <= 3.0 * s(one, j, q) * (1 + 1e-12)
         for q in qs_neg:
             for j in pyr.levels:
                 if j - 2 in pyr.levels:
-                    assert t1.value(j, q) <= 4.0 * t3.value(j - 2, q) * (1 + 1e-12)
+                    assert s(one, j, q) <= 4.0 * s(three, j - 2, q) * (1 + 1e-12)
 
 
 class TestScalingFunction:
@@ -369,6 +411,9 @@ class TestSerialization:
         back = pyramid_from_json(text)
         for j in pyr.levels:
             assert np.array_equal(back.coeffs[j], pyr.coeffs[j])
+        # a document without valid is clean everywhere
+        del doc["valid"]
+        assert pyramid_from_json(json.dumps(doc)).clean == pyr.clean
 
     def test_leader_pyramid_json_with_mask(self, tmp_path):
         sig = gen_fbm(0.5, 1024, RngSpec(1))
@@ -381,6 +426,21 @@ class TestSerialization:
         for j in lead.levels:
             assert np.array_equal(back.leaders[j], lead.leaders[j])
             assert np.array_equal(back.valid_at(j), lead.valid_at(j))
+
+    @pytest.mark.parametrize("variant", [None, "one_leader", "three_leader"])
+    def test_clean_round_trip(self, variant):
+        # 48 samples of db3 to depth 3 leave an empty three_leader level;
+        # the three_leader runs of 992 samples are not prefixes
+        basis = daubechies_basis(3)
+        for n, j_max in ((48, 3), (992, 5)):
+            x = np.random.default_rng(n).normal(size=n)
+            pyr = dwt(Signal(x), basis, j_max)
+            if variant is not None:
+                pyr = compute_leaders(pyr, variant)
+            back = pyramid_from_json(pyramid_to_json(pyr))
+            assert type(back) is type(pyr)
+            assert back.clean == pyr.clean
+            assert pyramid_to_json(back) == pyramid_to_json(pyr)
 
     def test_long_inline_document(self):
         pyr = build_pyramid([np.linspace(-1.0, 1.0, 8) / 3.0,
@@ -401,7 +461,16 @@ class TestSerialization:
     @pytest.mark.parametrize("text", [
         '{"scales": {"1": [1.0,', '{"j_min": 1}', '{"scales": [1.0]}',
         '{"scales": {"a": [1.0]}}',
-        '{"scales": {"1": [1.0]}, "variant": "one_leader"}'])
+        '{"scales": {"1": [1.0]}, "variant": "one_leader"}',
+        # valid: not 0/1 flags, short, two runs, a level missing
+        '{"scales": {"1": [1.0, 2.0]}, "valid": {"1": [7, "x"]}}',
+        '{"scales": {"1": [1.0, 2.0]}, "valid": {"1": [1]}}',
+        '{"scales": {"1": [1.0, 2.0, 3.0]}, "valid": {"1": [1, 0, 1]}}',
+        '{"scales": {"1": [1.0, 2.0], "2": [3.0]}, "valid": {"1": [1, 1]}}',
+        '{"scales": {"1": [1.0]}, "norm": "L2"}',
+        '{"scales": {"1": [1.0]}, "boundary": "symmetric"}',
+        '{"scales": {"1": [1.0, 2.0], "2": [3.0]}, "variant": "one_leader", '
+        '"finest_level": 2}'])
     def test_malformed_document(self, text):
         with pytest.raises(DataError):
             pyramid_from_json(text)
