@@ -15,7 +15,6 @@ import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import gammainc, gammaincc
 
 from .core import (DataError, NonConvergenceError, RegimeError, RngSpec,
@@ -363,20 +362,16 @@ def mills_bounds(x: float, beta: float) -> tuple[float, float, float]:
     """(lower, upper, exact) for the one-sided tail I(x) = kappa
     int_x^inf e^(-t^beta) dt.
 
-    `exact` comes from adaptive quadrature (absolute error certified below
-    1e-12); the bounds are the partial-integration envelopes, which collapse
-    to the closed form e^(-x)/2 at beta = 1.  For beta < 1 the upper bound
-    only exists once (1-beta)/(beta x^beta) < 1 and is +inf otherwise.
+    `exact` is the closed form P(|X| > x)/2, the regularized upper
+    incomplete gamma at (1/beta, x^beta) halved; the bounds are the
+    partial-integration envelopes, which collapse to the closed form
+    e^(-x)/2 at beta = 1.  For beta < 1 the upper bound only exists once
+    (1-beta)/(beta x^beta) < 1 and is +inf otherwise.
     """
     if x <= 0:
         raise DataError("x must be > 0")
     gg = GenGaussianParams(beta)
-    val, err = quad(lambda t: math.exp(-t ** beta), x, np.inf,
-                    epsabs=1e-14, epsrel=1e-13, limit=200)
-    exact = gg.kappa * val
-    if gg.kappa * err > 1e-12:
-        raise NonConvergenceError(
-            f"quadrature error {gg.kappa * err:.2e} exceeds 1e-12")
+    exact = 0.5 * gg_two_sided_tail(x, beta)
     f_x = gg.kappa * math.exp(-x ** beta)
     if beta == 1.0:
         closed = 0.5 * math.exp(-x)

@@ -563,6 +563,8 @@ def pyramid_from_json(text_or_path) -> CoefficientPyramid | LeaderPyramid:
         doc = json.loads(text)
         scales = {int(j): np.asarray(v, dtype=float)
                   for j, v in doc["scales"].items()}
+        if any(v.ndim != 1 for v in scales.values()):
+            raise ValueError("every scales level must be a flat list")
         if doc.get("norm", "L1") != "L1" \
                 or doc.get("boundary", "periodic") != "periodic":
             raise ValueError("only the L1 norm and periodic boundary exist")

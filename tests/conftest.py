@@ -1,9 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import settings
+from scipy.integrate import quad
 from scipy.special import gammainccinv
 
 from leaderlab.core import RngSpec
+from leaderlab.synth import GenGaussianParams
 from leaderlab.wavelet import CoefficientPyramid
 
 # the same examples on every run, whatever the .hypothesis/ database holds
@@ -165,3 +169,14 @@ def inverse_cdf_leader_cdf_monte_carlo(model, A, J, n_paths, rng):
         level_max = gammainccinv(inv_beta, t) ** inv_beta
         best = np.maximum(best, 2.0 ** (-model.alpha * j) * level_max)
     return float(np.mean(best <= A))
+
+
+def gg_tail_by_quadrature(x, beta):
+    """One-sided generalized-Gaussian tail kappa int_x^inf e^(-t^beta) dt by
+    adaptive quadrature, for oracle use; it asserts the absolute error
+    certificate below 1e-12."""
+    gg = GenGaussianParams(beta)
+    val, err = quad(lambda t: math.exp(-t ** beta), x, np.inf,
+                    epsabs=1e-14, epsrel=1e-13, limit=200)
+    assert gg.kappa * err <= 1e-12
+    return gg.kappa * val

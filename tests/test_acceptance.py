@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 import leaderlab as ll
-from conftest import brute_force_leaders, build_pyramid, naive_periodic_dwt
+from conftest import (brute_force_leaders, build_pyramid, gg_tail_by_quadrature,
+                      naive_periodic_dwt)
 from leaderlab.cli import main as cli_main
 from leaderlab.cumulants import (bootstrap_percentile, estimate_c1_c2,
                                  estimation_scale_candidates,
@@ -257,10 +258,13 @@ class TestTailRateVerification:
 class TestMillsSandwich:
     def test_grid(self):
         worst = -math.inf
+        oracle_gap = 0.0
         for beta in (0.5, 1.0, 1.5, 2.0, 3.0):
             for x in (0.5, 1.0, 2.0, 5.0):
                 lower, upper, exact = mills_bounds(x, beta)
                 worst = max(worst, lower - exact, exact - upper)
+                oracle_gap = max(oracle_gap,
+                                 abs(exact - gg_tail_by_quadrature(x, beta)))
         coincide = True
         for x in (0.5, 1.0, 2.0, 5.0):
             lower, upper, exact = mills_bounds(x, 1.0)
@@ -268,9 +272,10 @@ class TestMillsSandwich:
             coincide &= (abs(lower - closed) <= 1e-12
                          and abs(upper - closed) <= 1e-12
                          and abs(exact - closed) <= 1e-12)
-        ok = worst <= 1e-12 and coincide
+        ok = worst <= 1e-12 and coincide and oracle_gap <= 1e-12
         report("Mills sandwich", ok,
-               f"worst violation {worst:.2e}; beta=1 coincide: {coincide}")
+               f"worst violation {worst:.2e}; beta=1 coincide: {coincide}; "
+               f"quadrature gap {oracle_gap:.2e}")
         assert ok
 
 

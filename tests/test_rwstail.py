@@ -3,7 +3,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from conftest import inverse_cdf_leader_cdf_monte_carlo
+from conftest import gg_tail_by_quadrature, inverse_cdf_leader_cdf_monte_carlo
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy.integrate import quad
@@ -260,6 +260,7 @@ class TestMills:
             assert lower == upper == pytest.approx(0.5 * math.exp(-x),
                                                    rel=1e-12)
             assert exact == pytest.approx(lower, abs=1e-12)
+            assert abs(exact - gg_tail_by_quadrature(x, 1.0)) <= 1e-12
 
     def test_beta2_printed_bounds(self):
         lower, upper, exact = mills_bounds(2.0, 2.0)
@@ -267,11 +268,13 @@ class TestMills:
         assert upper == pytest.approx(ref_up, rel=1e-12)
         assert lower == pytest.approx(ref_up / (1.0 + 1.0 / 8.0), rel=1e-12)
         assert lower <= exact <= upper
+        assert abs(exact - gg_tail_by_quadrature(2.0, 2.0)) <= 1e-12
 
     def test_heavy_tail_case(self):
         lower, upper, exact = mills_bounds(4.0, 0.5)
         assert lower <= exact <= upper
         assert np.isfinite(upper)
+        assert abs(exact - gg_tail_by_quadrature(4.0, 0.5)) <= 1e-12
 
     @pytest.mark.parametrize("beta", [0.5, 1.0, 1.5, 2.0, 3.0])
     @pytest.mark.parametrize("x", [0.5, 1.0, 2.0, 5.0])
@@ -279,6 +282,7 @@ class TestMills:
         lower, upper, exact = mills_bounds(x, beta)
         assert lower <= exact * (1 + 1e-12)
         assert exact <= upper * (1 + 1e-12)
+        assert abs(exact - gg_tail_by_quadrature(x, beta)) <= 1e-12
 
     def test_domain(self):
         with pytest.raises(DataError):
@@ -292,6 +296,7 @@ class TestMills:
             lower, upper, exact = mills_bounds(x, 2.0)
             assert exact >= 0.99 * upper
             assert exact <= upper
+            assert abs(exact - gg_tail_by_quadrature(x, 2.0)) <= 1e-12
 
 
 class TestVerifyTailRates:

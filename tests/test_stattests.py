@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 from scipy.optimize import minimize
 
@@ -326,6 +328,18 @@ class TestIntervalDiscrepancy:
     def test_length_mismatch(self):
         with pytest.raises(DataError):
             interval_discrepancy([1.0, 2.0], [1.0])
+
+
+# multiples k * 0.1: on 11 points ties are frequent, and some computed
+# distances that are equal in exact arithmetic differ in the last bit
+COARSE_GRID = st.integers(-5, 5).map(lambda k: k * 0.1)
+
+
+@given(pairs=st.lists(st.tuples(COARSE_GRID, COARSE_GRID), min_size=1,
+                      max_size=12))
+def test_interval_discrepancy_is_brute_force(pairs):
+    x, xs = (np.array(v) for v in zip(*pairs))
+    assert interval_discrepancy(x, xs) == brute_force_T(x, xs)
 
 
 def brute_force_balls(z):

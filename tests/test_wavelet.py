@@ -470,7 +470,10 @@ class TestSerialization:
         '{"scales": {"1": [1.0]}, "norm": "L2"}',
         '{"scales": {"1": [1.0]}, "boundary": "symmetric"}',
         '{"scales": {"1": [1.0, 2.0], "2": [3.0]}, "variant": "one_leader", '
-        '"finest_level": 2}'])
+        '"finest_level": 2}',
+        # nested lists: 2-D levels whose leaders would be maxima over rows
+        '{"scales": {"1": [[1.0, -2.0], [3.0, 4.0]], "2": [[5.0, 6.0]]}}',
+        '{"scales": {"1": 1.0}}'])
     def test_malformed_document(self, text):
         with pytest.raises(DataError):
             pyramid_from_json(text)
