@@ -23,7 +23,8 @@ import numpy as np
 
 from . import __version__
 from .core import (DataError, NonConvergenceError, RegimeError, RngSpec,
-                   Signal, read_signal, write_csv, write_json, write_signal)
+                   Signal, check_level, read_signal, write_csv, write_json,
+                   write_signal)
 from .cumulants import (_c2_statistic, bootstrap_percentile, estimate_c1_c2,
                         estimation_scale_candidates, select_scale_range,
                         write_estimation_outputs)
@@ -114,6 +115,15 @@ def run_generate(params: dict, outdir: Path) -> list[str]:
     return outputs
 
 
+def _alpha_flag(params: dict) -> float:
+    """--alpha; a value the library's level rule refuses is a usage error."""
+    try:
+        check_level("--alpha", params["alpha"])
+    except DataError as exc:
+        raise UsageError(str(exc)) from None
+    return params["alpha"]
+
+
 def _load_signals(path_spec: str) -> list[tuple[str, Signal]]:
     p = Path(path_spec)
     if p.is_dir():
@@ -188,11 +198,11 @@ def run_analyze(params: dict, outdir: Path) -> list[str]:
 
 
 def run_estimate(params: dict, outdir: Path) -> list[str]:
+    alpha, method = _alpha_flag(params), params["method"]
     named = _load_signals(params["inputs"])
     if len(named) < 2:
         raise DataError("estimation requires at least 2 realizations")
     basis, variant = _basis_variant(params)
-    alpha, method = params["alpha"], params["method"]
 
     j_max = params["jmax"]
     if j_max is None:
@@ -243,7 +253,7 @@ def run_test(params: dict, outdir: Path) -> list[str]:
                          "integer levels") from None
     if min(scales) < 1:
         raise UsageError("--scale levels must be >= 1")
-    alpha, b_reps, reps = params["alpha"], params["B"], params["reps"]
+    alpha, b_reps, reps = _alpha_flag(params), params["B"], params["reps"]
     if reps < 1:
         raise UsageError("--reps must be >= 1")
     seed = RngSpec(params["seed"])
@@ -301,20 +311,25 @@ def run_verify(params: dict, outdir: Path) -> list[str]:
         small = [2.0 ** (-k) for k in range(9, 3, -1)]
         grid = np.array(small + [7.1, 8.0, 10.0])
     mc_paths = params["mc_paths"]
+    if not params["tol"] > 0:
+        raise UsageError(f"--tol must be > 0, got {params['tol']!r}")
+    if mc_paths < 0:
+        raise UsageError(f"--mc-paths must be >= 0, got {mc_paths}")
     rng = None
     if mc_paths > 0:
         if params["seed"] is None:
             raise UsageError("--mc-paths > 0 requires --seed")
         rng = RngSpec(params["seed"])
     report = verify_tail_rates(model, grid, tol=params["tol"],
-                               mc_paths=mc_paths, rng=rng,
-                               json_path=outdir / "tailbounds.json",
-                               csv_path=outdir / "tailbounds.csv")
+                               mc_paths=mc_paths, rng=rng)
+    # written before the check, so a failed run leaves its evidence
+    outputs = [report.to_json(outdir / "tailbounds.json"),
+               report.to_csv(outdir / "tailbounds.csv")]
     if not report.checks_passed:
         raise RegimeError("tail verification failed: "
                           f"slope_ok={report.slope_ok}, "
                           f"large_dominates={report.large_dominates}")
-    return [str(outdir / "tailbounds.json"), str(outdir / "tailbounds.csv")]
+    return outputs
 
 
 _RUNNERS = {"generate": run_generate, "analyze": run_analyze,

@@ -29,6 +29,13 @@ class NonConvergenceError(LeaderLabError):
     """An iterative routine failed to reach its tolerance."""
 
 
+def check_level(name: str, value) -> None:
+    """Raise DataError, starting with `name`, unless 0 < value < 1 (NaN
+    fails): the range of a significance or confidence level."""
+    if not 0.0 < value < 1.0:
+        raise DataError(f"{name} must lie in (0, 1), got {value!r}")
+
+
 @dataclass(frozen=True)
 class RngSpec:
     """Deterministic random stream identifier.
@@ -104,7 +111,6 @@ class RegressionFit:
     slope: float
     intercept: float
     r_squared: float
-    n_points: int
 
 
 def linfit(x, y) -> RegressionFit:
@@ -137,7 +143,7 @@ def linfit(x, y) -> RegressionFit:
         r2 = min(max(r2, 0.0), 1.0)
     else:
         r2 = 1.0 if ss_res <= 1e-28 * max(1.0, float(np.sum(y ** 2))) else 0.0
-    return RegressionFit(slope=slope, intercept=intercept, r_squared=r2, n_points=n)
+    return RegressionFit(slope=slope, intercept=intercept, r_squared=r2)
 
 
 # Acklam's rational approximation to the normal quantile, then one Newton
@@ -150,13 +156,6 @@ _ACK_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00
           -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
 _ACK_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
           3.754408661907416e+00)
-
-
-def _polyval(coeffs, x):
-    out = np.zeros_like(x) + coeffs[0]
-    for c in coeffs[1:]:
-        out = out * x + c
-    return out
 
 
 def normal_cdf(x):
@@ -183,14 +182,15 @@ def standard_normal_quantile(p):
     mid = ~(lo | hi)
     if np.any(lo):
         q = np.sqrt(-2.0 * np.log(p_arr[lo]))
-        x[lo] = _polyval(_ACK_C, q) / (_polyval(_ACK_D, q) * q + 1.0)
+        x[lo] = np.polyval(_ACK_C, q) / (np.polyval(_ACK_D, q) * q + 1.0)
     if np.any(hi):
         q = np.sqrt(-2.0 * np.log(1.0 - p_arr[hi]))
-        x[hi] = -_polyval(_ACK_C, q) / (_polyval(_ACK_D, q) * q + 1.0)
+        x[hi] = -np.polyval(_ACK_C, q) / (np.polyval(_ACK_D, q) * q + 1.0)
     if np.any(mid):
         q = p_arr[mid] - 0.5
         r = q * q
-        x[mid] = _polyval(_ACK_A, r) * q / (_polyval(_ACK_B, r) * r + 1.0)
+        x[mid] = (np.polyval(_ACK_A, r) * q
+                  / (np.polyval(_ACK_B, r) * r + 1.0))
 
     # one Newton refinement on the CDF
     pdf = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)

@@ -9,12 +9,12 @@ from __future__ import annotations
 import math
 import warnings
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import (DataError, RngSpec, standard_normal_quantile,
-                   write_csv, write_json)
+from .core import (DataError, RngSpec, check_level,
+                   standard_normal_quantile, write_csv, write_json)
 from .wavelet import (CoefficientPyramid, LeaderPyramid, _level_sups,
                       hmin_regression)
 
@@ -31,8 +31,6 @@ _CONE_FLOOR = 4
 class CumulantFit:
     """Regression of the order-m cumulant of log-leaders on log(scale)."""
 
-    order: int
-    per_scale: dict[int, float]
     c0: float
     cm: float
 
@@ -50,12 +48,6 @@ class EstimateWithCI:
     @property
     def width(self) -> float:
         return self.upper - self.lower
-
-    def to_dict(self) -> dict:
-        return {"estimate": self.estimate, "stderr": self.stderr,
-                "lower": self.lower, "upper": self.upper,
-                "level": self.level, "method": self.method,
-                "n_replicates": self.n_replicates}
 
 
 def log_cumulants_per_scale(leaders: LeaderPyramid, j_range: tuple[int, int]
@@ -84,8 +76,8 @@ def log_cumulants_per_scale(leaders: LeaderPyramid, j_range: tuple[int, int]
     return mu, var
 
 
-def fit_cm(per_scale: dict[int, float], j_range: tuple[int, int],
-           order: int) -> CumulantFit:
+def fit_cm(per_scale: dict[int, float],
+           j_range: tuple[int, int]) -> CumulantFit:
     """Least squares of C_m(j) on log(scale_j) via the explicit normal
     equations (H^T H)^-1 H^T with H = [1, log scale_j] rows."""
     j1, j2 = int(j_range[0]), int(j_range[1])
@@ -96,9 +88,7 @@ def fit_cm(per_scale: dict[int, float], j_range: tuple[int, int],
     y = np.array([per_scale[j] for j in js])
     h = np.column_stack([np.ones_like(x), x])
     coef = np.linalg.solve(h.T @ h, h.T @ y)
-    return CumulantFit(order=int(order),
-                       per_scale={j: float(per_scale[j]) for j in js},
-                       c0=float(coef[0]), cm=float(coef[1]))
+    return CumulantFit(c0=float(coef[0]), cm=float(coef[1]))
 
 
 @dataclass
@@ -129,6 +119,7 @@ def estimate_c1_c2(realizations: list[LeaderPyramid], j_range: tuple[int, int],
     estimate +/- z_(alpha/2) stderr/sqrt(N) with the sample standard
     deviation (ddof=1); the normal approximation is standard for N >= 30.
     """
+    check_level("alpha", alpha)
     n_real = len(realizations)
     if n_real < 2:
         raise DataError("need at least 2 realizations")
@@ -139,8 +130,8 @@ def estimate_c1_c2(realizations: list[LeaderPyramid], j_range: tuple[int, int],
     c2s = np.empty(n_real)
     for i, leaders in enumerate(realizations):
         mu, var = log_cumulants_per_scale(leaders, j_range)
-        c1s[i] = fit_cm(mu, j_range, 1).cm
-        c2s[i] = fit_cm(var, j_range, 2).cm
+        c1s[i] = fit_cm(mu, j_range).cm
+        c2s[i] = fit_cm(var, j_range).cm
     z = standard_normal_quantile(1.0 - alpha / 2.0)
 
     c1_hat = float(c1s.mean())
@@ -187,6 +178,7 @@ def bootstrap_percentile(samples, statistic, B: int = 100, level: float = 0.95,
         raise DataError("need B >= 1")
     if rng is None:
         raise DataError("bootstrap requires an RngSpec")
+    check_level("level", level)
     gen = rng.generator(0)
     n = samples.size
     reps = np.empty(B)
@@ -200,15 +192,6 @@ def bootstrap_percentile(samples, statistic, B: int = 100, level: float = 0.95,
                           "bootstrap_percentile", B)
 
 
-def default_scale_candidates(j_min: int, j_max: int) -> list[tuple[int, int]]:
-    out = []
-    for j1 in range(j_min, j_max + 1):
-        for width in range(_MIN_WIDTH, _MAX_WIDTH + 1):
-            if j1 + width <= j_max:
-                out.append((j1, j1 + width))
-    return out
-
-
 def estimation_scale_candidates(j_max: int) -> list[tuple[int, int]]:
     """Candidate ranges for leader cumulant fits.
 
@@ -218,7 +201,9 @@ def estimation_scale_candidates(j_max: int) -> list[tuple[int, int]]:
     enough to afford it.  The list is empty below j_max = 4.
     """
     floor = max(1, min(_CONE_FLOOR, j_max - _MIN_WIDTH))
-    return default_scale_candidates(floor, j_max)
+    return [(j1, j1 + width) for j1 in range(floor, j_max + 1)
+            for width in range(_MIN_WIDTH, _MAX_WIDTH + 1)
+            if j1 + width <= j_max]
 
 
 def select_scale_range(pyramids: list[CoefficientPyramid],
@@ -259,7 +244,7 @@ def write_estimation_outputs(result: C1C2Estimate, out_json, out_csv,
                              seed: RngSpec | None = None,
                              extra: dict | None = None) -> list[str]:
     """Write the JSON report plus a CSV with LB/UB/width columns."""
-    doc = {"c1": result.c1.to_dict(), "c2": result.c2.to_dict(),
+    doc = {"c1": asdict(result.c1), "c2": asdict(result.c2),
            "c2_mean_variant": result.c2_mean_variant,
            "j_range": list(result.j_range), "N": result.n_realizations}
     if seed is not None:

@@ -28,27 +28,31 @@ SMALL_A_ALPHA_MIN = math.log(1.13 * math.pi) / math.log(4.0)
 
 _MAX_DEPTH = 200        # levels the exact product may take to converge
 _I_CAP = 200            # last level find_l_beta checks
-_J_SPLIT = 100_000      # explicit factors of the infinite products
 _MC_DEPTH = 18          # tree depth of the Monte Carlo cross-check
+
+
+def _gg_incomplete_gamma(gamma_fn, x, beta: float):
+    """`gamma_fn` (regularized lower or upper incomplete gamma) at
+    (1/beta, x^beta), for x >= 0 (NaN refused) and beta > 0; a float for a
+    scalar x."""
+    x_arr = np.asarray(x, dtype=float)
+    if not np.all(x_arr >= 0):
+        raise DataError("generalized Gaussian argument must be >= 0")
+    if not beta > 0:
+        raise DataError("beta must be > 0")
+    out = gamma_fn(1.0 / beta, x_arr ** beta)
+    return float(out) if np.isscalar(x) or x_arr.ndim == 0 else out
 
 
 def gg_cdf(x, beta: float):
     """P(|X| <= x) for the generalized Gaussian: regularized lower
     incomplete gamma at (1/beta, x^beta)."""
-    x_arr = np.asarray(x, dtype=float)
-    if np.any(x_arr < 0):
-        raise DataError("gg_cdf argument must be >= 0")
-    if beta <= 0:
-        raise DataError("beta must be > 0")
-    out = gammainc(1.0 / beta, x_arr ** beta)
-    return float(out) if np.isscalar(x) or x_arr.ndim == 0 else out
+    return _gg_incomplete_gamma(gammainc, x, beta)
 
 
 def gg_two_sided_tail(x, beta: float):
     """P(|X| > x), the complement of gg_cdf."""
-    x_arr = np.asarray(x, dtype=float)
-    out = gammaincc(1.0 / beta, x_arr ** beta)
-    return float(out) if np.isscalar(x) or x_arr.ndim == 0 else out
+    return _gg_incomplete_gamma(gammaincc, x, beta)
 
 
 @dataclass
@@ -101,8 +105,8 @@ def leader_log_cdf_exact(model: RwsModel, A: float,
     """
     if A <= 0:
         raise DataError("A must be > 0")
-    if tol <= 0:
-        raise DataError("tol must be > 0")
+    if not tol > 0:
+        raise DataError(f"tol must be > 0, got {tol!r}")
     total = 0.0
     tail = _level_tail(model, A, 0)
     for j in range(_MAX_DEPTH + 1):
@@ -179,35 +183,7 @@ def leader_cdf_monte_carlo(model: RwsModel, A: float, J: int, n_paths: int,
 
 
 # ---------------------------------------------------------------------------
-# infinite products and the envelope constants
-
-def partial_product_one_minus(l: int, j_stop: int) -> float:
-    """prod_{j=l}^{j_stop} (1 - 1/(4 j^2)) by direct multiplication."""
-    j = np.arange(l, j_stop + 1, dtype=float)
-    return float(np.exp(np.sum(np.log1p(-1.0 / (4.0 * j * j)))))
-
-
-def infinite_product_one_minus(l: int = 1) -> float:
-    """prod_{j>=l} (1 - 1/(4 j^2)): explicit product to J = 100000 plus an
-    analytic tail from the asymptotic expansion of sum_{j>J} j^-2k."""
-    head = partial_product_one_minus(l, _J_SPLIT)
-    jj = float(_J_SPLIT)
-    s2 = 1.0 / jj - 1.0 / (2.0 * jj ** 2) + 1.0 / (6.0 * jj ** 3) \
-        - 1.0 / (30.0 * jj ** 5)
-    s4 = 1.0 / (3.0 * jj ** 3)
-    tail_log = -(s2 / 4.0 + s4 / 32.0)
-    return head * math.exp(tail_log)
-
-
-def infinite_product_one_plus() -> float:
-    """prod_{j>=1} (1 + 1/(4 j (j+1))): explicit head to J = 100000 plus the
-    telescoping tail sum_{j>J} 1/(4 j (j+1)) = 1/(4(J+1))."""
-    j = np.arange(1, _J_SPLIT + 1, dtype=float)
-    head = float(np.exp(np.sum(np.log1p(1.0 / (4.0 * j * (j + 1.0))))))
-    jj = float(_J_SPLIT)
-    tail_log = 1.0 / (4.0 * (jj + 1.0)) - 1.0 / (96.0 * jj ** 3)
-    return head * math.exp(tail_log)
-
+# the envelope constants
 
 def c_l_constant(l: int) -> float:
     """c_l = prod_{j>=l} (1 - 1/(4 j^2)) = (2/pi) / prod_{j<l} (...)."""
@@ -215,14 +191,9 @@ def c_l_constant(l: int) -> float:
         raise DataError("l must be >= 1")
     if l == 1:
         return 2.0 / math.pi
-    return (2.0 / math.pi) / partial_product_one_minus(1, l - 1)
-
-
-def weighted_dyadic_sum(l: int) -> int:
-    """sum_{j=0}^{l-1} 2^j (l - j) = 2^(l+1) - (l + 2), exactly."""
-    if l < 1:
-        raise DataError("l must be >= 1")
-    return (1 << (l + 1)) - (l + 2)
+    j = np.arange(1, l, dtype=float)
+    head = float(np.exp(np.sum(np.log1p(-1.0 / (4.0 * j * j)))))
+    return (2.0 / math.pi) / head
 
 
 def _mills_epsilon(model: RwsModel, i: float) -> float:
@@ -282,9 +253,6 @@ class SmallABounds:
     rate: float
     constants: dict
     rate_interval: tuple[float, float]
-
-    def __iter__(self):
-        return iter((self.lower, self.upper, self.rate))
 
 
 def small_A_bounds(model: RwsModel, A: float) -> SmallABounds:
@@ -368,8 +336,8 @@ def mills_bounds(x: float, beta: float) -> tuple[float, float, float]:
     e^(-x)/2 at beta = 1.  For beta < 1 the upper bound only exists once
     (1-beta)/(beta x^beta) < 1 and is +inf otherwise.
     """
-    if x <= 0:
-        raise DataError("x must be > 0")
+    if not x > 0:
+        raise DataError(f"x must be > 0, got {x!r}")
     gg = GenGaussianParams(beta)
     exact = 0.5 * gg_two_sided_tail(x, beta)
     f_x = gg.kappa * math.exp(-x ** beta)
@@ -471,8 +439,8 @@ class TailBoundReport:
 
 
 def verify_tail_rates(model: RwsModel, A_grid, tol: float = 1e-12,
-                      mc_paths: int = 0, rng: RngSpec | None = None,
-                      json_path=None, csv_path=None) -> TailBoundReport:
+                      mc_paths: int = 0, rng: RngSpec | None = None
+                      ) -> TailBoundReport:
     """Exact leader CDF over a grid plus decay-rate and domination checks.
 
     Small-regime points (A <= 2^-alpha) feed a fit of log(-log P) against
@@ -483,6 +451,8 @@ def verify_tail_rates(model: RwsModel, A_grid, tol: float = 1e-12,
     bound.  Grid points in neither regime raise a RegimeError.  With
     `mc_paths` > 0 every point also gets a Monte Carlo estimate at J = 18.
     """
+    if mc_paths < 0:
+        raise DataError(f"mc_paths must be >= 0, got {mc_paths!r}")
     grid = np.sort(np.atleast_1d(np.asarray(A_grid, dtype=float)))
     if grid.size == 0 or np.any(grid <= 0.0):
         raise DataError("A grid must be positive and non-empty")
@@ -547,7 +517,7 @@ def verify_tail_rates(model: RwsModel, A_grid, tol: float = 1e-12,
                                              rng.substream(i))
                       for i, a in enumerate(grid)]
 
-    report = TailBoundReport(
+    return TailBoundReport(
         alpha=model.alpha, beta=model.beta, A_grid=grid, log_cdf=log_cdf,
         exact_cdf=exact, regime=regime, lower_small=lower_small,
         upper_small=upper_small, upper_large=upper_large, constants=constants,
@@ -556,8 +526,3 @@ def verify_tail_rates(model: RwsModel, A_grid, tol: float = 1e-12,
         rate_interval=(rate_lo, rate_hi), rate_in_interval=rate_in,
         rate_in_interval_corrected=rate_in_corr, large_dominates=dominates,
         mc=mc_results)
-    if json_path is not None:
-        report.to_json(json_path)
-    if csv_path is not None:
-        report.to_csv(csv_path)
-    return report

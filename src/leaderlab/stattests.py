@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (DataError, NonConvergenceError, RngSpec, normal_cdf,
-                   standard_normal_quantile)
+from .core import (DataError, NonConvergenceError, RngSpec, check_level,
+                   normal_cdf, standard_normal_quantile)
 
 __all__ = [
     "TestReport", "shapiro_wilk", "qq_data", "LogConcaveMLE",
@@ -37,21 +37,10 @@ class TestReport:
     name: str
     statistic: float
     p_value: float | None
-    alpha: float
     rejected: bool
     n: int
     B: int | None = None
-    seed: RngSpec | None = None
     details: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        doc = {"name": self.name, "statistic": self.statistic,
-               "p_value": self.p_value, "alpha": self.alpha,
-               "rejected": bool(self.rejected), "n": self.n, "B": self.B}
-        if self.seed is not None:
-            doc["seed"] = self.seed.to_dict()
-        doc.update(self.details)
-        return doc
 
 
 # ---------------------------------------------------------------------------
@@ -65,13 +54,6 @@ _SW_C5 = (0.0038915, -0.083751, -0.31082, -1.5861)
 _SW_C6 = (0.0030302, -0.082676, -0.4803)
 
 
-def _poly(coeffs, x: float) -> float:
-    out = coeffs[0]
-    for c in coeffs[1:]:
-        out = out * x + c
-    return out
-
-
 def _sw_coefficients(n: int) -> np.ndarray:
     """Expected-normal-order-statistic weights with Royston's end corrections."""
     if n == 3:
@@ -79,10 +61,10 @@ def _sw_coefficients(n: int) -> np.ndarray:
     m = standard_normal_quantile((np.arange(1, n + 1) - 0.375) / (n + 0.25))
     ssq = float(np.sum(m * m))
     rsn = 1.0 / math.sqrt(n)
-    a_top = _poly(_SW_C1, rsn) + m[-1] / math.sqrt(ssq)
+    a_top = float(np.polyval(_SW_C1, rsn)) + m[-1] / math.sqrt(ssq)
     a = np.empty(n)
     if n > 5:
-        a_top2 = _poly(_SW_C2, rsn) + m[-2] / math.sqrt(ssq)
+        a_top2 = float(np.polyval(_SW_C2, rsn)) + m[-2] / math.sqrt(ssq)
         fac = math.sqrt((ssq - 2.0 * m[-1] ** 2 - 2.0 * m[-2] ** 2)
                         / (1.0 - 2.0 * a_top ** 2 - 2.0 * a_top2 ** 2))
         a[2:n - 2] = m[2:n - 2] / fac
@@ -107,13 +89,13 @@ def _sw_pvalue(w: float, n: int) -> float:
         if y >= gamma:
             return 1e-99
         y = -math.log(gamma - y)
-        mu = _poly(_SW_C3, float(n))
-        sigma = math.exp(_poly(_SW_C4, float(n)))
+        mu = float(np.polyval(_SW_C3, float(n)))
+        sigma = math.exp(np.polyval(_SW_C4, float(n)))
     else:
         y = math.log(w1)
         ln_n = math.log(n)
-        mu = _poly(_SW_C5, ln_n)
-        sigma = math.exp(_poly(_SW_C6, ln_n))
+        mu = float(np.polyval(_SW_C5, ln_n))
+        sigma = math.exp(np.polyval(_SW_C6, ln_n))
     z = (y - mu) / sigma
     return float(1.0 - normal_cdf(z))
 
@@ -126,6 +108,7 @@ def shapiro_wilk(samples, alpha: float = 0.05,
     first subsampled without replacement to 5000 using `rng`; the report
     records whether that happened.
     """
+    check_level("alpha", alpha)
     x = np.asarray(samples, dtype=float)
     if x.ndim != 1:
         raise DataError("expected a 1-d sample")
@@ -151,8 +134,8 @@ def shapiro_wilk(samples, alpha: float = 0.05,
     den = float(np.sum((x - x.mean()) ** 2))
     w = min(num / den, 1.0)
     p = _sw_pvalue(w, n)
-    return TestReport(name="shapiro_wilk", statistic=w, p_value=p, alpha=alpha,
-                      rejected=p < alpha, n=n, seed=rng,
+    return TestReport(name="shapiro_wilk", statistic=w, p_value=p,
+                      rejected=p < alpha, n=n,
                       details={"subsampled": subsampled, "n_original": n0})
 
 
@@ -562,6 +545,17 @@ def _batch_interval_stat(balls: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return best.astype(np.int64)
 
 
+def _pooled_balls(x: np.ndarray, xstar: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pool two samples of equal size n as x then xstar: the bitmap of
+    `_ball_geometry` on the sorted pool, the labels +1 (x) and -1 (xstar)
+    in pool order, and the stable order that sorts the pool."""
+    z = np.concatenate([x, xstar])
+    labels = np.repeat(np.array([1, -1], dtype=np.int8), x.size)
+    idx = np.argsort(z, kind="stable")
+    return _ball_geometry(z[idx]), labels, idx
+
+
 def interval_discrepancy(x, xstar) -> float:
     """T = sup over r > 0 and centers in the pooled sample of
     |P_n - P*_n| of the open interval (center - r, center + r)."""
@@ -569,14 +563,8 @@ def interval_discrepancy(x, xstar) -> float:
     xs = np.asarray(xstar, dtype=float)
     if x.size != xs.size or x.size == 0:
         raise DataError("samples must be non-empty and of equal size")
-    n = x.size
-    z = np.concatenate([x, xs])
-    labels = np.concatenate([np.ones(n, dtype=np.int8),
-                             -np.ones(n, dtype=np.int8)])
-    idx = np.argsort(z, kind="stable")
-    t_int = _batch_interval_stat(_ball_geometry(z[idx]),
-                                 labels[idx][None, :])[0]
-    return float(t_int) / n
+    balls, labels, idx = _pooled_balls(x, xs)
+    return float(_batch_interval_stat(balls, labels[idx][None, :])[0]) / x.size
 
 
 def logconcavity_test(samples, B: int = 99, alpha: float = 0.05,
@@ -600,15 +588,11 @@ def logconcavity_test(samples, B: int = 99, alpha: float = 0.05,
         raise DataError("need B >= 1")
     if rng is None:
         raise DataError("the permutation test requires an RngSpec")
+    check_level("alpha", alpha)
     n = x.size
     model = fit_logconcave_mle(x)
     xstar = _sample_from_mle(model, n, rng.generator(1))
-
-    z = np.concatenate([x, xstar])
-    base = np.concatenate([np.ones(n, dtype=np.int8),
-                           -np.ones(n, dtype=np.int8)])
-    idx = np.argsort(z, kind="stable")
-    balls = _ball_geometry(z[idx])
+    balls, base, idx = _pooled_balls(x, xstar)
 
     gen_perm = rng.generator(2)
     labels = np.empty((B + 1, 2 * n), dtype=np.int8)
@@ -625,8 +609,7 @@ def logconcavity_test(samples, B: int = 99, alpha: float = 0.05,
     else:
         threshold = float(t_star[rank - 1])
     return TestReport(name="logconcave_permutation", statistic=t_obs,
-                      p_value=None, alpha=alpha, rejected=t_obs > threshold,
-                      n=n, B=B, seed=rng,
+                      p_value=None, rejected=t_obs > threshold, n=n, B=B,
                       details={"threshold": threshold,
                                "n_knots": int(model.knots.size),
                                "n_balls": int(np.count_nonzero(balls))})

@@ -193,12 +193,6 @@ def gen_cmc_motion(mu: float, J: int, rng: RngSpec,
     return Signal(a, t0=0.0, dt=1.0 / n, label=f"cmc(mu={mu:g},J={J})")
 
 
-def cpc_cone_mass(r_min: float, intensity: float = 1.0) -> float:
-    """Expected Poisson point count in the cone of influence at full
-    resolution: integral of (intensity/r^2) dt dr over the cone."""
-    return intensity * math.log(1.0 / r_min)
-
-
 def gen_cpc_motion(kind: str, T: float, r_min: float, n: int, rng: RngSpec,
                    mu: float | None = None, sigma2: float = 0.2,
                    w: float = 1.5, intensity: float = 1.0) -> Signal:

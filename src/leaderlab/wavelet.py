@@ -403,12 +403,6 @@ class StructureFunctionTable:
     j_values: np.ndarray
     q_values: np.ndarray
     s: np.ndarray          # shape (len(j_values), len(q_values))
-    variant: str
-
-    def value(self, j: int, q: float) -> float:
-        ji = int(np.where(self.j_values == j)[0][0])
-        qi = int(np.argmin(np.abs(self.q_values - q)))
-        return float(self.s[ji, qi])
 
     def to_csv(self, path) -> str:
         return write_csv(path, ["j", "q", "S", "logS"],
@@ -441,7 +435,7 @@ def structure_functions(leaders: LeaderPyramid,
         for qi, q in enumerate(q_values):
             s[ji, qi] = float(np.mean(values[j] ** q))
     return StructureFunctionTable(j_values=np.array(levels), q_values=q_values,
-                                  s=s, variant=leaders.variant)
+                                  s=s)
 
 
 def scaling_function(table: StructureFunctionTable,

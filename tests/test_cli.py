@@ -125,6 +125,22 @@ GENERATE_ERRORS = [
 ]
 
 
+LEVEL_ERRORS = [
+    ("estimate", ["--alpha", 1.5], "--alpha"),
+    ("estimate", ["--alpha", 0], "--alpha"),
+    ("estimate", ["--alpha", "nan"], "--alpha"),
+    ("estimate", ["--method", "bootstrap", "--seed", 1, "--alpha", 1],
+     "--alpha"),
+    ("test", ["--which", "logconcave", "--alpha", 1.5], "--alpha"),
+    ("test", ["--which", "logconcave", "--alpha", -0.5], "--alpha"),
+    ("test", ["--which", "shapiro", "--alpha", "nan"], "--alpha"),
+    ("test", ["--which", "shapiro", "--alpha", 1], "--alpha"),
+    ("verify", ["--tol", "nan"], "--tol"),
+    ("verify", ["--tol", 0], "--tol"),
+    ("verify", ["--mc-paths", -3], "--mc-paths"),
+]
+
+
 class TestErrorPaths:
     """Every bad parameter or level is one usage-error line naming its
     flag: exit 2, no traceback and no output CSV."""
@@ -166,6 +182,20 @@ class TestErrorPaths:
         out = tmp_path / "o"
         code = run([command, "--jmax", jmax, *inputs, "-o", out])
         self.check(capsys, code, words, out)
+
+    # each level the library refuses, and verify's --tol and --mc-paths
+    @pytest.mark.parametrize("command,args,flag", LEVEL_ERRORS,
+                             ids=[" ".join(map(str, (c, *a)))
+                                  for c, a, _ in LEVEL_ERRORS])
+    def test_out_of_range(self, tmp_path, capsys, ensemble, command, args,
+                          flag):
+        capsys.readouterr()
+        inputs = {"estimate": ["--inputs", ensemble],
+                  "test": ["--input", ensemble, "--scale", 4, "--seed", 1],
+                  "verify": ["--alpha", 1, "--ggbeta", 2]}[command]
+        out = tmp_path / "o"
+        code = run([command, *inputs, *args, "-o", out])
+        self.check(capsys, code, flag, out)
 
 
 class TestDepth:

@@ -9,6 +9,9 @@ from hypothesis import strategies as st
 from leaderlab.core import (DataError, RngSpec, Signal, linfit, normal_cdf,
                             read_signal, standard_normal_quantile,
                             write_csv, write_signal)
+from leaderlab.cumulants import bootstrap_percentile, estimate_c1_c2
+from leaderlab.stattests import logconcavity_test, shapiro_wilk
+from leaderlab.wavelet import LeaderPyramid
 
 
 class TestLinfit:
@@ -114,6 +117,30 @@ class TestNormalQuantile:
         for bad in (0.0, 1.0, -0.1, 1.1, float("nan")):
             with pytest.raises(DataError):
                 standard_normal_quantile(bad)
+
+
+_SAMPLE = [0.3, -1.2, 0.8, 2.1, -0.4, 1.7]
+_LEADERS = [LeaderPyramid(leaders={j: np.exp(np.arange(1.0, 5.0) + k * j)
+                                   for j in (1, 2, 3)}, variant="one_leader")
+            for k in range(3)]
+# each function that takes a significance or confidence level
+LEVEL_CALLS = {
+    "estimate_c1_c2": lambda a: estimate_c1_c2(_LEADERS, (1, 3), alpha=a),
+    "bootstrap_percentile": lambda a: bootstrap_percentile(
+        _SAMPLE, np.mean, B=5, level=a, rng=RngSpec(1)),
+    "shapiro_wilk": lambda a: shapiro_wilk(_SAMPLE, alpha=a),
+    "logconcavity_test": lambda a: logconcavity_test(
+        _SAMPLE, B=5, alpha=a, rng=RngSpec(1)),
+}
+
+
+@pytest.mark.filterwarnings("ignore:N=3 < 30")
+@pytest.mark.parametrize("value", [0.0, 1.0, 1.5, -0.5, float("nan")])
+@pytest.mark.parametrize("name", sorted(LEVEL_CALLS))
+def test_level_outside_unit_interval_refused(name, value):
+    with pytest.raises(DataError, match=r"(alpha|level) must lie in \(0, 1\)"):
+        LEVEL_CALLS[name](value)
+    LEVEL_CALLS[name](0.05)
 
 
 class TestRngSpec:

@@ -7,9 +7,9 @@ import pytest
 from conftest import build_pyramid
 from leaderlab.core import DataError, RngSpec, linfit
 from leaderlab.cumulants import (berry_esseen_bound, bootstrap_percentile,
-                                 default_scale_candidates, estimate_c1_c2,
-                                 estimation_scale_candidates, fit_cm,
-                                 log_cumulants_per_scale, select_scale_range)
+                                 estimate_c1_c2, estimation_scale_candidates,
+                                 fit_cm, log_cumulants_per_scale,
+                                 select_scale_range)
 from leaderlab.wavelet import LeaderPyramid, compute_leaders
 
 LN2 = math.log(2.0)
@@ -55,14 +55,14 @@ class TestPerScaleCumulants:
 class TestFitCm:
     def test_exact_affine_recovery(self):
         per_scale = {j: 0.2 + 0.7 * (j * LN2) for j in range(1, 7)}
-        fit = fit_cm(per_scale, (1, 6), 1)
+        fit = fit_cm(per_scale, (1, 6))
         assert fit.cm == pytest.approx(0.7, abs=1e-12)
         assert fit.c0 == pytest.approx(0.2, abs=1e-12)
 
     def test_matches_linfit(self):
         gen = np.random.default_rng(31)
         per_scale = {j: float(gen.normal()) for j in range(2, 9)}
-        fit = fit_cm(per_scale, (2, 8), 2)
+        fit = fit_cm(per_scale, (2, 8))
         js = np.arange(2, 9, dtype=float)
         ref = linfit(js * LN2, np.array([per_scale[j] for j in range(2, 9)]))
         assert fit.cm == pytest.approx(ref.slope, rel=1e-12)
@@ -70,7 +70,7 @@ class TestFitCm:
 
     def test_insufficient_scales(self):
         with pytest.raises(DataError):
-            fit_cm({3: 1.0}, (3, 3), 1)
+            fit_cm({3: 1.0}, (3, 3))
 
 
 class TestEstimateC1C2:
@@ -238,11 +238,11 @@ class TestScaleSelection:
             select_scale_range([pyr], [])
 
     def test_default_candidates(self):
-        cands = default_scale_candidates(1, 8)
-        assert (1, 4) in cands and (3, 8) in cands and (1, 6) in cands
-        assert all(3 <= j2 - j1 <= 5 for j1, j2 in cands)
         floored = estimation_scale_candidates(11)
-        assert min(c[0] for c in floored) == 4
+        assert floored == [(4, 7), (4, 8), (4, 9), (5, 8), (5, 9), (5, 10),
+                           (6, 9), (6, 10), (6, 11), (7, 10), (7, 11),
+                           (8, 11)]
+        assert estimation_scale_candidates(4) == [(1, 4)]
         shallow = estimation_scale_candidates(5)
         assert min(c[0] for c in shallow) == 2
 

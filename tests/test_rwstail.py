@@ -11,12 +11,10 @@ from scipy.integrate import quad
 from leaderlab.core import DataError, NonConvergenceError, RegimeError, RngSpec
 from leaderlab.rwstail import (RwsModel, a_threshold, c_l_constant, find_l_beta,
                                gg_cdf, gg_two_sided_tail, implied_lambda,
-                               infinite_product_one_minus,
-                               infinite_product_one_plus, large_A_bound,
-                               leader_cdf_exact, leader_cdf_monte_carlo,
-                               leader_log_cdf_exact, mills_bounds,
-                               small_A_bounds, verify_tail_rates,
-                               weighted_dyadic_sum)
+                               large_A_bound, leader_cdf_exact,
+                               leader_cdf_monte_carlo, leader_log_cdf_exact,
+                               mills_bounds, small_A_bounds,
+                               verify_tail_rates)
 
 
 class TestGgCdf:
@@ -171,21 +169,10 @@ class TestLeaderCdfMonteCarlo:
 
 
 class TestConstants:
-    def test_infinite_product_identities(self):
-        assert infinite_product_one_minus(1) == pytest.approx(2.0 / math.pi,
-                                                              abs=1e-10)
-        assert infinite_product_one_plus() == pytest.approx(4.0 / math.pi,
-                                                            abs=1e-10)
-
     def test_c_l2_closed_form(self):
         # product over j >= 3 equals 128/(45 pi)
         assert c_l_constant(3) == pytest.approx(128.0 / (45.0 * math.pi),
                                                 abs=1e-10)
-
-    def test_weighted_dyadic_sum(self):
-        for l in range(1, 21):
-            brute = sum(2 ** j * (l - j) for j in range(l))
-            assert weighted_dyadic_sum(l) == brute == 2 ** (l + 1) - (l + 2)
 
     def test_kappa_beta2(self):
         model = RwsModel(1.0, 2.0)
@@ -207,9 +194,8 @@ class TestSmallABounds:
             128.0 / (45.0 * math.pi), abs=1e-10)
         assert res.constants["kappa_beta"] == pytest.approx(
             1.0 / math.sqrt(math.pi), abs=1e-12)
-        lower, upper, rate = res
-        assert lower <= upper
-        assert rate > 0.0
+        assert res.lower <= res.upper
+        assert res.rate > 0.0
 
     @pytest.mark.parametrize("alpha,beta", [(1.0, 2.0), (1.5, 0.7)])
     def test_rate_interval_is_the_reported_one(self, alpha, beta):
@@ -251,6 +237,26 @@ class TestLargeABound:
         with pytest.raises(RegimeError) as err:
             large_A_bound(model, 5.0)
         assert "7.03" in str(err.value)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: mills_bounds(math.nan, 2.0),
+    lambda: gg_two_sided_tail(-2.0, 2.0),
+    lambda: gg_two_sided_tail(math.nan, 2.0),
+    lambda: gg_two_sided_tail(np.array([1.0, -1.0]), 2.0),
+    lambda: gg_two_sided_tail(1.0, 0.0),
+    lambda: gg_two_sided_tail(1.0, -1.0),
+    lambda: gg_cdf(math.nan, 2.0),
+    lambda: gg_cdf(1.0, math.nan),
+    lambda: leader_log_cdf_exact(RwsModel(1.0, 2.0), 0.5, tol=math.nan),
+    lambda: verify_tail_rates(RwsModel(1.0, 2.0), [0.25], mc_paths=-3,
+                              rng=RngSpec(1)),
+], ids=["mills nan", "tail negative", "tail nan",
+        "tail array with a negative", "tail beta 0", "tail beta -1",
+        "cdf nan", "cdf beta nan", "log cdf tol nan", "mc_paths -3"])
+def test_domain_refused(call):
+    with pytest.raises(DataError):
+        call()
 
 
 class TestMills:
@@ -303,9 +309,9 @@ class TestVerifyTailRates:
     def test_gaussian_example_report(self, tmp_path):
         model = RwsModel(1.0, 2.0)
         grid = [2.0 ** (-k) for k in range(9, 3, -1)] + [7.1, 8.0, 10.0]
-        report = verify_tail_rates(model, grid,
-                                   json_path=tmp_path / "tb.json",
-                                   csv_path=tmp_path / "tb.csv")
+        report = verify_tail_rates(model, grid)
+        report.to_json(tmp_path / "tb.json")
+        report.to_csv(tmp_path / "tb.csv")
         assert report.slope == pytest.approx(-1.0, abs=0.1)
         assert report.slope_ok
         assert all(report.large_dominates)
@@ -341,8 +347,8 @@ class TestVerifyTailRates:
     def test_mc_columns(self, tmp_path):
         model = RwsModel(1.0, 2.0)
         report = verify_tail_rates(model, [0.25, 0.5], mc_paths=5000,
-                                   rng=RngSpec(77),
-                                   csv_path=tmp_path / "tb.csv")
+                                   rng=RngSpec(77))
+        report.to_csv(tmp_path / "tb.csv")
         assert report.mc is not None and len(report.mc) == 2
         header = (tmp_path / "tb.csv").read_text().splitlines()[0]
         assert header.endswith("mc_cdf,mc_stderr")

@@ -422,7 +422,7 @@ class TestBallKernel:
         assert np.array_equal(small, balls)
         assert np.array_equal(_batch_interval_stat(small, labels), t)
         again = logconcavity_test(sample, B=19, rng=RngSpec(3108))
-        assert again.to_dict() == rep.to_dict()
+        assert again == rep
 
     # (seed, n, draw, statistic, threshold, rejected), as computed by the
     # per-replicate cumulative-sum kernel this one replaced

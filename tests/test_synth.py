@@ -10,7 +10,7 @@ from conftest import naive_circulant_gaussian
 from leaderlab import synth
 from leaderlab.cli import main
 from leaderlab.core import DataError, NonConvergenceError, RngSpec
-from leaderlab.synth import (GenGaussianParams, ProcessSpec, cpc_cone_mass,
+from leaderlab.synth import (GenGaussianParams, ProcessSpec,
                              fgn_autocovariance, gen_cmc_motion,
                              gen_cpc_motion, gen_fbm, gen_mrw,
                              gen_rws_pyramid, generate,
@@ -309,7 +309,7 @@ class TestCpc:
             u = gen.random(n_pts)
             r_pts = 1.0 / (1.0 / r_min - u * (1.0 / r_min - 1.0))
             counts.append(np.sum(np.abs(t_pts - t_star) <= r_pts / 2.0))
-        mean = cpc_cone_mass(r_min)
+        mean = math.log(1 / r_min)
         observed = float(np.mean(counts))
         se = math.sqrt(mean / 200)
         assert abs(observed - mean) <= 3.0 * se
