@@ -7,7 +7,9 @@ re-executes the recorded run and reproduces every output byte-for-byte
 (only manifest timestamps differ).
 
 Exit codes: 0 success, 2 usage error, 3 data or regime error,
-4 nonconvergence.
+4 nonconvergence.  The library refuses a parameter with a `ParamError` that
+names the flag's dest; `main` alone turns it into a usage error naming the
+flag.  This module checks only what the library never sees.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .core import (DataError, NonConvergenceError, RegimeError, RngSpec,
-                   Signal, check_level, read_signal, write_csv, write_json,
+from .core import (DataError, NonConvergenceError, ParamError, RegimeError,
+                   RngSpec, Signal, read_signal, write_csv, write_json,
                    write_signal)
 from .cumulants import (_c2_statistic, bootstrap_percentile, estimate_c1_c2,
                         estimation_scale_candidates, select_scale_range,
@@ -48,15 +50,15 @@ def _write_manifest(outdir: Path, command: str, params: dict, seed,
                     outputs: list[str], started: str) -> str:
     doc = {"command": command,
            "params": {k: v for k, v in params.items() if v is not None},
-           "seed": seed.to_dict() if isinstance(seed, RngSpec) else seed,
+           "seed": None if seed is None else seed.to_dict(),
            "tool_version": __version__,
            "started_at": started, "finished_at": _now(),
            "outputs": sorted(str(Path(o).name) for o in outputs)}
     return write_json(outdir / "manifest.json", doc)
 
 
-def _parse_range(spec: str) -> np.ndarray:
-    """Parse 'a:step:b' or a comma list into a float array."""
+def _parse_range(spec: str, flag: str) -> np.ndarray:
+    """Parse `flag`'s 'a:step:b' or comma list into a float array."""
     out: list[float] = []
     for part in spec.split(","):
         part = part.strip()
@@ -67,33 +69,34 @@ def _parse_range(spec: str) -> np.ndarray:
         except ValueError:
             values = []
         if len(values) not in (1, 3) or not all(map(math.isfinite, values)):
-            raise UsageError(f"grid part {part!r} must be a finite number "
+            raise UsageError(f"{flag} part {part!r} must be a finite number "
                              "or start:step:stop")
         if len(values) == 1:
             out.append(values[0])
             continue
         a, step, b = values
         if step <= 0:
-            raise UsageError("range step must be > 0")
+            raise UsageError(f"{flag} step must be > 0, got {step!r}")
         k = int(math.floor((b - a) / step + 1e-9)) + 1
         out.extend(a + step * i for i in range(max(k, 0)))
     if not out:
-        raise UsageError(f"empty grid spec {spec!r}")
+        raise UsageError(f"{flag} {spec!r} holds no grid point")
     return np.array(out)
 
 
-def _parse_scale_pair(spec: str) -> tuple[int, int]:
+def _parse_scale_pair(spec: str, flag: str, j_max: int) -> tuple[int, int]:
+    """Parse `flag`'s 'j1:j2', levels with 1 <= j1 < j2 <= j_max."""
     try:
         j1, j2 = (int(b) for b in spec.split(":"))
     except ValueError:
-        raise UsageError(f"scale range {spec!r} must be j1:j2 levels") from None
-    if j2 <= j1:
-        raise UsageError("scale range needs j1 < j2")
+        j1 = j2 = 0
+    if not 1 <= j1 < j2 <= j_max:
+        raise UsageError(f"{flag} {spec!r} must be levels j1:j2 with "
+                         f"1 <= j1 < j2 <= {j_max}")
     return j1, j2
 
 
-def run_generate(params: dict, outdir: Path) -> list[str]:
-    seed = RngSpec(params["seed"])
+def run_generate(params: dict, seed, outdir: Path) -> list[str]:
     ensemble = params["ensemble"]
     if ensemble < 1:
         raise UsageError("--ensemble must be >= 1")
@@ -104,24 +107,11 @@ def run_generate(params: dict, outdir: Path) -> list[str]:
     for i in range(ensemble):
         spec = ProcessSpec(kind=params["process"], n=params["n"],
                            params=proc_params, rng=seed.substream(i))
-        try:
-            sig = generate(spec)
-        except DataError as exc:
-            # synth names the bad parameter first, as its flag is named
-            raise UsageError(f"--{exc}") from None
+        sig = generate(spec)
         name = outdir / (f"signal_{i:04d}.csv" if ensemble > 1
                          else "signal.csv")
         outputs.extend(write_signal(sig, name, sidecar=spec.to_dict()))
     return outputs
-
-
-def _alpha_flag(params: dict) -> float:
-    """--alpha; a value the library's level rule refuses is a usage error."""
-    try:
-        check_level("--alpha", params["alpha"])
-    except DataError as exc:
-        raise UsageError(str(exc)) from None
-    return params["alpha"]
 
 
 def _load_signals(path_spec: str) -> list[tuple[str, Signal]]:
@@ -164,14 +154,14 @@ def _dwt_leaders(name: str, sig: Signal, basis, variant: str, j_max: int,
     return pyramid, compute_leaders(pyramid, variant)
 
 
-def run_analyze(params: dict, outdir: Path) -> list[str]:
+def run_analyze(params: dict, seed, outdir: Path) -> list[str]:
     sig = read_signal(params["input"])
     basis, variant = _basis_variant(params)
     j_max = params["jmax"]
     _, leaders = _dwt_leaders(Path(params["input"]).name, sig, basis, variant,
                               j_max, "--jmax")
-    q_grid = _parse_range(params["q"])
-    scales = (_parse_scale_pair(params["scales"])
+    q_grid = _parse_range(params["q"], "--q")
+    scales = (_parse_scale_pair(params["scales"], "--scales", j_max)
               if params["scales"] else (1, j_max))
     table = structure_functions(leaders, q_grid)
     zeta = scaling_function(table, scales)
@@ -197,8 +187,8 @@ def run_analyze(params: dict, outdir: Path) -> list[str]:
     return outputs
 
 
-def run_estimate(params: dict, outdir: Path) -> list[str]:
-    alpha, method = _alpha_flag(params), params["method"]
+def run_estimate(params: dict, seed, outdir: Path) -> list[str]:
+    alpha, method = params["alpha"], params["method"]
     named = _load_signals(params["inputs"])
     if len(named) < 2:
         raise DataError("estimation requires at least 2 realizations")
@@ -214,20 +204,16 @@ def run_estimate(params: dict, outdir: Path) -> list[str]:
     if j_max < need:
         raise UsageError(f"--scales {scales_flag} needs --jmax >= {need}, "
                          f"and --jmax or the shortest signal gives {j_max}")
+    j_range = (None if scales_flag == "auto"
+               else _parse_scale_pair(scales_flag, "--scales", j_max))
     pyramids, leaders = zip(*(_dwt_leaders(name, sig, basis, variant, j_max,
                                            "--jmax") for name, sig in named))
-
-    if scales_flag == "auto":
-        candidates = estimation_scale_candidates(j_max)
-        j_range = select_scale_range(pyramids, candidates)
-    else:
-        j_range = _parse_scale_pair(scales_flag)
+    if j_range is None:
+        j_range = select_scale_range(pyramids,
+                                     estimation_scale_candidates(j_max))
 
     result = estimate_c1_c2(leaders, j_range, alpha=alpha)
-    seed = RngSpec(params["seed"]) if params["seed"] is not None else None
     if method == "bootstrap":
-        if seed is None:
-            raise UsageError("--method bootstrap requires --seed")
         b_reps = params["B"]
         boot_c1 = bootstrap_percentile(result.c1_samples, np.mean, B=b_reps,
                                        level=1 - alpha, rng=seed.substream(1))
@@ -242,10 +228,9 @@ def run_estimate(params: dict, outdir: Path) -> list[str]:
                                     extra=extra)
 
 
-def run_test(params: dict, outdir: Path) -> list[str]:
+def run_test(params: dict, seed, outdir: Path) -> list[str]:
     named = _load_signals(params["input"])
-    which = params["which"]
-    spec = params["scale"]
+    which, spec = params["which"], params["scale"]
     try:
         scales = [int(s) for s in spec.split(",")]
     except ValueError:
@@ -253,10 +238,9 @@ def run_test(params: dict, outdir: Path) -> list[str]:
                          "integer levels") from None
     if min(scales) < 1:
         raise UsageError("--scale levels must be >= 1")
-    alpha, b_reps, reps = _alpha_flag(params), params["B"], params["reps"]
+    alpha, b_reps, reps = params["alpha"], params["B"], params["reps"]
     if reps < 1:
         raise UsageError("--reps must be >= 1")
-    seed = RngSpec(params["seed"])
     basis, variant = _basis_variant(params)
     j_max = max(scales)
 
@@ -303,25 +287,15 @@ def run_test(params: dict, outdir: Path) -> list[str]:
                       aggregate)]
 
 
-def run_verify(params: dict, outdir: Path) -> list[str]:
+def run_verify(params: dict, seed, outdir: Path) -> list[str]:
     model = RwsModel(alpha=params["alpha"], beta=params["ggbeta"])
     if params["A_grid"]:
-        grid = _parse_range(params["A_grid"])
+        grid = _parse_range(params["A_grid"], "--A-grid")
     else:
         small = [2.0 ** (-k) for k in range(9, 3, -1)]
         grid = np.array(small + [7.1, 8.0, 10.0])
-    mc_paths = params["mc_paths"]
-    if not params["tol"] > 0:
-        raise UsageError(f"--tol must be > 0, got {params['tol']!r}")
-    if mc_paths < 0:
-        raise UsageError(f"--mc-paths must be >= 0, got {mc_paths}")
-    rng = None
-    if mc_paths > 0:
-        if params["seed"] is None:
-            raise UsageError("--mc-paths > 0 requires --seed")
-        rng = RngSpec(params["seed"])
     report = verify_tail_rates(model, grid, tol=params["tol"],
-                               mc_paths=mc_paths, rng=rng)
+                               mc_paths=params["mc_paths"], rng=seed)
     # written before the check, so a failed run leaves its evidence
     outputs = [report.to_json(outdir / "tailbounds.json"),
                report.to_csv(outdir / "tailbounds.csv")]
@@ -332,21 +306,31 @@ def run_verify(params: dict, outdir: Path) -> list[str]:
     return outputs
 
 
+# runner(params, the run's RngSpec or None, outdir) -> output paths
 _RUNNERS = {"generate": run_generate, "analyze": run_analyze,
             "estimate": run_estimate, "test": run_test, "verify": run_verify}
 
-_RANDOMIZED = {"generate", "test"}
+
+def _require_seed(command: str, params: dict) -> None:
+    """A run that draws random numbers needs --seed."""
+    if params.get("seed") is not None:       # analyze takes no --seed
+        return
+    if command in ("generate", "test"):
+        raise UsageError(f"{command} is randomized and requires --seed")
+    if command == "estimate" and params["method"] == "bootstrap":
+        raise UsageError("--method bootstrap requires --seed")
+    if command == "verify" and params["mc_paths"] > 0:
+        raise UsageError("--mc-paths > 0 requires --seed")
 
 
 def _dispatch(command: str, params: dict, outdir: Path) -> int:
+    """Build the run's one RngSpec before any work, then run `command`."""
+    _require_seed(command, params)
+    seed = None if params.get("seed") is None else RngSpec(params["seed"])
     outdir.mkdir(parents=True, exist_ok=True)
     started = _now()
-    seed = params.get("seed")      # analyze takes no --seed
-    if command in _RANDOMIZED and seed is None:
-        raise UsageError(f"{command} is randomized and requires --seed")
-    outputs = _RUNNERS[command](params, outdir)
-    _write_manifest(outdir, command, params,
-                    None if seed is None else RngSpec(seed), outputs, started)
+    outputs = _RUNNERS[command](params, seed, outdir)
+    _write_manifest(outdir, command, params, seed, outputs, started)
     return 0
 
 
@@ -371,10 +355,8 @@ def _manifest_params(command: str, params: dict, path: Path) -> dict:
     goes through its flag's type (from its text, as argparse reads it) and
     choices, every required flag must be present, an absent optional flag
     takes its default, and a param that names no flag is dropped."""
-    sub = next(a for a in _build_parser()._actions
-               if isinstance(a, argparse._SubParsersAction))
     out = {}
-    for action in sub.choices[command]._actions:
+    for action in _actions(command).values():
         key, value = action.dest, params.get(action.dest)
         if key == "outdir" or action.default == argparse.SUPPRESS:
             continue
@@ -397,6 +379,13 @@ def _manifest_params(command: str, params: dict, path: Path) -> dict:
             raise DataError(f"manifest {path}: param {key!r} = {value!r} "
                             f"is not one of {list(action.choices)}")
     return out
+
+
+def _actions(command: str) -> dict[str, argparse.Action]:
+    """The arguments of `command`'s parser, by dest."""
+    sub = next(a for a in _build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {a.dest: a for a in sub.choices[command]._actions}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -480,6 +469,15 @@ def main(argv=None) -> int:
         return _dispatch(ns.command, params, Path(ns.outdir))
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
+        return 2
+    except ParamError as exc:
+        # a replayed manifest's parameter is data, not a misused flag
+        action = _actions(ns.command).get(exc.name)
+        if action is None or not action.option_strings:
+            print(f"error: {exc}", file=sys.stderr)
+            return 3
+        print(f"usage error: {action.option_strings[-1]} must {exc.rule}, "
+              f"got {exc.value!r}", file=sys.stderr)
         return 2
     except (DataError, RegimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

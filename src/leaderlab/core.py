@@ -29,11 +29,25 @@ class NonConvergenceError(LeaderLabError):
     """An iterative routine failed to reach its tolerance."""
 
 
+class ParamError(DataError):
+    """A parameter breaks its rule; `name` is the dest of the flag that sets
+    it (`A_grid` for `--A-grid`), so a frontend can name the flag."""
+
+    def __init__(self, name: str, rule: str, value):
+        super().__init__(f"{name} must {rule}, got {value!r}")
+        self.name, self.rule, self.value = name, rule, value
+
+
+def require(ok: bool, name: str, rule: str, value) -> None:
+    """Raise ParamError unless `ok`: `value` of `name` must `rule`."""
+    if not ok:
+        raise ParamError(name, rule, value)
+
+
 def check_level(name: str, value) -> None:
-    """Raise DataError, starting with `name`, unless 0 < value < 1 (NaN
-    fails): the range of a significance or confidence level."""
-    if not 0.0 < value < 1.0:
-        raise DataError(f"{name} must lie in (0, 1), got {value!r}")
+    """Refuse a significance or confidence level outside 0 < value < 1
+    (NaN fails)."""
+    require(0.0 < value < 1.0, name, "lie in (0, 1)", value)
 
 
 @dataclass(frozen=True)
@@ -50,10 +64,10 @@ class RngSpec:
     stream_id: int = 0
 
     def __post_init__(self):
-        if not (0 <= int(self.seed) < 2 ** 64):
-            raise DataError("seed must be a 64-bit unsigned integer")
-        if int(self.stream_id) < 0:
-            raise DataError("stream_id must be >= 0")
+        require(0 <= int(self.seed) < 2 ** 64, "seed",
+                "lie in [0, 2^64)", self.seed)
+        require(int(self.stream_id) >= 0, "stream_id", "be >= 0",
+                self.stream_id)
 
     def generator(self, *path: int) -> np.random.Generator:
         """Generator for this stream; extra path integers derive substreams."""

@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import (DataError, RngSpec, check_level,
+from .core import (DataError, RngSpec, check_level, require,
                    standard_normal_quantile, write_csv, write_json)
 from .wavelet import (CoefficientPyramid, LeaderPyramid, _level_sups,
                       hmin_regression)
@@ -174,8 +174,7 @@ def bootstrap_percentile(samples, statistic, B: int = 100, level: float = 0.95,
     samples = np.asarray(samples, dtype=float)
     if samples.size == 0:
         raise DataError("empty sample")
-    if B < 1:
-        raise DataError("need B >= 1")
+    require(B >= 1, "B", "be >= 1", B)
     if rng is None:
         raise DataError("bootstrap requires an RngSpec")
     check_level("level", level)

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.special import gammainc, gammaincc
 
 from .core import (DataError, NonConvergenceError, RegimeError, RngSpec,
-                   linfit, write_csv, write_json)
+                   linfit, require, write_csv, write_json)
 from .synth import GenGaussianParams
 
 LN2 = math.log(2.0)
@@ -62,8 +62,10 @@ class RwsModel:
     gg: GenGaussianParams = field(init=False)
 
     def __post_init__(self):
-        if self.alpha <= 0 or self.beta <= 0:
-            raise DataError("alpha and beta must be > 0")
+        require(0 < self.alpha < math.inf, "alpha", "be finite and > 0",
+                self.alpha)
+        require(0 < self.beta < math.inf, "ggbeta", "be finite and > 0",
+                self.beta)
         self.gg = GenGaussianParams(self.beta)
 
     def small_a_condition(self) -> bool:
@@ -105,8 +107,7 @@ def leader_log_cdf_exact(model: RwsModel, A: float,
     """
     if A <= 0:
         raise DataError("A must be > 0")
-    if not tol > 0:
-        raise DataError(f"tol must be > 0, got {tol!r}")
+    require(tol > 0, "tol", "be > 0", tol)
     total = 0.0
     tail = _level_tail(model, A, 0)
     for j in range(_MAX_DEPTH + 1):
@@ -451,11 +452,11 @@ def verify_tail_rates(model: RwsModel, A_grid, tol: float = 1e-12,
     bound.  Grid points in neither regime raise a RegimeError.  With
     `mc_paths` > 0 every point also gets a Monte Carlo estimate at J = 18.
     """
-    if mc_paths < 0:
-        raise DataError(f"mc_paths must be >= 0, got {mc_paths!r}")
+    require(mc_paths >= 0, "mc_paths", "be >= 0", mc_paths)
     grid = np.sort(np.atleast_1d(np.asarray(A_grid, dtype=float)))
-    if grid.size == 0 or np.any(grid <= 0.0):
-        raise DataError("A grid must be positive and non-empty")
+    require(grid.size > 0, "A_grid", "be non-empty", [])
+    for a in grid:
+        require(a > 0.0, "A_grid", "hold only values > 0", float(a))
     a_small_max = 2.0 ** (-model.alpha)
     a_beta = a_threshold(model)
     regime = []

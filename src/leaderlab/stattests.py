@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (DataError, NonConvergenceError, RngSpec, check_level,
-                   normal_cdf, standard_normal_quantile)
+                   normal_cdf, require, standard_normal_quantile)
 
 __all__ = [
     "TestReport", "shapiro_wilk", "qq_data", "LogConcaveMLE",
@@ -584,8 +584,7 @@ def logconcavity_test(samples, B: int = 99, alpha: float = 0.05,
     x = np.asarray(samples, dtype=float)
     if x.size < 2:
         raise DataError("need at least 2 samples")
-    if B < 1:
-        raise DataError("need B >= 1")
+    require(B >= 1, "B", "be >= 1", B)
     if rng is None:
         raise DataError("the permutation test requires an RngSpec")
     check_level("alpha", alpha)

@@ -19,23 +19,17 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import gammaln
 
-from .core import DataError, NonConvergenceError, RngSpec, Signal
+from .core import DataError, NonConvergenceError, RngSpec, Signal, require
 from .wavelet import (DAUBECHIES_FILTERS, CoefficientPyramid, WaveletBasis,
                       daubechies_basis, idwt)
 
-# so that synthesis cannot exhaust memory, a cascade (cmc) or a wavelet
-# series (rws) holds at most 2^24 samples, and a compound Poisson cascade
-# expects at most 10^6 points (about 50 bytes each)
+# so that synthesis cannot exhaust memory, a realization (and a cascade or
+# wavelet series before truncation) holds at most 2^24 samples, and a
+# compound Poisson cascade expects at most 10^6 points (about 50 bytes each).
+# A parameter is refused under its `ProcessSpec.params` key (r_min as rmin,
+# the rws shape as ggbeta).
 _MAX_LOG2_N = 24
 _MAX_CPC_POINTS = 1e6
-
-
-def _require(ok: bool, name: str, rule: str, value) -> None:
-    """Reject a value of parameter `name` that breaks its rule.  Parameters
-    are named as in `ProcessSpec.params` (r_min as rmin, the rws shape as
-    ggbeta), first in the message."""
-    if not ok:
-        raise DataError(f"{name} must {rule}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -123,8 +117,8 @@ def gen_fbm(H: float, n: int, rng: RngSpec) -> Signal:
     The increments are exact fractional Gaussian noise with Hurst exponent H,
     produced by circulant embedding; the path is their cumulative sum.
     """
-    _require(0.0 < H < 1.0, "H", "lie strictly inside (0, 1)", H)
-    _require(n >= 2, "n", "be >= 2", n)
+    require(0.0 < H < 1.0, "H", "lie strictly inside (0, 1)", H)
+    require(n >= 2, "n", "be >= 2", n)
     fgn = _circulant_draw(_circulant_sqrt_eig("fgn", (float(H),), n), n,
                           rng.generator(0))
     return Signal(np.cumsum(fgn), t0=0.0, dt=1.0 / n, label=f"fbm(H={H:g})")
@@ -146,11 +140,11 @@ def gen_mrw(H: float, beta: float, L: int, n: int, rng: RngSpec) -> Signal:
     gen_fbm at the same RngSpec.  The log-cumulants are c1 = H + beta^2/2 and
     c2 = -beta^2.
     """
-    _require(0.0 < H < 1.0, "H", "lie strictly inside (0, 1)", H)
-    _require(beta >= 0 and math.isfinite(beta * beta), "beta",
-             "be >= 0 and finite, with a finite square", beta)
-    _require(n >= 2, "n", "be >= 2", n)
-    _require(n <= L <= sys.float_info.max, "L", "lie in [n, largest float]", L)
+    require(0.0 < H < 1.0, "H", "lie strictly inside (0, 1)", H)
+    require(beta >= 0 and math.isfinite(beta * beta), "beta",
+            "be >= 0 and finite, with a finite square", beta)
+    require(n >= 2, "n", "be >= 2", n)
+    require(n <= L <= sys.float_info.max, "L", "lie in [n, largest float]", L)
     fgn = _circulant_draw(_circulant_sqrt_eig("fgn", (float(H),), n), n,
                           rng.generator(0))
     if beta == 0.0:
@@ -162,7 +156,7 @@ def gen_mrw(H: float, beta: float, L: int, n: int, rng: RngSpec) -> Signal:
     with np.errstate(over="ignore", invalid="ignore"):
         path = np.cumsum(fgn * np.exp(w))
     # a cumulative sum is finite everywhere iff its last value is
-    _require(math.isfinite(path[-1]), "beta", "keep the path finite", beta)
+    require(math.isfinite(path[-1]), "beta", "keep the path finite", beta)
     return Signal(path, t0=0.0, dt=1.0 / n,
                   label=f"mrw(H={H:g},beta={beta:g},L={L})")
 
@@ -175,12 +169,12 @@ def gen_cmc_motion(mu: float, J: int, rng: RngSpec,
     (E[W] = 1) fixes sigma2 = 2 mu / ln 2, which is the default.  The output
     is the cumulative integral of the cascade density on 2^J cells.
     """
-    _require(math.isfinite(mu) and (mu > 0 or sigma2 == 0), "mu",
-             "be finite, and > 0 unless sigma2 = 0 is passed", mu)
-    _require(1 <= J <= _MAX_LOG2_N, "J", f"lie in [1, {_MAX_LOG2_N}]", J)
+    require(math.isfinite(mu) and (mu > 0 or sigma2 == 0), "mu",
+            "be finite, and > 0 unless sigma2 = 0 is passed", mu)
+    require(1 <= J <= _MAX_LOG2_N, "J", f"lie in [1, {_MAX_LOG2_N}]", J)
     if sigma2 is None:
         sigma2 = 2.0 * mu / math.log(2.0)
-    _require(0 <= sigma2 < math.inf, "sigma2", "be finite and >= 0", sigma2)
+    require(0 <= sigma2 < math.inf, "sigma2", "be finite and >= 0", sigma2)
     gen = rng.generator(0)
     n = 1 << J
     log2_q = np.zeros(n)
@@ -189,7 +183,7 @@ def gen_cmc_motion(mu: float, J: int, rng: RngSpec,
         log2_q -= np.repeat(u, n >> level)
     with np.errstate(over="ignore", invalid="ignore"):
         a = np.cumsum(np.exp2(log2_q)) / n
-    _require(math.isfinite(a[-1]), "sigma2", "keep the path finite", sigma2)
+    require(math.isfinite(a[-1]), "sigma2", "keep the path finite", sigma2)
     return Signal(a, t0=0.0, dt=1.0 / n, label=f"cmc(mu={mu:g},J={J})")
 
 
@@ -207,25 +201,25 @@ def gen_cpc_motion(kind: str, T: float, r_min: float, n: int, rng: RngSpec,
     """
     if kind not in ("ln", "lp"):
         raise DataError("cpc kind must be 'ln' or 'lp'")
-    _require(n >= 2, "n", "be >= 2", n)
-    _require(0.0 < r_min <= 1.0, "rmin", "lie in (0, 1]", r_min)
-    _require(math.isfinite(T) and T / n > 0, "T", "be finite and > 0", T)
-    _require(0 <= intensity < math.inf, "intensity", "be finite and >= 0",
-             intensity)
+    require(n >= 2, "n", "be >= 2", n)
+    require(0.0 < r_min <= 1.0, "rmin", "lie in (0, 1]", r_min)
+    require(math.isfinite(T) and T / n > 0, "T", "be finite and > 0", T)
+    require(0 <= intensity < math.inf, "intensity", "be finite and >= 0",
+            intensity)
     if kind == "ln":
-        _require(0 <= sigma2 < math.inf, "sigma2", "be finite and >= 0",
-                 sigma2)
-        _require(mu is None or math.isfinite(mu), "mu", "be finite", mu)
+        require(0 <= sigma2 < math.inf, "sigma2", "be finite and >= 0",
+                sigma2)
+        require(mu is None or math.isfinite(mu), "mu", "be finite", mu)
     else:
-        _require(0 < w < math.inf, "w", "be finite and > 0", w)
+        require(0 < w < math.inf, "w", "be finite and > 0", w)
     span = T + 1.0
     total_mass = intensity * span * (1.0 / r_min - 1.0)
     # the largest of the three factors takes the blame
     _, name, value = max((span, "T", T), (1.0 / r_min - 1.0, "rmin", r_min),
                          (intensity, "intensity", intensity))
-    _require(total_mass <= _MAX_CPC_POINTS, name,
-             "keep the expected point count intensity * (T + 1) * "
-             f"(1/rmin - 1) at most {_MAX_CPC_POINTS:g}", value)
+    require(total_mass <= _MAX_CPC_POINTS, name,
+            "keep the expected point count intensity * (T + 1) * "
+            f"(1/rmin - 1) at most {_MAX_CPC_POINTS:g}", value)
     gen = rng.generator(0)
     n_points = int(gen.poisson(total_mass))
     dt = T / n
@@ -248,7 +242,7 @@ def gen_cpc_motion(kind: str, T: float, r_min: float, n: int, rng: RngSpec,
         q = np.exp(np.cumsum(bump[:n]))
         a = np.cumsum(q / q.mean()) * dt
     name, value = ("sigma2", sigma2) if kind == "ln" else ("w", w)
-    _require(math.isfinite(a[-1]), name, "keep the path finite", value)
+    require(math.isfinite(a[-1]), name, "keep the path finite", value)
     return Signal(a, t0=0.0, dt=dt,
                   label=f"cpc-{kind}(T={T:g},rmin={r_min:g})")
 
@@ -281,9 +275,9 @@ def gen_rws_pyramid(alpha: float, beta: float, basis: WaveletBasis, J: int,
     periodic L1-normalized transform used for analysis, so a round trip
     through `dwt` returns the planted values.
     """
-    _require(0 < alpha < math.inf, "alpha", "be finite and > 0", alpha)
-    _require(0 < beta < math.inf, "ggbeta", "be finite and > 0", beta)
-    _require(1 <= J < _MAX_LOG2_N, "J", f"lie in [1, {_MAX_LOG2_N - 1}]", J)
+    require(0 < alpha < math.inf, "alpha", "be finite and > 0", alpha)
+    require(0 < beta < math.inf, "ggbeta", "be finite and > 0", beta)
+    require(1 <= J < _MAX_LOG2_N, "J", f"lie in [1, {_MAX_LOG2_N - 1}]", J)
     gen = rng.generator(0)
     coeffs: dict[int, np.ndarray] = {}
     for depth in range(J + 1):
@@ -291,7 +285,7 @@ def gen_rws_pyramid(alpha: float, beta: float, basis: WaveletBasis, J: int,
         coeffs[J + 1 - depth] = 2.0 ** (-alpha * depth) * x
     pyramid = CoefficientPyramid(coeffs=coeffs)
     samples = idwt(pyramid, basis)
-    _require(np.isfinite(samples).all(), "ggbeta", "keep the path finite", beta)
+    require(np.isfinite(samples).all(), "ggbeta", "keep the path finite", beta)
     n = samples.size
     sig = Signal(samples, t0=0.0, dt=1.0 / n,
                  label=f"rws(alpha={alpha:g},beta={beta:g},J={J})")
@@ -305,11 +299,14 @@ def gen_rws(alpha: float, beta: float, basis: WaveletBasis, J: int,
 
 def generate(spec: ProcessSpec) -> Signal:
     """Dispatch a ProcessSpec to the matching generator; the realization
-    has exactly `spec.n` samples.  A cmc of depth J has 2^J samples and an
-    rws 2^(J+1); J defaults to the smallest depth that covers n."""
+    has exactly `spec.n` samples, 2 to 2^24 of them.  A cmc of depth J has
+    2^J samples and an rws 2^(J+1); J defaults to the smallest depth that
+    covers n."""
     kind, n, p = spec.kind, spec.n, spec.params
+    require(2 <= n <= 1 << _MAX_LOG2_N, "n",
+            f"lie in [2, 2^{_MAX_LOG2_N}] for {kind}", n)
     if kind in ("fbm", "mrw"):
-        _require("H" in p, "H", f"be given for {kind}", None)
+        require("H" in p, "H", f"be given for {kind}", None)
     if kind == "fbm":
         return gen_fbm(float(p["H"]), n, spec.rng)
     if kind == "mrw":
@@ -323,19 +320,17 @@ def generate(spec: ProcessSpec) -> Signal:
                               **optional)
     if kind not in ("cmc", "rws"):
         raise DataError(f"unknown process kind {kind!r}")
-    _require(2 <= n <= 1 << _MAX_LOG2_N, "n",
-             f"lie in [2, 2^{_MAX_LOG2_N}] for {kind}", n)
     # ceil(log2 n) levels cover n; rws gains one from its depth-0 level
     depth = max(1, (int(n) - 1).bit_length() - (kind == "rws"))
     j = int(p.get("J", depth))
-    _require(j >= depth, "J", f"be >= {depth} to cover n = {n} samples", j)
+    require(j >= depth, "J", f"be >= {depth} to cover n = {n} samples", j)
     if kind == "cmc":
         sig = gen_cmc_motion(float(p.get("mu", 0.37)), j, spec.rng,
                              sigma2=p.get("sigma2"))
     else:
         nvanish = int(p.get("nvanish", 3))
-        _require(nvanish in DAUBECHIES_FILTERS, "nvanish",
-                 f"lie in [1, {max(DAUBECHIES_FILTERS)}]", nvanish)
+        require(nvanish in DAUBECHIES_FILTERS, "nvanish",
+                f"lie in [1, {max(DAUBECHIES_FILTERS)}]", nvanish)
         sig = gen_rws(float(p.get("alpha", 1.0)), float(p.get("ggbeta", 2.0)),
                       daubechies_basis(nvanish), j, spec.rng)
     if len(sig) == n:

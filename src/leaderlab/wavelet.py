@@ -18,7 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import DataError, RegressionFit, Signal, linfit, write_csv
+from .core import (DataError, RegressionFit, Signal, linfit, require,
+                   write_csv)
 
 # Daubechies scaling filters, N = 1..10 vanishing moments, generated offline
 # by spectral factorization of the binomial half-band polynomial at 60-digit
@@ -199,14 +200,12 @@ def daubechies_basis(n_vanishing: int) -> WaveletBasis:
 
 
 def basis_from_name(name: str) -> WaveletBasis:
-    name = name.strip().lower()
-    if not name.startswith("db"):
-        raise DataError(f"unknown wavelet family in {name!r}; only dbN supported")
-    try:
-        order = int(name[2:])
-    except ValueError as exc:
-        raise DataError(f"cannot parse wavelet order in {name!r}") from exc
-    return daubechies_basis(order)
+    """The Daubechies basis named dbN (any case), N in 1..10."""
+    key = name.strip().lower()
+    order = key[2:].lstrip("0")
+    require(key[:2] == "db" and order in map(str, DAUBECHIES_FILTERS),
+            "wavelet", f"be dbN with N in 1..{max(DAUBECHIES_FILTERS)}", name)
+    return daubechies_basis(int(order))
 
 
 class _Pyramid:

@@ -122,6 +122,9 @@ GENERATE_ERRORS = [
     # beyond the 2^24-sample cap, with no --J passed
     *[(["--process", kind, "--n", (1 << 24) + 1], "--n")
       for kind in ("cmc", "rws")],
+    # the same cap for every kind, refused before anything is allocated
+    *[(["--process", kind, *PROCESS_FLAGS[kind], "--n", (1 << 24) + 1],
+       "--n") for kind in ("fbm", "mrw", "cpc-ln", "cpc-lp")],
 ]
 
 
@@ -140,17 +143,49 @@ LEVEL_ERRORS = [
     ("verify", ["--mc-paths", -3], "--mc-paths"),
 ]
 
+# every other value a library function refuses, named by the flag that set
+# it, and the flag text the CLI parses itself
+FLAG_ERRORS = LEVEL_ERRORS + [
+    *[(command, ["--seed", seed], "--seed")
+      for command in ("generate", "estimate", "test", "verify")
+      for seed in (-1, 1 << 64)],
+    ("estimate", ["--method", "bootstrap", "--seed", 1, "--B", 0], "--B"),
+    ("test", ["--which", "logconcave", "--B", 0], "--B"),
+    ("verify", ["--alpha", "nan"], "--alpha"),
+    ("verify", ["--alpha", -1], "--alpha"),
+    ("verify", ["--alpha", "inf"], "--alpha"),
+    ("verify", ["--ggbeta", "nan"], "--ggbeta"),
+    ("verify", ["--A-grid", -1], "--A-grid"),
+    ("verify", ["--A-grid", "0.1,-2"], "--A-grid"),
+    ("verify", ["--A-grid", "x"], "--A-grid"),
+    *[(command, ["--wavelet", name], "--wavelet")
+      for command in ("analyze", "estimate", "test")
+      for name in ("db11", "haar", "sym4")],
+    ("analyze", ["--q", "abc"], "--q"),
+    ("analyze", ["--q", "0:0:2"], "--q"),
+    ("analyze", ["--scales", 3], "--scales"),
+    ("analyze", ["--scales", "10:20"], "--scales"),
+    ("analyze", ["--scales", "0:3"], "--scales"),
+    ("estimate", ["--scales", 3], "--scales"),
+    ("estimate", ["--scales", "10:20"], "--scales"),
+    ("estimate", ["--scales", "0:3"], "--scales"),
+    ("estimate", ["--scales", "4:4"], "--scales"),
+    # the seed is checked before the missing input is read
+    ("estimate", ["--inputs", "no/such/dir", "--method", "bootstrap"],
+     "--seed"),
+]
+
 
 class TestErrorPaths:
     """Every bad parameter or level is one usage-error line naming its
-    flag: exit 2, no traceback and no output CSV."""
+    flag: exit 2, no traceback and no output CSV or JSON."""
 
     def check(self, capsys, code, flag, out):
         assert code == 2
         err = capsys.readouterr().err
         assert flag in err and "Traceback" not in err
         assert len(err.strip().splitlines()) == 1
-        assert not any(out.glob("*.csv"))
+        assert not any(out.glob("*.csv")) and not any(out.glob("*.json"))
 
     # pytest captures warnings apart from stderr; as errors they show
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -183,15 +218,19 @@ class TestErrorPaths:
         code = run([command, "--jmax", jmax, *inputs, "-o", out])
         self.check(capsys, code, words, out)
 
-    # each level the library refuses, and verify's --tol and --mc-paths
-    @pytest.mark.parametrize("command,args,flag", LEVEL_ERRORS,
+    # the flags after the valid inputs take their place
+    @pytest.mark.parametrize("command,args,flag", FLAG_ERRORS,
                              ids=[" ".join(map(str, (c, *a)))
-                                  for c, a, _ in LEVEL_ERRORS])
+                                  for c, a, _ in FLAG_ERRORS])
     def test_out_of_range(self, tmp_path, capsys, ensemble, command, args,
                           flag):
         capsys.readouterr()
-        inputs = {"estimate": ["--inputs", ensemble],
-                  "test": ["--input", ensemble, "--scale", 4, "--seed", 1],
+        inputs = {"generate": ["--process", "fbm", "--H", 0.7, "--n", 256],
+                  "analyze": ["--input", ensemble / "signal_0000.csv",
+                              "--jmax", 4],
+                  "estimate": ["--inputs", ensemble],
+                  "test": ["--input", ensemble, "--which", "shapiro",
+                           "--scale", 4, "--seed", 1],
                   "verify": ["--alpha", 1, "--ggbeta", 2]}[command]
         out = tmp_path / "o"
         code = run([command, *inputs, *args, "-o", out])
@@ -264,6 +303,23 @@ class TestReplay:
         assert run(["replay", manifest, "-o", out]) == 0
         sidecar = json.loads((out / "signal.csv.json").read_text())
         assert sidecar["params"] == {"H": 0.5}
+
+    @pytest.mark.parametrize("param,value", [("n", 1), ("seed", -1),
+                                             ("H", 1.5)])
+    def test_refused_param_is_data_error(self, tmp_path, capsys, param,
+                                         value):
+        # a manifest is data: a value its flag would refuse names no flag
+        params = {"process": "fbm", "n": 64, "seed": 1, "H": 0.5,
+                  param: value}
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"command": "generate",
+                                        "params": params}), encoding="utf-8")
+        out = tmp_path / "o"
+        assert run(["replay", manifest, "-o", out]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {param} must")
+        assert len(err.strip().splitlines()) == 1
+        assert not out.exists() or not any(out.iterdir())
 
     def test_missing_manifest(self, tmp_path):
         assert run(["replay", tmp_path / "none.json", "-o", tmp_path / "o"]) == 3

@@ -6,12 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from leaderlab.core import (DataError, RngSpec, Signal, linfit, normal_cdf,
-                            read_signal, standard_normal_quantile,
-                            write_csv, write_signal)
+from leaderlab.core import (DataError, ParamError, RngSpec, Signal, linfit,
+                            normal_cdf, read_signal, require,
+                            standard_normal_quantile, write_csv, write_signal)
 from leaderlab.cumulants import bootstrap_percentile, estimate_c1_c2
+from leaderlab.rwstail import RwsModel, leader_log_cdf_exact, verify_tail_rates
 from leaderlab.stattests import logconcavity_test, shapiro_wilk
-from leaderlab.wavelet import LeaderPyramid
+from leaderlab.wavelet import LeaderPyramid, basis_from_name
 
 
 class TestLinfit:
@@ -141,6 +142,52 @@ def test_level_outside_unit_interval_refused(name, value):
     with pytest.raises(DataError, match=r"(alpha|level) must lie in \(0, 1\)"):
         LEVEL_CALLS[name](value)
     LEVEL_CALLS[name](0.05)
+
+
+def test_require_raises_param_error():
+    require(True, "B", "be >= 1", 0)
+    with pytest.raises(ParamError) as info:
+        require(False, "B", "be >= 1", 0)
+    exc = info.value
+    assert isinstance(exc, DataError)
+    assert (exc.name, exc.rule, exc.value) == ("B", "be >= 1", 0)
+    assert str(exc) == "B must be >= 1, got 0"
+
+
+_MODEL = RwsModel(1.0, 2.0)
+# each refusal of a value a CLI flag sets, by the flag's dest, and the
+# offending value it reports
+PARAM_REFUSALS = {
+    "seed -1": (lambda: RngSpec(-1), "seed", -1),
+    "seed 2^64": (lambda: RngSpec(1 << 64), "seed", 1 << 64),
+    "bootstrap B": (lambda: bootstrap_percentile(
+        _SAMPLE, np.mean, B=0, rng=RngSpec(1)), "B", 0),
+    "permutation B": (lambda: logconcavity_test(
+        _SAMPLE, B=0, rng=RngSpec(1)), "B", 0),
+    "A grid": (lambda: verify_tail_rates(_MODEL, [0.01, -1.0, 8.0]),
+               "A_grid", -1.0),
+    "mc paths": (lambda: verify_tail_rates(_MODEL, [0.01], mc_paths=-3),
+                 "mc_paths", -3),
+    "tol": (lambda: leader_log_cdf_exact(_MODEL, 0.01, tol=0.0), "tol", 0.0),
+    "wavelet": (lambda: basis_from_name("db11"), "wavelet", "db11"),
+    # more digits than int() parses
+    "wavelet 5000 digits": (lambda: basis_from_name("db" + "9" * 5000),
+                            "wavelet", "db" + "9" * 5000),
+    "alpha": (lambda: RwsModel(-1.0, 2.0), "alpha", -1.0),
+    "alpha inf": (lambda: RwsModel(math.inf, 2.0), "alpha", math.inf),
+    "alpha nan": (lambda: RwsModel(math.nan, 2.0), "alpha", math.nan),
+    "ggbeta": (lambda: RwsModel(1.0, 0.0), "ggbeta", 0.0),
+    "ggbeta nan": (lambda: RwsModel(1.0, math.nan), "ggbeta", math.nan),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PARAM_REFUSALS))
+def test_param_refused_by_name(case):
+    call, name, value = PARAM_REFUSALS[case]
+    with pytest.raises(ParamError) as info:
+        call()
+    # repr, so that NaN matches and -1 does not match -1.0
+    assert (info.value.name, repr(info.value.value)) == (name, repr(value))
 
 
 class TestRngSpec:

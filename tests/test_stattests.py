@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 from scipy.optimize import minimize
@@ -232,6 +232,27 @@ class TestLogConcaveMLE:
             slopes = np.diff(model.log_density_at_knots) / np.diff(model.knots)
             assert np.all(np.diff(slopes) <= 1e-9)
             assert model.total_mass() == pytest.approx(1.0, abs=1e-6)
+
+    @settings(max_examples=300)
+    @given(x=st.one_of(
+        # tiny samples of any finite values
+        st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=6),
+        # many ties among a few values
+        st.lists(st.integers(-3, 3), min_size=2, max_size=40),
+        # heavy tails: Cauchy, Pareto(0.5) and Student t(1) draws
+        st.builds(lambda seed, n, kind: getattr(
+            RngSpec(seed).generator(), kind[0])(*kind[1:], size=n),
+            st.integers(0, 2 ** 32 - 1), st.integers(5, 300),
+            st.sampled_from([("standard_cauchy",), ("pareto", 0.5),
+                             ("standard_t", 1)])),
+    ).map(lambda v: np.asarray(v, dtype=float))
+     .filter(lambda x: np.unique(x).size >= 2))
+    def test_mass_one_and_concave_on_any_sample(self, x):
+        model = fit_logconcave_mle(x)
+        assert model.total_mass() == pytest.approx(1.0, abs=1e-9)
+        slopes = np.diff(model.log_density_at_knots) / np.diff(model.knots)
+        bend = np.diff(slopes)
+        assert np.all(bend <= 1e-9 * np.maximum(1.0, np.abs(slopes[1:])))
 
     def test_affine_equivariance(self):
         x = RngSpec(1004).generator().normal(size=500)

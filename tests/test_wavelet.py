@@ -258,6 +258,29 @@ class TestLeaders:
             for j in lead.levels:
                 assert np.array_equal(lead.valid_at(j), ref[j]), (clean, j)
 
+    @settings(max_examples=200)
+    @given(data=st.data(), depth=st.integers(1, 5), top=st.integers(1, 3),
+           variant=st.sampled_from(["one_leader", "three_leader"]))
+    def test_any_pyramid_is_brute_force(self, data, depth, top, variant):
+        # any finite coefficients and one run per level, empty and whole
+        # ones included: the values are the enumerated suprema, the runs
+        # the enumerated clean cones
+        coeffs, clean = {}, {}
+        for j in range(1, depth + 1):
+            size = top << (depth - j)
+            coeffs[j] = np.array(data.draw(st.lists(
+                st.floats(allow_nan=False, allow_infinity=False),
+                min_size=size, max_size=size)))
+            lo = data.draw(st.integers(0, size))
+            clean[j] = slice(lo, data.draw(st.integers(lo, size)))
+        pyr = CoefficientPyramid(coeffs=coeffs, clean=clean)
+        lead = compute_leaders(pyr, variant)
+        values = brute_force_leaders(pyr, variant)
+        runs = cone_valid({j: pyr.valid_at(j) for j in pyr.levels}, variant)
+        for j in pyr.levels:
+            assert np.array_equal(lead.leaders[j], values[j])
+            assert np.array_equal(lead.valid_at(j), runs[j])
+
     def test_shape_validation(self):
         with pytest.raises(DataError):
             compute_leaders(build_pyramid([np.ones(6), np.ones(2)]))
