@@ -7,9 +7,11 @@ re-executes the recorded run and reproduces every output byte-for-byte
 (only manifest timestamps differ).
 
 Exit codes: 0 success, 2 usage error, 3 data or regime error,
-4 nonconvergence.  The library refuses a parameter with a `ParamError` that
-names the flag's dest; `main` alone turns it into a usage error naming the
-flag.  This module checks only what the library never sees.
+4 nonconvergence.  Every parameter rule, in this module and in the library,
+is a `core.require` that raises a `ParamError` naming the parameter, by the
+flag's dest where a flag sets it.  `main` alone maps that name to its flag:
+a bad argv value is a usage error naming the flag (exit 2), and the same
+value read from a replayed manifest is a data error (exit 3).
 """
 
 from __future__ import annotations
@@ -25,8 +27,8 @@ import numpy as np
 
 from . import __version__
 from .core import (DataError, NonConvergenceError, ParamError, RegimeError,
-                   RngSpec, Signal, read_signal, write_csv, write_json,
-                   write_signal)
+                   RngSpec, Signal, check_count, check_rng, read_signal,
+                   require, write_csv, write_json, write_signal)
 from .cumulants import (_c2_statistic, bootstrap_percentile, estimate_c1_c2,
                         estimation_scale_candidates, select_scale_range,
                         write_estimation_outputs)
@@ -36,10 +38,6 @@ from .synth import ProcessSpec, generate
 from .wavelet import (basis_from_name, compute_leaders, dwt, fits_levels,
                       pyramid_to_json, scaling_function, structure_functions,
                       legendre_spectrum)
-
-
-class UsageError(Exception):
-    pass
 
 
 def _now() -> str:
@@ -57,8 +55,15 @@ def _write_manifest(outdir: Path, command: str, params: dict, seed,
     return write_json(outdir / "manifest.json", doc)
 
 
-def _parse_range(spec: str, flag: str) -> np.ndarray:
-    """Parse `flag`'s 'a:step:b' or comma list into a float array."""
+# the points a --q or --A-grid grid may hold, counted before the grid is
+# built, so that a tiny step cannot ask for an unbounded list
+_MAX_GRID_POINTS = 10_000
+
+
+def _parse_range(spec: str, name: str) -> np.ndarray:
+    """Parse the 'a:step:b' or comma list `spec` that sets `name` into a
+    float array of 1 to _MAX_GRID_POINTS points."""
+    rule = f"hold 1 to {_MAX_GRID_POINTS} grid points"
     out: list[float] = []
     for part in spec.split(","):
         part = part.strip()
@@ -68,38 +73,34 @@ def _parse_range(spec: str, flag: str) -> np.ndarray:
             values = [float(x) for x in part.split(":")]
         except ValueError:
             values = []
-        if len(values) not in (1, 3) or not all(map(math.isfinite, values)):
-            raise UsageError(f"{flag} part {part!r} must be a finite number "
-                             "or start:step:stop")
+        require(len(values) in (1, 3) and all(map(math.isfinite, values)),
+                name, "be finite numbers or start:step:stop ranges", part)
         if len(values) == 1:
             out.append(values[0])
             continue
         a, step, b = values
-        if step <= 0:
-            raise UsageError(f"{flag} step must be > 0, got {step!r}")
-        k = int(math.floor((b - a) / step + 1e-9)) + 1
-        out.extend(a + step * i for i in range(max(k, 0)))
-    if not out:
-        raise UsageError(f"{flag} {spec!r} holds no grid point")
+        require(step > 0, name, "have steps > 0", part)
+        span = (b - a) / step + 1e-9
+        require(len(out) + span < _MAX_GRID_POINTS, name, rule, spec)
+        out.extend(a + step * i for i in range(max(math.floor(span) + 1, 0)))
+    require(0 < len(out) <= _MAX_GRID_POINTS, name, rule, spec)
     return np.array(out)
 
 
-def _parse_scale_pair(spec: str, flag: str, j_max: int) -> tuple[int, int]:
-    """Parse `flag`'s 'j1:j2', levels with 1 <= j1 < j2 <= j_max."""
+def _parse_scale_pair(spec: str, j_max: int) -> tuple[int, int]:
+    """Parse --scales 'j1:j2', levels with 1 <= j1 < j2 <= j_max."""
     try:
         j1, j2 = (int(b) for b in spec.split(":"))
     except ValueError:
         j1 = j2 = 0
-    if not 1 <= j1 < j2 <= j_max:
-        raise UsageError(f"{flag} {spec!r} must be levels j1:j2 with "
-                         f"1 <= j1 < j2 <= {j_max}")
+    require(1 <= j1 < j2 <= j_max, "scales",
+            f"be levels j1:j2 with 1 <= j1 < j2 <= {j_max}", spec)
     return j1, j2
 
 
 def run_generate(params: dict, seed, outdir: Path) -> list[str]:
     ensemble = params["ensemble"]
-    if ensemble < 1:
-        raise UsageError("--ensemble must be >= 1")
+    check_count("ensemble", ensemble)
     proc_params = {k: v for k, v in params.items() if v is not None
                    and k not in ("process", "n", "seed", "ensemble")}
 
@@ -137,15 +138,14 @@ def _deepest_level(n: int, basis) -> int:
                 if fits_levels(n, basis, j)), default=0)
 
 
-def _dwt_leaders(name: str, sig: Signal, basis, variant: str, j_max: int,
-                 flag: str):
+def _dwt_leaders(label: str, sig: Signal, basis, variant: str, j_max: int,
+                 name: str):
     """The DWT of `sig`, truncated to a multiple of 2^j_max, and its
-    leaders.  A j_max the signal cannot reach is a usage error of `flag`."""
+    leaders; `name` is the parameter that set j_max."""
     deepest = _deepest_level(len(sig), basis)
-    if not 1 <= j_max <= deepest:
-        raise UsageError(f"{flag} {j_max} is outside the levels 1..{deepest} "
-                         f"that {basis.name} allows on {name} of {len(sig)} "
-                         "samples")
+    require(1 <= j_max <= deepest, name,
+            f"lie in 1..{deepest}, the levels {basis.name} allows on {label} "
+            f"of {len(sig)} samples", j_max)
     usable = len(sig) >> j_max << j_max
     if usable < len(sig):
         sig = Signal(sig.samples[:usable], t0=sig.t0, dt=sig.dt,
@@ -155,14 +155,14 @@ def _dwt_leaders(name: str, sig: Signal, basis, variant: str, j_max: int,
 
 
 def run_analyze(params: dict, seed, outdir: Path) -> list[str]:
-    sig = read_signal(params["input"])
     basis, variant = _basis_variant(params)
     j_max = params["jmax"]
-    _, leaders = _dwt_leaders(Path(params["input"]).name, sig, basis, variant,
-                              j_max, "--jmax")
-    q_grid = _parse_range(params["q"], "--q")
-    scales = (_parse_scale_pair(params["scales"], "--scales", j_max)
+    q_grid = _parse_range(params["q"], "q")
+    scales = (_parse_scale_pair(params["scales"], j_max)
               if params["scales"] else (1, j_max))
+    sig = read_signal(params["input"])
+    _, leaders = _dwt_leaders(Path(params["input"]).name, sig, basis, variant,
+                              j_max, "jmax")
     table = structure_functions(leaders, q_grid)
     zeta = scaling_function(table, scales)
     h_grid = np.round(np.arange(-0.2, 1.6001, 0.02), 10)
@@ -188,7 +188,10 @@ def run_analyze(params: dict, seed, outdir: Path) -> list[str]:
 
 
 def run_estimate(params: dict, seed, outdir: Path) -> list[str]:
-    alpha, method = params["alpha"], params["method"]
+    alpha, method, b_reps = params["alpha"], params["method"], params["B"]
+    if method == "bootstrap":
+        check_rng("seed", seed, "method bootstrap")
+        check_count("B", b_reps)
     named = _load_signals(params["inputs"])
     if len(named) < 2:
         raise DataError("estimation requires at least 2 realizations")
@@ -201,20 +204,19 @@ def run_estimate(params: dict, seed, outdir: Path) -> list[str]:
     # j1:j2 range needs 3
     scales_flag = params["scales"]
     need = 4 if scales_flag == "auto" else 3
-    if j_max < need:
-        raise UsageError(f"--scales {scales_flag} needs --jmax >= {need}, "
-                         f"and --jmax or the shortest signal gives {j_max}")
+    require(j_max >= need, "jmax",
+            f"be >= {need} for scales {scales_flag}; unset, it is the "
+            "deepest level of the shortest signal", j_max)
     j_range = (None if scales_flag == "auto"
-               else _parse_scale_pair(scales_flag, "--scales", j_max))
+               else _parse_scale_pair(scales_flag, j_max))
     pyramids, leaders = zip(*(_dwt_leaders(name, sig, basis, variant, j_max,
-                                           "--jmax") for name, sig in named))
+                                           "jmax") for name, sig in named))
     if j_range is None:
         j_range = select_scale_range(pyramids,
                                      estimation_scale_candidates(j_max))
 
     result = estimate_c1_c2(leaders, j_range, alpha=alpha)
     if method == "bootstrap":
-        b_reps = params["B"]
         boot_c1 = bootstrap_percentile(result.c1_samples, np.mean, B=b_reps,
                                        level=1 - alpha, rng=seed.substream(1))
         boot_c2 = bootstrap_percentile(result.c2_samples, _c2_statistic,
@@ -229,19 +231,19 @@ def run_estimate(params: dict, seed, outdir: Path) -> list[str]:
 
 
 def run_test(params: dict, seed, outdir: Path) -> list[str]:
-    named = _load_signals(params["input"])
     which, spec = params["which"], params["scale"]
     try:
         scales = [int(s) for s in spec.split(",")]
     except ValueError:
-        raise UsageError(f"--scale {spec!r} must be a comma list of "
-                         "integer levels") from None
-    if min(scales) < 1:
-        raise UsageError("--scale levels must be >= 1")
+        scales = [0]
+    require(min(scales) >= 1, "scale",
+            "be a comma list of integer levels >= 1", spec)
     alpha, b_reps, reps = params["alpha"], params["B"], params["reps"]
-    if reps < 1:
-        raise UsageError("--reps must be >= 1")
+    check_count("reps", reps)
+    if which == "logconcave":
+        check_count("B", b_reps)
     basis, variant = _basis_variant(params)
+    named = _load_signals(params["input"])
     j_max = max(scales)
 
     # substreams are numbered in (signal, scale, rep) order; replayed
@@ -249,7 +251,7 @@ def run_test(params: dict, seed, outdir: Path) -> list[str]:
     rows = []
     idx = 0
     for name, sig in named:
-        _, leaders = _dwt_leaders(name, sig, basis, variant, j_max, "--scale")
+        _, leaders = _dwt_leaders(name, sig, basis, variant, j_max, "scale")
         for j in scales:
             ell = leaders.clean_values(j)
             if ell.size == 0 or np.any(ell <= 0):
@@ -290,7 +292,7 @@ def run_test(params: dict, seed, outdir: Path) -> list[str]:
 def run_verify(params: dict, seed, outdir: Path) -> list[str]:
     model = RwsModel(alpha=params["alpha"], beta=params["ggbeta"])
     if params["A_grid"]:
-        grid = _parse_range(params["A_grid"], "--A-grid")
+        grid = _parse_range(params["A_grid"], "A_grid")
     else:
         small = [2.0 ** (-k) for k in range(9, 3, -1)]
         grid = np.array(small + [7.1, 8.0, 10.0])
@@ -311,21 +313,8 @@ _RUNNERS = {"generate": run_generate, "analyze": run_analyze,
             "estimate": run_estimate, "test": run_test, "verify": run_verify}
 
 
-def _require_seed(command: str, params: dict) -> None:
-    """A run that draws random numbers needs --seed."""
-    if params.get("seed") is not None:       # analyze takes no --seed
-        return
-    if command in ("generate", "test"):
-        raise UsageError(f"{command} is randomized and requires --seed")
-    if command == "estimate" and params["method"] == "bootstrap":
-        raise UsageError("--method bootstrap requires --seed")
-    if command == "verify" and params["mc_paths"] > 0:
-        raise UsageError("--mc-paths > 0 requires --seed")
-
-
 def _dispatch(command: str, params: dict, outdir: Path) -> int:
     """Build the run's one RngSpec before any work, then run `command`."""
-    _require_seed(command, params)
     seed = None if params.get("seed") is None else RngSpec(params["seed"])
     outdir.mkdir(parents=True, exist_ok=True)
     started = _now()
@@ -467,9 +456,6 @@ def main(argv=None) -> int:
         if ns.command == "replay":
             return run_replay(ns.manifest, Path(ns.outdir))
         return _dispatch(ns.command, params, Path(ns.outdir))
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
     except ParamError as exc:
         # a replayed manifest's parameter is data, not a misused flag
         action = _actions(ns.command).get(exc.name)

@@ -7,6 +7,7 @@ import json
 import math
 import re
 from dataclasses import dataclass
+from numbers import Integral
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +49,18 @@ def check_level(name: str, value) -> None:
     """Refuse a significance or confidence level outside 0 < value < 1
     (NaN fails)."""
     require(0.0 < value < 1.0, name, "lie in (0, 1)", value)
+
+
+def check_count(name: str, value) -> None:
+    """Refuse a count (of replicates B, draws, paths ...) that is not an
+    integer >= 1."""
+    require(isinstance(value, Integral) and value >= 1, name,
+            "be an integer >= 1", value)
+
+
+def check_rng(name: str, rng, use: str) -> None:
+    """Refuse a missing RngSpec where `use` draws random numbers."""
+    require(rng is not None, name, f"be given for {use}", rng)
 
 
 @dataclass(frozen=True)
@@ -109,8 +122,7 @@ class Signal:
             raise DataError("signal needs at least 2 samples")
         if not np.all(np.isfinite(self.samples)):
             raise DataError("signal contains NaN or Inf")
-        if not (self.dt > 0):
-            raise DataError("dt must be > 0")
+        require(self.dt > 0, "dt", "be > 0", self.dt)
 
     def __len__(self) -> int:
         return self.samples.size
@@ -185,8 +197,8 @@ def standard_normal_quantile(p):
     p_arr = np.asarray(p, dtype=float)
     scalar = p_arr.ndim == 0
     p_arr = np.atleast_1d(p_arr)
-    if np.any(~np.isfinite(p_arr)) or np.any(p_arr <= 0.0) or np.any(p_arr >= 1.0):
-        raise DataError("quantile argument must lie strictly inside (0, 1)")
+    require(np.all((p_arr > 0.0) & (p_arr < 1.0)), "p",
+            "lie strictly inside (0, 1)", p)
 
     plow = 0.02425
     x = np.empty_like(p_arr)

@@ -13,8 +13,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import (DataError, RngSpec, check_level, require,
-                   standard_normal_quantile, write_csv, write_json)
+from .core import (DataError, RngSpec, check_count, check_level, check_rng,
+                   require, standard_normal_quantile, write_csv, write_json)
 from .wavelet import (CoefficientPyramid, LeaderPyramid, _level_sups,
                       hmin_regression)
 
@@ -160,8 +160,7 @@ def berry_esseen_bound(c1_samples, c2_hat: float) -> float:
     samples = np.asarray(c1_samples, dtype=float)
     if samples.size == 0:
         raise DataError("empty sample")
-    if not c2_hat > 0:
-        raise DataError("variance proxy must be > 0")
+    require(c2_hat > 0, "c2_hat", "be > 0", c2_hat)
     n = samples.size
     third = float(np.sum(np.abs(samples - samples.mean()) ** 3))
     return 0.46 * third / (c2_hat ** 1.5 * n ** 1.5)
@@ -174,9 +173,8 @@ def bootstrap_percentile(samples, statistic, B: int = 100, level: float = 0.95,
     samples = np.asarray(samples, dtype=float)
     if samples.size == 0:
         raise DataError("empty sample")
-    require(B >= 1, "B", "be >= 1", B)
-    if rng is None:
-        raise DataError("bootstrap requires an RngSpec")
+    check_count("B", B)
+    check_rng("rng", rng, "the bootstrap")
     check_level("level", level)
     gen = rng.generator(0)
     n = samples.size
@@ -213,11 +211,10 @@ def select_scale_range(pyramids: list[CoefficientPyramid],
     log-log regression wins; the modal winner is returned, ties broken
     toward the widest range, then toward the coarsest starting level.
     """
-    if not candidates:
-        raise DataError("empty candidate list")
+    require(len(candidates) > 0, "candidates", "be non-empty", candidates)
     for j1, j2 in candidates:
-        if j2 - j1 < 2:
-            raise DataError(f"candidate ({j1},{j2}) narrower than 3 scales")
+        require(j2 - j1 >= 2, "candidates", "each span at least 3 scales",
+                (j1, j2))
     votes: Counter = Counter()
     for pyr in pyramids:
         sups = _level_sups(pyr)

@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
+from numbers import Integral
 
 import numpy as np
 from scipy.special import gammainc, gammaincc
 
-from .core import (DataError, NonConvergenceError, RegimeError, RngSpec,
-                   linfit, require, write_csv, write_json)
-from .synth import GenGaussianParams
+from .core import (NonConvergenceError, RegimeError, RngSpec, check_count,
+                   check_rng, linfit, require, write_csv, write_json)
+from .synth import GenGaussianParams, check_shape
 
 LN2 = math.log(2.0)
 
@@ -36,10 +37,8 @@ def _gg_incomplete_gamma(gamma_fn, x, beta: float):
     (1/beta, x^beta), for x >= 0 (NaN refused) and beta > 0; a float for a
     scalar x."""
     x_arr = np.asarray(x, dtype=float)
-    if not np.all(x_arr >= 0):
-        raise DataError("generalized Gaussian argument must be >= 0")
-    if not beta > 0:
-        raise DataError("beta must be > 0")
+    require(np.all(x_arr >= 0), "x", "be >= 0", x)
+    check_shape(beta)
     out = gamma_fn(1.0 / beta, x_arr ** beta)
     return float(out) if np.isscalar(x) or x_arr.ndim == 0 else out
 
@@ -91,6 +90,10 @@ def a_threshold(model: RwsModel) -> float:
     return pow_a / (pow_a - 1.0)
 
 
+def _check_A(A) -> None:
+    require(A > 0, "A", "be > 0", A)
+
+
 def _level_tail(model: RwsModel, A: float, j: int) -> float:
     """P(|X| > 2^(alpha j) A): one depth-j coefficient exceeds A."""
     return gg_two_sided_tail(2.0 ** (model.alpha * j) * A, model.beta)
@@ -105,8 +108,7 @@ def leader_log_cdf_exact(model: RwsModel, A: float,
     1/2, and a NonConvergenceError reports alpha/A combinations for which
     that never happens within 200 levels.
     """
-    if A <= 0:
-        raise DataError("A must be > 0")
+    _check_A(A)
     require(tol > 0, "tol", "be > 0", tol)
     total = 0.0
     tail = _level_tail(model, A, 0)
@@ -157,14 +159,12 @@ def leader_cdf_monte_carlo(model: RwsModel, A: float, J: int, n_paths: int,
     The depth is capped at 24; the reported truncation bias bounds the
     probability that some level beyond J would exceed A.
     """
-    if A <= 0:
-        raise DataError("A must be > 0")
-    if J < 1:
-        raise DataError("need J >= 1")
-    if J > 24:
-        raise DataError("depth capped at 24 (16.7M finest-level coefficients)")
-    if n_paths < 1:
-        raise DataError("need n_paths >= 1")
+    _check_A(A)
+    # 24 levels draw 16.7M finest-level coefficients
+    require(isinstance(J, Integral) and 1 <= J <= 24, "J",
+            "be an integer in [1, 24]", J)
+    check_count("n_paths", n_paths)
+    check_rng("rng", rng, "the Monte Carlo")
     gen = rng.generator(0)
     below = np.ones(n_paths, dtype=bool)
     for j in range(J + 1):
@@ -188,8 +188,7 @@ def leader_cdf_monte_carlo(model: RwsModel, A: float, J: int, n_paths: int,
 
 def c_l_constant(l: int) -> float:
     """c_l = prod_{j>=l} (1 - 1/(4 j^2)) = (2/pi) / prod_{j<l} (...)."""
-    if l < 1:
-        raise DataError("l must be >= 1")
+    check_count("l", l)
     if l == 1:
         return 2.0 / math.pi
     j = np.arange(1, l, dtype=float)
@@ -267,6 +266,7 @@ def small_A_bounds(model: RwsModel, A: float) -> SmallABounds:
     Lambda = 1.  Useful for decay-rate verification only; absolute
     values carry unknown constants.
     """
+    _check_A(A)
     if not model.small_a_condition():
         raise RegimeError(
             f"small-A envelope needs alpha > {SMALL_A_ALPHA_MIN:.6f}; "
@@ -274,8 +274,6 @@ def small_A_bounds(model: RwsModel, A: float) -> SmallABounds:
     if A > 2.0 ** (-model.alpha):
         raise RegimeError(f"small-A envelope needs A <= 2^-alpha = "
                           f"{2.0 ** (-model.alpha):.6g}; got A={A}")
-    if A <= 0:
-        raise DataError("A must be > 0")
     l_beta = find_l_beta(model)
     c_l = c_l_constant(l_beta)
     kappa = model.gg.kappa
@@ -337,8 +335,7 @@ def mills_bounds(x: float, beta: float) -> tuple[float, float, float]:
     e^(-x)/2 at beta = 1.  For beta < 1 the upper bound only exists once
     (1-beta)/(beta x^beta) < 1 and is +inf otherwise.
     """
-    if not x > 0:
-        raise DataError(f"x must be > 0, got {x!r}")
+    require(x > 0, "x", "be > 0", x)
     gg = GenGaussianParams(beta)
     exact = 0.5 * gg_two_sided_tail(x, beta)
     f_x = gg.kappa * math.exp(-x ** beta)
@@ -453,6 +450,8 @@ def verify_tail_rates(model: RwsModel, A_grid, tol: float = 1e-12,
     `mc_paths` > 0 every point also gets a Monte Carlo estimate at J = 18.
     """
     require(mc_paths >= 0, "mc_paths", "be >= 0", mc_paths)
+    if mc_paths > 0:
+        check_rng("seed", rng, "mc_paths > 0")
     grid = np.sort(np.atleast_1d(np.asarray(A_grid, dtype=float)))
     require(grid.size > 0, "A_grid", "be non-empty", [])
     for a in grid:
@@ -512,8 +511,6 @@ def verify_tail_rates(model: RwsModel, A_grid, tol: float = 1e-12,
 
     mc_results = None
     if mc_paths > 0:
-        if rng is None:
-            raise DataError("Monte Carlo cross-check requires an RngSpec")
         mc_results = [leader_cdf_monte_carlo(model, a, _MC_DEPTH, mc_paths,
                                              rng.substream(i))
                       for i, a in enumerate(grid)]

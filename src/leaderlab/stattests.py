@@ -16,8 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (DataError, NonConvergenceError, RngSpec, check_level,
-                   normal_cdf, require, standard_normal_quantile)
+from .core import (DataError, NonConvergenceError, RngSpec, check_count,
+                   check_level, check_rng, normal_cdf,
+                   standard_normal_quantile)
 
 __all__ = [
     "TestReport", "shapiro_wilk", "qq_data", "LogConcaveMLE",
@@ -119,9 +120,7 @@ def shapiro_wilk(samples, alpha: float = 0.05,
         raise DataError("Shapiro-Wilk needs at least 3 observations")
     subsampled = False
     if n0 > 5000:
-        if rng is None:
-            raise DataError("samples above 5000 points require an RngSpec "
-                            "for deterministic subsampling")
+        check_rng("rng", rng, "subsampling above 5000 points")
         idx = rng.generator(0).choice(n0, size=5000, replace=False)
         x = x[idx]
         subsampled = True
@@ -464,8 +463,7 @@ def _sample_from_mle(model: LogConcaveMLE, n: int,
 def sample_from_mle(model: LogConcaveMLE, n: int, rng: RngSpec) -> np.ndarray:
     """Exact draws from a fitted log-concave density: segment selection by
     closed-form masses, then inversion of the exponential-linear CDF."""
-    if n < 1:
-        raise DataError("need n >= 1")
+    check_count("n", n)
     return _sample_from_mle(model, n, rng.generator(0))
 
 
@@ -584,9 +582,8 @@ def logconcavity_test(samples, B: int = 99, alpha: float = 0.05,
     x = np.asarray(samples, dtype=float)
     if x.size < 2:
         raise DataError("need at least 2 samples")
-    require(B >= 1, "B", "be >= 1", B)
-    if rng is None:
-        raise DataError("the permutation test requires an RngSpec")
+    check_count("B", B)
+    check_rng("rng", rng, "the permutation test")
     check_level("alpha", alpha)
     n = x.size
     model = fit_logconcave_mle(x)

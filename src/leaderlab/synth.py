@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import gammaln
 
-from .core import DataError, NonConvergenceError, RngSpec, Signal, require
+from .core import NonConvergenceError, RngSpec, Signal, check_count, require
 from .wavelet import (DAUBECHIES_FILTERS, CoefficientPyramid, WaveletBasis,
                       daubechies_basis, idwt)
 
@@ -32,6 +32,12 @@ _MAX_LOG2_N = 24
 _MAX_CPC_POINTS = 1e6
 
 
+def check_shape(beta) -> None:
+    """Refuse a generalized Gaussian shape beta that is not finite and > 0
+    (NaN fails); at inf the normalizing constant is NaN."""
+    require(0 < beta < math.inf, "beta", "be finite and > 0", beta)
+
+
 @dataclass(frozen=True)
 class GenGaussianParams:
     """Shape and normalizing constant of the generalized Gaussian density
@@ -41,8 +47,7 @@ class GenGaussianParams:
     kappa: float = field(init=False)
 
     def __post_init__(self):
-        if not self.beta > 0:
-            raise DataError("generalized Gaussian shape beta must be > 0")
+        check_shape(self.beta)
         kappa = self.beta / (2.0 * math.exp(gammaln(1.0 / self.beta)))
         object.__setattr__(self, "kappa", kappa)
 
@@ -199,8 +204,7 @@ def gen_cpc_motion(kind: str, T: float, r_min: float, n: int, rng: RngSpec,
     The density is normalized to unit empirical mean before integration, so
     an empty point set yields exactly linear motion.
     """
-    if kind not in ("ln", "lp"):
-        raise DataError("cpc kind must be 'ln' or 'lp'")
+    require(kind in ("ln", "lp"), "kind", "be 'ln' or 'lp'", kind)
     require(n >= 2, "n", "be >= 2", n)
     require(0.0 < r_min <= 1.0, "rmin", "lie in (0, 1]", r_min)
     require(math.isfinite(T) and T / n > 0, "T", "be finite and > 0", T)
@@ -257,10 +261,8 @@ def _gg_draws(beta: float, size: int, gen: np.random.Generator) -> np.ndarray:
 def sample_gen_gaussian(beta: float, n: int, rng: RngSpec) -> np.ndarray:
     """i.i.d. draws from the generalized Gaussian density kappa e^-|x|^beta,
     via |X| = G^(1/beta) with G ~ Gamma(1/beta, 1) and a random sign."""
-    if beta <= 0:
-        raise DataError("beta must be > 0")
-    if n < 1:
-        raise DataError("need n >= 1")
+    check_shape(beta)
+    check_count("n", n)
     return _gg_draws(beta, n, rng.generator(0))
 
 
@@ -318,8 +320,8 @@ def generate(spec: ProcessSpec) -> Signal:
         return gen_cpc_motion(kind.split("-")[1], float(p.get("T", 100.0)),
                               float(p.get("rmin", 0.02)), n, spec.rng,
                               **optional)
-    if kind not in ("cmc", "rws"):
-        raise DataError(f"unknown process kind {kind!r}")
+    require(kind in ("cmc", "rws"), "kind",
+            "be fbm, mrw, cpc-ln, cpc-lp, cmc or rws", kind)
     # ceil(log2 n) levels cover n; rws gains one from its depth-0 level
     depth = max(1, (int(n) - 1).bit_length() - (kind == "rws"))
     j = int(p.get("J", depth))

@@ -188,8 +188,8 @@ class WaveletBasis:
 
 
 def daubechies_basis(n_vanishing: int) -> WaveletBasis:
-    if n_vanishing not in DAUBECHIES_FILTERS:
-        raise DataError(f"unsupported Daubechies order {n_vanishing}; have 1..10")
+    require(n_vanishing in DAUBECHIES_FILTERS, "n_vanishing",
+            f"lie in 1..{max(DAUBECHIES_FILTERS)}", n_vanishing)
     lo = np.array(DAUBECHIES_FILTERS[n_vanishing], dtype=float)
     # quadrature mirror: hi[m] = (-1)^m lo[L-1-m]
     signs = np.where(np.arange(lo.size) % 2 == 0, 1.0, -1.0)
@@ -284,8 +284,7 @@ def dwt(signal: Signal, basis: WaveletBasis, j_max: int) -> CoefficientPyramid:
     Level-j details of the orthonormal transform are multiplied by 2^(-j/2),
     so that coefficient magnitudes scale like (2^j)^h for local regularity h.
     """
-    if j_max < 1:
-        raise DataError("j_max must be >= 1")
+    require(j_max >= 1, "j_max", "be >= 1", j_max)
     n = len(signal)
     if n % (1 << j_max) != 0:
         raise DataError(
@@ -363,8 +362,8 @@ def compute_leaders(pyramid: CoefficientPyramid,
     all finer cubes inside it; three_leader additionally takes the max over
     the two same-level neighbours with periodic wrap.
     """
-    if variant not in ("one_leader", "three_leader"):
-        raise DataError(f"unknown leader variant {variant!r}")
+    require(variant in ("one_leader", "three_leader"), "variant",
+            "be one_leader or three_leader", variant)
     if not pyramid.coeffs:
         raise DataError("empty pyramid")
     _validate_halving(pyramid.coeffs)
@@ -414,8 +413,7 @@ def structure_functions(leaders: LeaderPyramid,
                         q_values) -> StructureFunctionTable:
     """S(j, q): mean of leader^q over the clean positions of each level j."""
     q_values = np.atleast_1d(np.asarray(q_values, dtype=float))
-    if q_values.size == 0:
-        raise DataError("q_values must be non-empty")
+    require(q_values.size > 0, "q_values", "be non-empty", q_values)
     levels = leaders.levels
     values = {}
     for j in levels:

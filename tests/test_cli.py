@@ -170,10 +170,26 @@ FLAG_ERRORS = LEVEL_ERRORS + [
     ("estimate", ["--scales", "10:20"], "--scales"),
     ("estimate", ["--scales", "0:3"], "--scales"),
     ("estimate", ["--scales", "4:4"], "--scales"),
-    # the seed is checked before the missing input is read
+    # the seed and B are checked before the missing input is read
     ("estimate", ["--inputs", "no/such/dir", "--method", "bootstrap"],
      "--seed"),
+    ("estimate", ["--inputs", "no/such/dir", "--method", "bootstrap",
+                  "--seed", 1, "--B", 0], "--B"),
+    ("test", ["--input", "no/such/dir", "--which", "logconcave", "--B", 0],
+     "--B"),
+    # a step that would make 10^9 points is refused before any is made
+    ("analyze", ["--q", "0:1e-9:1"], "--q must hold 1 to 10000 grid points"),
+    ("verify", ["--A-grid", "0:1e-9:1"],
+     "--A-grid must hold 1 to 10000 grid points"),
 ]
+
+
+@pytest.fixture(scope="module")
+def ensemble(tmp_path_factory):
+    ens = tmp_path_factory.mktemp("ens")
+    assert run(["generate", "--process", "fbm", "--H", 0.7, "--n", 1000,
+                "--seed", 3, "--ensemble", 3, "-o", ens]) == 0
+    return ens
 
 
 class TestErrorPaths:
@@ -197,17 +213,11 @@ class TestErrorPaths:
         code = run(["generate", "--n", 1024, *args, "--seed", 1, "-o", out])
         self.check(capsys, code, flag, out)
 
-    @pytest.fixture(scope="class")
-    def ensemble(self, tmp_path_factory):
-        ens = tmp_path_factory.mktemp("ens")
-        assert run(["generate", "--process", "fbm", "--H", 0.7, "--n", 1000,
-                    "--seed", 3, "--ensemble", 3, "-o", ens]) == 0
-        return ens
-
     @pytest.mark.parametrize("command,jmax,words", [
         ("analyze", -1, "--jmax"), ("analyze", 0, "--jmax"),
         ("analyze", 20, "--jmax"), ("estimate", 20, "--jmax"),
-        ("estimate", 3, "--scales auto needs --jmax >= 4")],
+        ("estimate", 3, "usage error: --jmax must be >= 4 for scales auto; "
+         "unset, it is the deepest level of the shortest signal, got 3")],
         ids=["analyze -1", "analyze 0", "analyze 20", "estimate 20",
              "estimate 3"])
     def test_levels(self, tmp_path, capsys, ensemble, command, jmax, words):
@@ -235,6 +245,18 @@ class TestErrorPaths:
         out = tmp_path / "o"
         code = run([command, *inputs, *args, "-o", out])
         self.check(capsys, code, flag, out)
+
+    def test_B_refused_before_the_estimate(self, tmp_path, capsys,
+                                           ensemble):
+        # the estimate of 3 signals would warn (N=3 < 30) before B's rule
+        capsys.readouterr()
+        out = tmp_path / "o"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(["estimate", "--inputs", ensemble, "--method",
+                        "bootstrap", "--B", 0, "--seed", 1, "-o", out])
+        assert [str(w.message) for w in caught] == []
+        self.check(capsys, code, "--B", out)
 
 
 class TestDepth:
@@ -304,16 +326,30 @@ class TestReplay:
         sidecar = json.loads((out / "signal.csv.json").read_text())
         assert sidecar["params"] == {"H": 0.5}
 
-    @pytest.mark.parametrize("param,value", [("n", 1), ("seed", -1),
-                                             ("H", 1.5)])
-    def test_refused_param_is_data_error(self, tmp_path, capsys, param,
-                                         value):
+    @pytest.mark.parametrize("command,changed,param", [
+        ("generate", {"n": 1}, "n"), ("generate", {"seed": -1}, "seed"),
+        ("generate", {"H": 1.5}, "H"),
+        ("generate", {"ensemble": 0}, "ensemble"),
+        ("test", {"reps": 0}, "reps"), ("test", {"scale": "0,4"}, "scale"),
+        ("analyze", {"q": "abc"}, "q"),
+        ("estimate", {"method": "bootstrap"}, "seed")],
+        ids=["n-1", "seed--1", "H-1.5", "generate ensemble 0",
+             "test reps 0", "test scale 0,4", "analyze q abc",
+             "estimate bootstrap without seed"])
+    def test_refused_param_is_data_error(self, tmp_path, capsys, ensemble,
+                                         command, changed, param):
         # a manifest is data: a value its flag would refuse names no flag
-        params = {"process": "fbm", "n": 64, "seed": 1, "H": 0.5,
-                  param: value}
+        params = {"generate": {"process": "fbm", "n": 64, "seed": 1,
+                               "H": 0.5},
+                  "test": {"input": str(ensemble), "which": "shapiro",
+                           "scale": "4", "seed": 1},
+                  "analyze": {"input": str(ensemble / "signal_0000.csv"),
+                              "jmax": 4},
+                  "estimate": {"inputs": str(ensemble)}}[command]
         manifest = tmp_path / "manifest.json"
-        manifest.write_text(json.dumps({"command": "generate",
-                                        "params": params}), encoding="utf-8")
+        manifest.write_text(json.dumps({"command": command,
+                                        "params": {**params, **changed}}),
+                            encoding="utf-8")
         out = tmp_path / "o"
         assert run(["replay", manifest, "-o", out]) == 3
         err = capsys.readouterr().err

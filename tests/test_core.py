@@ -10,8 +10,12 @@ from leaderlab.core import (DataError, ParamError, RngSpec, Signal, linfit,
                             normal_cdf, read_signal, require,
                             standard_normal_quantile, write_csv, write_signal)
 from leaderlab.cumulants import bootstrap_percentile, estimate_c1_c2
-from leaderlab.rwstail import RwsModel, leader_log_cdf_exact, verify_tail_rates
-from leaderlab.stattests import logconcavity_test, shapiro_wilk
+from leaderlab.rwstail import (RwsModel, leader_cdf_monte_carlo,
+                               leader_log_cdf_exact, mills_bounds,
+                               small_A_bounds, verify_tail_rates)
+from leaderlab.stattests import (fit_logconcave_mle, logconcavity_test,
+                                 sample_from_mle, shapiro_wilk)
+from leaderlab.synth import sample_gen_gaussian
 from leaderlab.wavelet import LeaderPyramid, basis_from_name
 
 
@@ -155,8 +159,9 @@ def test_require_raises_param_error():
 
 
 _MODEL = RwsModel(1.0, 2.0)
-# each refusal of a value a CLI flag sets, by the flag's dest, and the
-# offending value it reports
+# each refusal of a parameter, by the flag's dest where a CLI flag sets it
+# and by its own name otherwise, and the offending value it reports; a
+# count must be an integer
 PARAM_REFUSALS = {
     "seed -1": (lambda: RngSpec(-1), "seed", -1),
     "seed 2^64": (lambda: RngSpec(1 << 64), "seed", 1 << 64),
@@ -178,6 +183,21 @@ PARAM_REFUSALS = {
     "alpha nan": (lambda: RwsModel(math.nan, 2.0), "alpha", math.nan),
     "ggbeta": (lambda: RwsModel(1.0, 0.0), "ggbeta", 0.0),
     "ggbeta nan": (lambda: RwsModel(1.0, math.nan), "ggbeta", math.nan),
+    "gen gaussian beta nan": (lambda: sample_gen_gaussian(
+        math.nan, 10, RngSpec(1)), "beta", math.nan),
+    "gen gaussian beta inf": (lambda: sample_gen_gaussian(
+        math.inf, 10, RngSpec(1)), "beta", math.inf),
+    "mills beta inf": (lambda: mills_bounds(1.0, math.inf), "beta",
+                       math.inf),
+    "small A nan": (lambda: small_A_bounds(_MODEL, math.nan), "A", math.nan),
+    "mc J nan": (lambda: leader_cdf_monte_carlo(
+        _MODEL, 0.5, J=math.nan, n_paths=10, rng=RngSpec(1)), "J", math.nan),
+    "mc n_paths 2.5": (lambda: leader_cdf_monte_carlo(
+        _MODEL, 0.5, J=4, n_paths=2.5, rng=RngSpec(1)), "n_paths", 2.5),
+    "bootstrap B 2.5": (lambda: bootstrap_percentile(
+        _SAMPLE, np.mean, B=2.5, rng=RngSpec(1)), "B", 2.5),
+    "mle draws 2.5": (lambda: sample_from_mle(
+        fit_logconcave_mle(_SAMPLE), 2.5, RngSpec(1)), "n", 2.5),
 }
 
 
