@@ -27,8 +27,9 @@ import numpy as np
 
 from . import __version__
 from .core import (DataError, NonConvergenceError, ParamError, RegimeError,
-                   RngSpec, Signal, check_count, check_rng, read_signal,
-                   require, write_csv, write_json, write_signal)
+                   RngSpec, Signal, check_count, check_level, check_rng,
+                   read_signal, require, write_csv, write_json,
+                   write_signal)
 from .cumulants import (_c2_statistic, bootstrap_percentile, estimate_c1_c2,
                         estimation_scale_candidates, select_scale_range,
                         write_estimation_outputs)
@@ -189,6 +190,7 @@ def run_analyze(params: dict, seed, outdir: Path) -> list[str]:
 
 def run_estimate(params: dict, seed, outdir: Path) -> list[str]:
     alpha, method, b_reps = params["alpha"], params["method"], params["B"]
+    check_level("alpha", alpha)
     if method == "bootstrap":
         check_rng("seed", seed, "method bootstrap")
         check_count("B", b_reps)
@@ -239,6 +241,7 @@ def run_test(params: dict, seed, outdir: Path) -> list[str]:
     require(min(scales) >= 1, "scale",
             "be a comma list of integer levels >= 1", spec)
     alpha, b_reps, reps = params["alpha"], params["B"], params["reps"]
+    check_level("alpha", alpha)
     check_count("reps", reps)
     if which == "logconcave":
         check_count("B", b_reps)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import io
 import json
 import math
@@ -129,7 +130,11 @@ class Signal:
 
     @property
     def times(self) -> np.ndarray:
-        return self.t0 + self.dt * np.arange(self.samples.size)
+        return _sample_times(self.t0, self.dt, self.samples.size)
+
+
+def _sample_times(t0, dt, n: int) -> np.ndarray:
+    return t0 + dt * np.arange(n)
 
 
 @dataclass
@@ -229,7 +234,10 @@ def write_csv(path, header, rows) -> str:
     endings in UTF-8.  Floats are written at 17 significant digits, so they
     read back exactly; None is an empty cell; anything else goes through
     `str`, quoted as RFC 4180 has it when it holds `,`, `"`, CR or LF.
-    Every row must have one cell per header name.
+    A column of `str` cells none of which needs quotes is written as it is
+    after one check of the joined column, which is how `write_signal`
+    passes its preformatted time column.  Every row must have one cell per
+    header name.
     """
     width = len(header)
     cells = []
@@ -238,14 +246,18 @@ def write_csv(path, header, rows) -> str:
             raise ValueError(f"row {row!r} does not have {width} cells")
         cells.extend(row)
     # an all-float column stays numeric for one %-format of the whole
-    # table; any other column is made text cell by cell
+    # table; a column of plain str cells, none of which needs quotes, goes
+    # in as it is (a str subclass may print other text than it joins as);
+    # any other column is made text cell by cell
     specs = []
     for i in range(width):
         col = cells[i::width]
         if all(isinstance(v, float) for v in col):
             specs.append("%.17g")
-        else:
-            specs.append("%s")
+            continue
+        specs.append("%s")
+        if not (all(type(v) is str for v in col)
+                and not _needs_quotes("".join(col))):
             cells[i::width] = ["" if v is None else "%.17g" % v
                                if isinstance(v, float) else _csv_text(str(v))
                                for v in col]
@@ -254,9 +266,12 @@ def write_csv(path, header, rows) -> str:
     return str(path)
 
 
+def _needs_quotes(text: str) -> bool:
+    return any(c in text for c in ',"\r\n')
+
+
 def _csv_text(text: str) -> str:
-    return ('"%s"' % text.replace('"', '""')
-            if any(c in text for c in ',"\r\n') else text)
+    return '"%s"' % text.replace('"', '""') if _needs_quotes(text) else text
 
 
 def write_json(path, doc) -> str:
@@ -269,11 +284,14 @@ def write_json(path, doc) -> str:
 def write_signal(signal: Signal, path, sidecar: dict | None = None) -> list[str]:
     """Write a signal as `t,value` CSV; optional JSON sidecar with metadata.
 
-    Returns the list of paths written.
+    The `t` column is formatted from `Signal.times` once per (t0, dt, n)
+    and kept for the next call, since every member of an ensemble shares
+    its time axis.  Returns the list of paths written.
     """
     path = Path(path)
+    times = _time_cells(signal.t0, signal.dt, len(signal))
     written = [write_csv(path, ["t", "value"],
-                         zip(signal.times.tolist(), signal.samples.tolist()))]
+                         zip(times, signal.samples.tolist()))]
     if sidecar is not None:
         meta = {"label": signal.label, "t0": signal.t0, "dt": signal.dt}
         meta.update(sidecar)
@@ -282,20 +300,34 @@ def write_signal(signal: Signal, path, sidecar: dict | None = None) -> list[str]
     return written
 
 
+@functools.lru_cache(maxsize=1)
+def _time_cells(t0, dt, n: int) -> tuple[str, ...]:
+    """The `%.17g` cells of the time axis (t0, dt, n)."""
+    return tuple("%.17g" % t for t in _sample_times(t0, dt, n).tolist())
+
+
 _BLANK_LINES = re.compile(r"\n\s*\n")
 
 
 def read_signal(path) -> Signal:
     """Read a `t,value` CSV or a headerless file whose first column holds
     the samples (dt = 1).  Cells are parsed by `np.loadtxt`; blank lines
-    are skipped, `#` is not a comment and extra columns are ignored."""
+    are skipped, `#` is not a comment and extra columns are ignored.
+
+    A clean file, a regular `.csv` file with no blank line and no blank at
+    either end but its final newlines, goes to `np.loadtxt` as a path,
+    which numpy parses in chunks in C.  Any other file is cleaned
+    first and handed over as text, which numpy walks line by line in
+    Python.  Both routes accept the same files and read the same bits.
+    """
     path = Path(path)
     if not path.exists():
         raise DataError(f"no such signal file: {path}")
     try:
-        text = path.read_text(encoding="utf-8").strip()
+        raw = path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read signal file {path}: {exc}") from exc
+    text = raw.strip()
     if not text:
         raise DataError(f"empty signal file: {path}")
     label = path.stem
@@ -317,10 +349,14 @@ def read_signal(path) -> Signal:
     header = first.replace(" ", "").lower().startswith("t,value")
     if header and not body:
         raise DataError(f"no data rows under the header in {path}")
+    if _is_clean(path, raw, text):
+        source, skip = path, int(header)
+    else:
+        source, skip = io.StringIO(body if header else text), 0
     try:
-        data = np.loadtxt(io.StringIO(body if header else text),
-                          delimiter=",", comments=None,
-                          usecols=(0, 1) if header else 0, ndmin=2)
+        data = np.loadtxt(source, delimiter=",", comments=None,
+                          skiprows=skip, usecols=(0, 1) if header else 0,
+                          ndmin=2, encoding="utf-8")
     except ValueError as exc:
         raise DataError(f"malformed CSV in {path}: {exc}") from exc
     if header and data.shape[0] >= 2:
@@ -329,3 +365,12 @@ def read_signal(path) -> Signal:
             dt = float(steps[0])
         t0 = float(data[0, 0])
     return Signal(np.ascontiguousarray(data[:, -1]), t0=t0, dt=dt, label=label)
+
+
+def _is_clean(path: Path, raw: str, text: str) -> bool:
+    """Whether `np.loadtxt`, given `path`, reads what the text route would
+    read of `raw`, the file's text, stripped and blank-collapsed into
+    `text`.  numpy unpacks a path named `.gz`, `.bz2`, `.xz` or `.lzma`,
+    and a pipe cannot be read twice."""
+    return (path.suffix.lower() == ".csv" and path.is_file()
+            and text == raw.rstrip("\n"))

@@ -52,6 +52,19 @@ class TestGenerate:
         sigs = [np.loadtxt(out / f, delimiter=",", skiprows=1) for f in files]
         assert not np.array_equal(sigs[0], sigs[1])
 
+    def test_output_parsed_from_its_path(self, tmp_path, monkeypatch):
+        # generate writes clean files, which numpy reads in chunks in C
+        # only when it opens them itself
+        out = tmp_path / "g"
+        assert run(["generate", "--process", "fbm", "--H", 0.7, "--n", 256,
+                    "--seed", 1, "-o", out]) == 0
+        sources, real = [], np.loadtxt
+        monkeypatch.setattr(np, "loadtxt", lambda source, **kwargs: (
+            sources.append(source) or real(source, **kwargs)))
+        assert run(["analyze", "--input", out / "signal.csv", "--jmax", 4,
+                    "-o", tmp_path / "a"]) == 0
+        assert sources == [out / "signal.csv"]
+
     def test_missing_seed_is_usage_error(self, tmp_path, capsys):
         code = run(["generate", "--process", "fbm", "--H", 0.7,
                     "--n", 128, "-o", tmp_path / "x"])
@@ -177,6 +190,10 @@ FLAG_ERRORS = LEVEL_ERRORS + [
                   "--seed", 1, "--B", 0], "--B"),
     ("test", ["--input", "no/such/dir", "--which", "logconcave", "--B", 0],
      "--B"),
+    # and so is alpha, which the library checks after reading every input
+    ("estimate", ["--inputs", "no/such/dir", "--alpha", 1.5], "--alpha"),
+    ("test", ["--input", "no/such/dir", "--which", "shapiro", "--alpha", 1.5,
+              "--seed", 1], "--alpha"),
     # a step that would make 10^9 points is refused before any is made
     ("analyze", ["--q", "0:1e-9:1"], "--q must hold 1 to 10000 grid points"),
     ("verify", ["--A-grid", "0:1e-9:1"],

@@ -1,11 +1,13 @@
 import csv
 import math
+import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from leaderlab import core
 from leaderlab.core import (DataError, ParamError, RngSpec, Signal, linfit,
                             normal_cdf, read_signal, require,
                             standard_normal_quantile, write_csv, write_signal)
@@ -326,6 +328,113 @@ class TestReadSignalInputs:
             assert got.tobytes() == np.array(expected).tobytes()
 
 
+# clean files, which numpy reads from their path; with READER_CASES, each
+# is read alike on the text route.  Both routes read CR, CRLF and LF line
+# ends alike.
+CLEAN_CASES = {
+    "no_final_newline": ("t,value\n0,1.5\n1,2.5", [1.5, 2.5]),
+    "final_newlines": ("t,value\n0,1.5\n1,2.5\n\n\n", [1.5, 2.5]),
+    "clean_crlf": ("t,value\r\n0,1.5\r\n1,2.5", [1.5, 2.5]),
+    "lone_cr": ("t,value\n0,1.5\r1,2.5\n", [1.5, 2.5]),
+    "headerless_one_column": ("1.5\n2.5\n-3.0\n", [1.5, 2.5, -3.0]),
+    "headerless_three_columns": ("1.5,9,8\n2.5,9,8\n", [1.5, 2.5]),
+    "spaced_header": ("T, Value,x\n0,1.5,9\n1,2.5,9\n", [1.5, 2.5]),
+    "non_ascii_header": ("t,value,größe\n0,1.5,9\n1,2.5,9\n", [1.5, 2.5]),
+    "non_ascii_first_line": ("größe\n1.5\n2.5\n", DataError),
+    "step_and_start": ("t,value\n-3.5,1.5\n-3.25,2.5\n-3,0\n",
+                       [1.5, 2.5, 0.0]),
+}
+
+
+def _outcome(path):
+    """(sample bytes, t0, dt) of the signal read, or DataError."""
+    try:
+        sig = read_signal(path)
+    except DataError:
+        return DataError
+    return sig.samples.tobytes(), sig.t0, sig.dt
+
+
+@pytest.fixture
+def loadtxt_sources(monkeypatch):
+    """The first argument of every np.loadtxt call."""
+    sources, real = [], np.loadtxt
+
+    def spy(source, **kwargs):
+        sources.append(source)
+        return real(source, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", spy)
+    return sources
+
+
+class TestReadRoutes:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("case", sorted({**READER_CASES, **CLEAN_CASES}))
+    def test_both_routes_agree(self, tmp_path, monkeypatch, loadtxt_sources,
+                               case):
+        text, expected = {**READER_CASES, **CLEAN_CASES}[case]
+        p = tmp_path / "s.csv"
+        p.write_bytes(text.encode("utf-8"))
+        got = _outcome(p)
+        if case in CLEAN_CASES and expected is not DataError:
+            assert loadtxt_sources == [p]
+        monkeypatch.setattr(core, "_is_clean", lambda *args: False)
+        assert _outcome(p) == got
+        if expected is DataError:
+            assert got is DataError
+        else:
+            assert got[0] == np.array(expected).tobytes()
+
+    def test_step_and_start_from_the_t_column(self, tmp_path):
+        p = tmp_path / "s.csv"
+        p.write_text(CLEAN_CASES["step_and_start"][0], encoding="utf-8")
+        assert _outcome(p)[1:] == (-3.5, 0.25)
+
+    def test_compressed_name_read_as_text(self, tmp_path, loadtxt_sources):
+        # numpy would unpack a .gz path it opens
+        p = tmp_path / "s.gz"
+        p.write_text("1.5\n2.5\n", encoding="utf-8")
+        assert read_signal(p).samples.tolist() == [1.5, 2.5]
+        assert loadtxt_sources != [p]
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_pipe_read_once(self, tmp_path):
+        # a .csv name for a pipe, which a second open would find drained
+        r, w = os.pipe()
+        try:
+            os.write(w, b"t,value\n0,1.5\n1,2.5\n")
+            os.close(w)
+            link = tmp_path / "p.csv"
+            link.symlink_to(f"/dev/fd/{r}")
+            assert read_signal(link).samples.tolist() == [1.5, 2.5]
+        finally:
+            os.close(r)
+
+
+class TestTimeColumn:
+    @staticmethod
+    def t_cells(path):
+        lines = path.read_text(encoding="utf-8").splitlines()[1:]
+        return [line.partition(",")[0] for line in lines]
+
+    @pytest.mark.parametrize("t0,dt,n", [(0, 1 / 32768, 32768),
+                                         (-3.5, 0.1, 1001), (2.0, 1 / 3, 2)])
+    def test_cells_are_the_times(self, tmp_path, t0, dt, n):
+        sig = Signal(np.zeros(n), t0=t0, dt=dt)
+        write_signal(sig, tmp_path / "s.csv")
+        assert self.t_cells(tmp_path / "s.csv") == [
+            "%.17g" % t for t in sig.times.tolist()]
+
+    def test_no_stale_column(self, tmp_path):
+        axes = [(0.0, 0.5, 4), (0.0, 0.5, 5), (1.0, 0.5, 4), (0.0, 0.25, 4)]
+        for t0, dt, n in axes * 2:
+            sig = Signal(np.arange(n, dtype=float), t0=t0, dt=dt)
+            write_signal(sig, tmp_path / "s.csv")
+            assert self.t_cells(tmp_path / "s.csv") == [
+                "%.17g" % t for t in sig.times.tolist()]
+
+
 EDGE_FLOATS = [0.0, -0.0, 5e-324, -2.225073858507201e-308, 1e308, -1e308,
                1.7976931348623157e308, 0.1, 1 / 3]
 
@@ -359,3 +468,8 @@ class TestWriteCsv:
         text = p.read_text(encoding="utf-8")
         assert text.startswith('name,k,x\n"a,b",0,0\n"say ""hi""",1,0.5\n')
         assert text.endswith("\nplain,4,2\n")
+
+    def test_only_the_cell_with_a_comma_quoted(self, tmp_path):
+        p = tmp_path / "t.csv"
+        write_csv(p, ["name", "x"], [("a", 0.0), ("b,c", 1.0), ("d", 2.0)])
+        assert p.read_text(encoding="utf-8") == 'name,x\na,0\n"b,c",1\nd,2\n'
