@@ -346,7 +346,7 @@ def read_signal(path) -> Signal:
     # loadtxt skips empty lines but not lines of blanks
     text = _BLANK_LINES.sub("\n", text)
     first, _, body = text.partition("\n")
-    header = first.replace(" ", "").lower().startswith("t,value")
+    header = "".join(first.split()).lower().startswith("t,value")
     if header and not body:
         raise DataError(f"no data rows under the header in {path}")
     if _is_clean(path, raw, text):

@@ -477,38 +477,64 @@ _INT16_POINTS = 2 ** 15
 
 
 def _ball_geometry(z: np.ndarray) -> np.ndarray:
-    """Bitmap of the distinct balls around the sorted pooled sample `z`.
+    """Bitmap of the distinct balls around the sorted, finite pooled sample
+    `z`.
 
     A ball around center i stops growing only where a tie group of equal
     distances is complete, and it then holds exactly the points within that
-    distance: on the sorted sample, a contiguous index interval [L, R].  At
-    such a stop of center i's inclusion order, L is the running minimum of
-    the order and R its running maximum.  The result `balls` has shape
-    (m, m + 1) and balls[L, R + 1] is True iff some ball is [L, R]; the
-    bitmap drops the balls that several centers share without a sort.
+    distance: on the sorted sample, a contiguous index interval [L, R].  The
+    result `balls` has shape (m, m + 1) and balls[L, R + 1] is True iff some
+    ball is [L, R]; the bitmap drops the balls that several centers share.
 
-    Centers are taken in chunks of about `_CHUNK_ELEMENTS` distances, so
-    the memory beyond the m (m + 1) bytes of the bitmap is at most 25 bytes
-    per chunk element: the distances, their order and its sorted copy.
+    On the sorted sample the distances z[i] - z[L - 1] to the left and
+    z[R + 1] - z[i] to the right of a ball [L, R] around i never decrease
+    as the ball grows, so taking the nearer of the two, one point per step,
+    adds the points in order of distance.  Every center grows its ball in
+    lockstep: after step s each ball holds s + 1 points, and it is recorded
+    when the next point is strictly farther than the last one added, so
+    the order within a tie group does not matter.  The ball of the whole
+    sample is recorded at the end: past it lie only sentinels, whose
+    distance may tie with one that overflowed to inf.
+
+    The m - 1 steps each work on arrays of length m, so the memory beyond
+    the m (m + 1) bytes of the bitmap is O(m).
     """
     m = z.size
     balls = np.zeros((m, m + 1), dtype=bool)
-    rows = max(1, _CHUNK_ELEMENTS // m)
-    for start in range(0, m, rows):
-        d = np.subtract.outer(z[start:start + rows], z)
-        np.abs(d, out=d)
-        order = np.argsort(d, axis=1)
-        ds = np.take_along_axis(d, order, axis=1)
-        stops = np.empty(ds.shape, dtype=bool)
-        np.greater(ds[:, 1:], ds[:, :-1], out=stops[:, :-1])
-        stops[:, -1] = True
-        del d, ds
-        left = np.minimum.accumulate(order, axis=1)
-        right = np.maximum.accumulate(order, axis=1, out=order)
-        right += 1
-        right *= stops      # positions inside a tie group go to column 0
-        balls[left, right] = True
-    balls[:, 0] = False
+    flat = balls.reshape(-1)
+    # ball [hi - s, hi] after step s; its left neighbour is zq[hi + m - s],
+    # read through a view that starts at index m - s of zq, and its right
+    # one zq[hi + m + 2].  The m + 1 left sentinels lie at distance +inf,
+    # the right one at NaN: `dr <= dl` is then False at the right end and
+    # True at the left end, even beside a distance that overflowed to inf,
+    # so a sentinel is never taken
+    zq = np.concatenate([np.full(m + 1, -np.inf), z, [np.nan]])
+    right_of = zq[m + 2:]
+    hi = np.arange(m)
+    last = np.zeros(m)
+    nxt = np.empty(m)
+    complete = np.empty(m, dtype=bool)
+    step_right = np.empty(m, dtype=bool)
+    cell = np.empty(m, dtype=np.intp)
+    with np.errstate(over="ignore"):
+        dl = z - zq[m:2 * m]
+        dr = right_of - z
+        for s in range(m - 1):
+            np.fmin(dl, dr, out=nxt)
+            np.greater(nxt, last, out=complete)
+            # flat index of balls[hi - s, hi + 1]; an incomplete ball goes
+            # to balls[0, 0], which no ball uses
+            np.multiply(hi, m + 2, out=cell)
+            cell += 1 - s * (m + 1)
+            cell *= complete
+            flat[cell] = True
+            np.less_equal(dr, dl, out=step_right)
+            hi += step_right
+            np.subtract(z, zq[m - s - 1:][hi], out=dl)
+            np.subtract(right_of[hi], z, out=dr)
+            last, nxt = nxt, last
+    balls[0, 0] = False
+    balls[0, m] = True
     return balls
 
 
@@ -561,6 +587,8 @@ def interval_discrepancy(x, xstar) -> float:
     xs = np.asarray(xstar, dtype=float)
     if x.size != xs.size or x.size == 0:
         raise DataError("samples must be non-empty and of equal size")
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(xs))):
+        raise DataError("sample contains NaN or Inf")
     balls, labels, idx = _pooled_balls(x, xs)
     return float(_batch_interval_stat(balls, labels[idx][None, :])[0]) / x.size
 

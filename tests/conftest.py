@@ -180,3 +180,23 @@ def gg_tail_by_quadrature(x, beta):
                     epsabs=1e-14, epsrel=1e-13, limit=200)
     assert gg.kappa * err <= 1e-12
     return gg.kappa * val
+
+
+def argsort_ball_geometry(z):
+    """Bitmap of the distinct balls around the sorted sample z, as
+    `_ball_geometry` returns it, by sorting every center's distances, for
+    oracle use: at each position where the sorted distances strictly
+    increase, and at the last, the ball is [running min, running max] of
+    the order."""
+    d = np.abs(np.subtract.outer(z, z))
+    order = np.argsort(d, axis=1)
+    ds = np.take_along_axis(d, order, axis=1)
+    stops = np.empty(ds.shape, dtype=bool)
+    np.greater(ds[:, 1:], ds[:, :-1], out=stops[:, :-1])
+    stops[:, -1] = True
+    left = np.minimum.accumulate(order, axis=1)
+    right = np.maximum.accumulate(order, axis=1) + 1
+    balls = np.zeros((z.size, z.size + 1), dtype=bool)
+    balls[left, right * stops] = True   # inside a tie group: column 0
+    balls[:, 0] = False
+    return balls

@@ -291,6 +291,7 @@ class TestSignalIO:
 READER_CASES = {
     "spaces_around_cells": ("t,value\n 0 , 1.5 \n\t1\t,\t2.5\t\n",
                             [1.5, 2.5]),
+    "tab_in_header": ("t,\tvalue\n0,1.5\n1,2.5\n", [1.5, 2.5]),
     "crlf": ("t,value\r\n0,1.5\r\n1,2.5\r\n", [1.5, 2.5]),
     "blank_middle_lines": ("t,value\n0,1.5\n\n   \n1,2.5\n", [1.5, 2.5]),
     "leading_blank_lines": ("\n \nt,value\n0,1.5\n1,2.5\n", [1.5, 2.5]),

@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 from scipy.optimize import minimize
 
+from conftest import argsort_ball_geometry
 from leaderlab import stattests
 from leaderlab.core import DataError, RngSpec, standard_normal_quantile
 from leaderlab.stattests import (LogConcaveMLE, _ball_geometry,
@@ -350,6 +351,13 @@ class TestIntervalDiscrepancy:
         with pytest.raises(DataError):
             interval_discrepancy([1.0, 2.0], [1.0])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_refused(self, bad):
+        with pytest.raises(DataError, match="NaN or Inf"):
+            interval_discrepancy([1.0, bad], [1.0, 2.0])
+        with pytest.raises(DataError, match="NaN or Inf"):
+            interval_discrepancy([1.0, 2.0], [bad, 2.0])
+
 
 # multiples k * 0.1: on 11 points ties are frequent, and some computed
 # distances that are equal in exact arithmetic differ in the last bit
@@ -403,6 +411,36 @@ def pooled_rows(x, xs, n_rows, seed):
     return z[idx], labels
 
 
+# pool values whose computed distances tie or overflow: the coarse grid, a
+# few exact duplicates, points 1 + k eps a few ulps apart, and +-1e308 and
+# +-5e307, whose distances across zero overflow to inf
+POOL_VALUES = {
+    "grid": COARSE_GRID,
+    "duplicates": st.sampled_from([-2.5, 0.0, 1.0, 3.0]),
+    "ulps": st.integers(0, 8).map(lambda k: 1.0 + k * np.finfo(float).eps),
+    "overflow": st.sampled_from([-1e308, -5e307, 0.0, 5e307, 1e308]),
+}
+POOL_VALUES["mixed"] = st.one_of(*POOL_VALUES.values())
+
+
+@st.composite
+def sorted_pools(draw):
+    """Two samples of 1-40 points of one POOL_VALUES kind, pooled and
+    sorted."""
+    side = st.lists(POOL_VALUES[draw(st.sampled_from(sorted(POOL_VALUES)))],
+                    min_size=1, max_size=40)
+    return np.sort(np.array(draw(side) + draw(side)))
+
+
+@given(z=sorted_pools())
+@example(z=np.array([-1e308, 1e308]))
+@settings(max_examples=200)
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_ball_geometry_is_brute_force(z):
+    lo, hi = np.nonzero(_ball_geometry(z))
+    assert set(zip(lo.tolist(), (hi - 1).tolist())) == brute_force_balls(z)
+
+
 class TestBallKernel:
     @pytest.mark.parametrize("kind", sorted(TIED_SAMPLES))
     def test_geometry_matches_brute_force(self, kind):
@@ -426,6 +464,12 @@ class TestBallKernel:
             assert t_row == round(
                 n * brute_force_T(z[row == 1], z[row == -1]))
 
+    @pytest.mark.parametrize("kind", sorted(TIED_SAMPLES))
+    def test_geometry_matches_argsort_kernel(self, kind):
+        x, xs = TIED_SAMPLES[kind](RngSpec(3109).generator(), 500)
+        z, _ = pooled_rows(x, xs, 1, 3110)
+        assert np.array_equal(_ball_geometry(z), argsort_ball_geometry(z))
+
     @pytest.mark.parametrize("chunk", [7, "two_rows"])
     def test_chunks_cut_through_centers(self, monkeypatch, chunk):
         n = 60
@@ -435,13 +479,11 @@ class TestBallKernel:
         t = _batch_interval_stat(balls, labels)
         sample = RngSpec(3107).generator().standard_t(4, size=n)
         rep = logconcavity_test(sample, B=19, rng=RngSpec(3108))
-        # 7 elements: one center per chunk and one ball per gather; two
+        # 7 elements: one bitmap row per block and one ball per gather; two
         # rows plus a few: gathers end inside the balls of one bitmap row
         monkeypatch.setattr(stattests, "_CHUNK_ELEMENTS",
                             7 if chunk == 7 else 2 * z.size + 5)
-        small = _ball_geometry(z)
-        assert np.array_equal(small, balls)
-        assert np.array_equal(_batch_interval_stat(small, labels), t)
+        assert np.array_equal(_batch_interval_stat(balls, labels), t)
         again = logconcavity_test(sample, B=19, rng=RngSpec(3108))
         assert again == rep
 
