@@ -3,8 +3,10 @@
 Subcommands: generate, analyze, estimate, test, verify, replay.  Every run
 writes its outputs plus a manifest.json recording the command, parameters,
 seed, tool version and output list; `leaderlab replay manifest.json -o DIR`
-re-executes the recorded run and reproduces every output byte-for-byte
-(only manifest timestamps differ).
+parses the recorded params with the command's own flags, as `--flag=value`
+tokens, and re-executes the run, reproducing every output byte-for-byte
+(only manifest timestamps differ).  A value the flags refuse is a data
+error, `error: manifest PATH: <argparse's reason>`.
 
 Exit codes: 0 success, 2 usage error, 3 data or regime error,
 4 nonconvergence.  Every parameter rule, in this module and in the library,
@@ -17,7 +19,9 @@ value read from a replayed manifest is a data error (exit 3).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import datetime
+import io
 import json
 import math
 import sys
@@ -326,7 +330,10 @@ def _dispatch(command: str, params: dict, outdir: Path) -> int:
     return 0
 
 
-def run_replay(manifest_path: str, outdir: Path) -> int:
+def run_replay(ap, manifest_path: str, outdir: str) -> argparse.Namespace:
+    """The run in `manifest_path`, parsed as the argv `COMMAND --flag=value
+    ... --outdir=OUTDIR` with a token for each param that names an option
+    of the command; a value the flags refuse is a DataError."""
     p = Path(manifest_path)
     if not p.exists():
         raise DataError(f"no manifest at {p}")
@@ -339,45 +346,32 @@ def run_replay(manifest_path: str, outdir: Path) -> int:
             and isinstance(params, dict)):
         raise DataError(f"manifest {p} holds no runnable command: "
                         f"{command!r}")
-    return _dispatch(command, _manifest_params(command, params, p), outdir)
-
-
-def _manifest_params(command: str, params: dict, path: Path) -> dict:
-    """Check recorded params as the command's own flags would: each value
-    goes through its flag's type (from its text, as argparse reads it) and
-    choices, every required flag must be present, an absent optional flag
-    takes its default, and a param that names no flag is dropped."""
-    out = {}
-    for action in _actions(command).values():
-        key, value = action.dest, params.get(action.dest)
-        if key == "outdir" or action.default == argparse.SUPPRESS:
-            continue
+    tokens = [command]
+    for key, action in _flags(ap, command).items():
+        value, flag = params.get(key), action.option_strings[-1]
         if value is None:
-            if action.required:
-                raise DataError(f"manifest {path}: {command} needs "
-                                f"param {key!r}")
-            out[key] = action.default
             continue
-        typ = action.type or str
-        bad = DataError(f"manifest {path}: param {key!r} = {value!r} is "
-                        f"not a valid {typ.__name__}")
-        if not isinstance(value, str) and typ is str:
-            raise bad
-        try:
-            out[key] = typ(str(value))
-        except ValueError:
-            raise bad from None
-        if action.choices is not None and out[key] not in action.choices:
-            raise DataError(f"manifest {path}: param {key!r} = {value!r} "
-                            f"is not one of {list(action.choices)}")
-    return out
+        # argv is text: a JSON number passes where the flag converts text
+        if not (isinstance(value, str) or action.type
+                and type(value) in (int, float)):
+            raise DataError(f"manifest {p}: argument {flag}: invalid value: "
+                            f"{json.dumps(value)}")
+        tokens.append(f"{flag}={value}")
+    err = io.StringIO()
+    try:
+        with contextlib.redirect_stderr(err):
+            return ap.parse_args([*tokens, f"--outdir={outdir}"])
+    except SystemExit:
+        reason = err.getvalue().splitlines()[-1].partition(": error: ")[2]
+        raise DataError(f"manifest {p}: {reason}") from None
 
 
-def _actions(command: str) -> dict[str, argparse.Action]:
-    """The arguments of `command`'s parser, by dest."""
-    sub = next(a for a in _build_parser()._actions
+def _flags(ap, command: str) -> dict[str, argparse.Action]:
+    """The options of `command`'s parser that take a value, by dest."""
+    sub = next(a for a in ap._actions
                if isinstance(a, argparse._SubParsersAction))
-    return {a.dest: a for a in sub.choices[command]._actions}
+    return {a.dest: a for a in sub.choices[command]._actions
+            if isinstance(a, argparse._StoreAction) and a.option_strings}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -453,16 +447,20 @@ def main(argv=None) -> int:
         ns = ap.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    params = {k: v for k, v in vars(ns).items()
-              if k not in ("command", "outdir", "manifest")}
+    replay = ns.command == "replay"
     try:
-        if ns.command == "replay":
-            return run_replay(ns.manifest, Path(ns.outdir))
+        if replay:
+            ns = run_replay(ap, ns.manifest, ns.outdir)
+        params = {k: v for k, v in vars(ns).items()
+                  if k not in ("command", "outdir")}
+        for key, value in params.items():
+            # argparse of Python 3.11 reads an option value `--` as []
+            require(value not in ([], "--"), key, "not be --", "--")
         return _dispatch(ns.command, params, Path(ns.outdir))
     except ParamError as exc:
         # a replayed manifest's parameter is data, not a misused flag
-        action = _actions(ns.command).get(exc.name)
-        if action is None or not action.option_strings:
+        action = None if replay else _flags(ap, ns.command).get(exc.name)
+        if action is None:
             print(f"error: {exc}", file=sys.stderr)
             return 3
         print(f"usage error: {action.option_strings[-1]} must {exc.rule}, "

@@ -312,7 +312,8 @@ _BLANK_LINES = re.compile(r"\n\s*\n")
 def read_signal(path) -> Signal:
     """Read a `t,value` CSV or a headerless file whose first column holds
     the samples (dt = 1).  Cells are parsed by `np.loadtxt`; blank lines
-    are skipped, `#` is not a comment and extra columns are ignored.
+    are skipped, `#` is not a comment and extra columns are ignored.  A `t`
+    column must be evenly spaced; it sets t0 and dt, its first step.
 
     A clean file, a regular `.csv` file with no blank line and no blank at
     either end but its final newlines, goes to `np.loadtxt` as a path,
@@ -360,10 +361,14 @@ def read_signal(path) -> Signal:
     except ValueError as exc:
         raise DataError(f"malformed CSV in {path}: {exc}") from exc
     if header and data.shape[0] >= 2:
-        steps = np.diff(data[:, 0])
-        if np.allclose(steps, steps[0], rtol=1e-9, atol=0):
-            dt = float(steps[0])
-        t0 = float(data[0, 0])
+        # even spacing: every time within 1e-9 of the span of the line from
+        # the first to the last, which the rounding of `%.17g` times meets
+        t = data[:, 0]
+        if not (np.isfinite(t).all() and np.all(
+                np.abs(t - np.linspace(t[0], t[-1], t.size))
+                <= 1e-9 * abs(t[-1] - t[0]))):
+            raise DataError(f"the t column of {path} is not evenly spaced")
+        t0, dt = float(t[0]), float(t[1] - t[0])
     return Signal(np.ascontiguousarray(data[:, -1]), t0=t0, dt=dt, label=label)
 
 

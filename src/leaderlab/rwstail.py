@@ -355,11 +355,14 @@ def mills_bounds(x: float, beta: float) -> tuple[float, float, float]:
 # grid verification report
 
 def _finite_or_null(obj):
-    """`obj` with every non-finite float in its dicts and lists as None."""
+    """`obj` as strict JSON: arrays and tuples as lists, numpy scalars as
+    Python ones, and every non-finite float as None."""
     if isinstance(obj, dict):
         return {k: _finite_or_null(v) for k, v in obj.items()}
-    if isinstance(obj, list):
+    if isinstance(obj, (list, tuple, np.ndarray)):
         return [_finite_or_null(v) for v in obj]
+    if isinstance(obj, np.generic):
+        obj = obj.item()
     return None if isinstance(obj, float) and not math.isfinite(obj) else obj
 
 
@@ -392,31 +395,14 @@ class TailBoundReport:
         return slope_fine and all(self.large_dominates)
 
     def to_dict(self) -> dict:
-        """The report as strict JSON: every NaN or infinite number is
-        null."""
-        def arr(a):
-            return np.asarray(a, dtype=float).tolist()
-        doc = {
-            "alpha": self.alpha, "beta": self.beta,
-            "A_grid": arr(self.A_grid), "log_cdf": arr(self.log_cdf),
-            "exact_cdf": arr(self.exact_cdf), "regime": self.regime,
-            "lower_small": arr(self.lower_small),
-            "upper_small": arr(self.upper_small),
-            "upper_large": arr(self.upper_large),
-            "constants": {k: (list(v) if isinstance(v, tuple) else v)
-                          for k, v in self.constants.items()},
-            "slope": self.slope, "slope_r2": self.slope_r2,
-            "slope_target": self.slope_target, "slope_ok": self.slope_ok,
-            "rate_hat": arr(self.rate_hat),
-            "rate_interval": list(self.rate_interval),
-            "rate_in_interval": [bool(b) for b in self.rate_in_interval],
-            "rate_in_interval_corrected":
-                [bool(b) for b in self.rate_in_interval_corrected],
-            "large_dominates": [bool(b) for b in self.large_dominates],
-            "checks_passed": self.checks_passed,
-        }
-        if self.mc is not None:
-            doc["monte_carlo"] = [asdict(r) for r in self.mc]
+        """The report's fields, `mc` as `monte_carlo` (absent without a
+        Monte Carlo run), and `checks_passed`, as strict JSON: every NaN or
+        infinite number is null."""
+        doc = asdict(self)
+        mc = doc.pop("mc")
+        if mc is not None:
+            doc["monte_carlo"] = mc
+        doc["checks_passed"] = self.checks_passed
         return _finite_or_null(doc)
 
     def to_json(self, path) -> str:

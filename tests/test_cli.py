@@ -174,6 +174,9 @@ FLAG_ERRORS = LEVEL_ERRORS + [
     *[(command, ["--wavelet", name], "--wavelet")
       for command in ("analyze", "estimate", "test")
       for name in ("db11", "haar", "sym4")],
+    # argparse reads an option value `--` as an empty list
+    ("analyze", ["--input=--"], "usage error: --input must not be --"),
+    ("verify", ["--tol=--"], "usage error: --tol must not be --"),
     ("analyze", ["--q", "abc"], "--q"),
     ("analyze", ["--q", "0:0:2"], "--q"),
     ("analyze", ["--scales", 3], "--scales"),
@@ -348,11 +351,11 @@ class TestReplay:
         ("generate", {"H": 1.5}, "H"),
         ("generate", {"ensemble": 0}, "ensemble"),
         ("test", {"reps": 0}, "reps"), ("test", {"scale": "0,4"}, "scale"),
-        ("analyze", {"q": "abc"}, "q"),
+        ("analyze", {"q": "abc"}, "q"), ("analyze", {"input": "--"}, "input"),
         ("estimate", {"method": "bootstrap"}, "seed")],
         ids=["n-1", "seed--1", "H-1.5", "generate ensemble 0",
              "test reps 0", "test scale 0,4", "analyze q abc",
-             "estimate bootstrap without seed"])
+             "analyze input --", "estimate bootstrap without seed"])
     def test_refused_param_is_data_error(self, tmp_path, capsys, ensemble,
                                          command, changed, param):
         # a manifest is data: a value its flag would refuse names no flag
@@ -395,31 +398,71 @@ class TestReplay:
     @pytest.mark.parametrize("doc,words", [
         ({"command": "generate", "params": {"process": "fbm", "n": "abc",
                                             "seed": 1, "H": 0.5}},
-         "'n' = 'abc' is not a valid int"),
+         "argument --n: invalid int value: 'abc'"),
         ({"command": "generate", "params": {"process": "fbm", "n": 64,
                                             "seed": 1, "H": "x"}},
-         "'H' = 'x' is not a valid float"),
+         "argument --H: invalid float value: 'x'"),
         ({"command": "verify", "params": {"ggbeta": 2}},
-         "verify needs param 'alpha'"),
+         "the following arguments are required: --alpha"),
         ({"command": "generate", "params": {"process": "fbm", "n": 2.5,
                                             "seed": 1, "H": 0.5}},
-         "'n' = 2.5 is not a valid int"),
+         "argument --n: invalid int value: '2.5'"),
         ({"command": "analyze", "params": {"input": 5, "jmax": 3}},
-         "'input' = 5 is not a valid str"),
+         "argument --input: invalid value: 5"),
         ({"command": "analyze", "params": {"input": "s.csv", "jmax": 3,
                                            "variant": "7"}},
-         "'variant' = '7' is not one of"),
+         "argument --variant: invalid choice: '7'"),
+        ({"command": "generate", "params": {"process": "fbm", "n": True,
+                                            "seed": 1, "H": 0.5}},
+         "argument --n: invalid value: true"),
+        ({"command": "analyze", "params": {"input": ["s.csv"], "jmax": 3}},
+         'argument --input: invalid value: ["s.csv"]'),
+        ({"command": "verify", "params": {"alpha": {"v": 1}, "ggbeta": 2}},
+         'argument --alpha: invalid value: {"v": 1}'),
     ], ids=["n_text", "H_text", "verify_no_alpha", "n_float", "input_int",
-            "variant_choice"])
+            "variant_choice", "n_true", "input_list", "alpha_object"])
     def test_bad_manifest_params(self, tmp_path, capsys, doc, words):
         manifest = tmp_path / "manifest.json"
         manifest.write_text(json.dumps(doc), encoding="utf-8")
         out = tmp_path / "o"
         assert run(["replay", manifest, "-o", out]) == 3
         err = capsys.readouterr().err
+        assert err.startswith(f"error: manifest {manifest}: ")
         assert words in err and "Traceback" not in err
         assert len(err.strip().splitlines()) == 1
         assert not out.exists()
+
+
+# argv per command whose values a manifest must carry through unchanged:
+# text starting with `-` or holding `=`, `,`, a blank or non-ASCII letters,
+# the floats 0.1, 1e-12, 5e-324 and one of 17 digits, and the largest seed
+ROUND_TRIP_ARGV = {
+    "generate": ["--process", "mrw", "--n", "64", "--seed",
+                 str(2**64 - 1), "--H", "0.1", "--beta", "1e-12",
+                 "--mu", "5e-324", "--sigma2", "0.30000000000000004",
+                 "--L", "-3", "--ensemble", "-1"],
+    "analyze": ["--input", "-a=b, c/größe.csv", "--jmax", "-2",
+                "--q=-5:0.5:5", "--scales=-1:2", "--wavelet", "db 3"],
+    "estimate": ["--inputs", "=runs, ß", "--scales", "1:3", "--alpha",
+                 "5e-324", "--method", "bootstrap", "--B", "-7",
+                 "--seed", str(2**64 - 1), "--variant", "1"],
+    "test": ["--input", "- x", "--which", "logconcave", "--scale=-4,5",
+             "--alpha", "0.1", "--reps", "0", "--seed", "0"],
+    "verify": ["--alpha", "0.1", "--ggbeta", "1e-12", "--A-grid=-1e-12,2",
+               "--mc-paths", "-5", "--tol", "5e-324", "--seed",
+               str(2**64 - 1)],
+}
+
+
+@pytest.mark.parametrize("command", sorted(ROUND_TRIP_ARGV))
+def test_manifest_round_trip(tmp_path, command):
+    # argv -> params -> manifest.json -> replay parses the same namespace
+    ap = cli._build_parser()
+    ns = ap.parse_args([command, *ROUND_TRIP_ARGV[command], "-o", "out"])
+    params = {k: v for k, v in vars(ns).items()
+              if k not in ("command", "outdir")}
+    cli._write_manifest(tmp_path, command, params, None, [], "start")
+    assert cli.run_replay(ap, str(tmp_path / "manifest.json"), "out") == ns
 
 
 class TestAnalyze:

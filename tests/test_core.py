@@ -286,8 +286,15 @@ class TestSignalIO:
             read_signal(tmp_path)
 
 
+# an evenly spaced grid far from 0, t = 1e6 + 1e-3 i, written as
+# `write_signal` writes it: its steps differ by the rounding of the times
+FAR_GRID = 1e6 + 1e-3 * np.arange(10**5)
+FAR_GRID_TEXT = "t,value\n" + "".join(
+    "%.17g,%d\n" % (t, i % 7) for i, t in enumerate(FAR_GRID.tolist()))
+
 # (file text, samples the reader returns, or DataError); each outcome but
-# the `1_0` one was recorded with the earlier per-row `float()` reader
+# the `1_0` and the two `t` spacing ones was recorded with the earlier
+# per-row `float()` reader
 READER_CASES = {
     "spaces_around_cells": ("t,value\n 0 , 1.5 \n\t1\t,\t2.5\t\n",
                             [1.5, 2.5]),
@@ -311,6 +318,9 @@ READER_CASES = {
     "hash_line_headerless": ("# note\n1.5\n2.5\n", DataError),
     # Python's float() reads 1_0 as 10.0; the CSV reader does not
     "underscore_digits": ("t,value\n0,1_0\n1,2\n", DataError),
+    "uneven_t": ("t,value\n0,1.5\n1,2.5\n5,3.5\n6,4.5\n", DataError),
+    "fine_step_far_start": (FAR_GRID_TEXT,
+                            [float(i % 7) for i in range(FAR_GRID.size)]),
 }
 
 
@@ -392,6 +402,12 @@ class TestReadRoutes:
         p = tmp_path / "s.csv"
         p.write_text(CLEAN_CASES["step_and_start"][0], encoding="utf-8")
         assert _outcome(p)[1:] == (-3.5, 0.25)
+
+    def test_fine_step_far_from_zero(self, tmp_path):
+        # the first step, 1e6 + 1e-3 - 1e6, is 1e-3 to within the rounding
+        p = tmp_path / "s.csv"
+        p.write_text(FAR_GRID_TEXT, encoding="utf-8")
+        assert _outcome(p)[1:] == (1e6, pytest.approx(1e-3, rel=1e-6))
 
     def test_compressed_name_read_as_text(self, tmp_path, loadtxt_sources):
         # numpy would unpack a .gz path it opens
