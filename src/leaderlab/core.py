@@ -313,7 +313,8 @@ def read_signal(path) -> Signal:
     """Read a `t,value` CSV or a headerless file whose first column holds
     the samples (dt = 1).  Cells are parsed by `np.loadtxt`; blank lines
     are skipped, `#` is not a comment and extra columns are ignored.  A `t`
-    column must be evenly spaced; it sets t0 and dt, its first step.
+    column must be evenly spaced, to within the rounding of its times; it
+    sets t0, and dt where the sidecar's dt (1 without one) strays from it.
 
     A clean file, a regular `.csv` file with no blank line and no blank at
     either end but its final newlines, goes to `np.loadtxt` as a path,
@@ -361,14 +362,21 @@ def read_signal(path) -> Signal:
     except ValueError as exc:
         raise DataError(f"malformed CSV in {path}: {exc}") from exc
     if header and data.shape[0] >= 2:
-        # even spacing: every time within 1e-9 of the span of the line from
-        # the first to the last, which the rounding of `%.17g` times meets
-        t = data[:, 0]
-        if not (np.isfinite(t).all() and np.all(
-                np.abs(t - np.linspace(t[0], t[-1], t.size))
-                <= 1e-9 * abs(t[-1] - t[0]))):
+        # evenly spaced: every time within 1e-9 of the span, plus 8 ulps of
+        # the largest time for the rounding of `%.17g` times, of the line
+        # from the first time to the last; a time that is not finite fails
+        t, n = data[:, 0], data.shape[0]
+        with np.errstate(all="ignore"):
+            tol = 1e-9 * abs(t[-1] - t[0]) + 8 * np.spacing(np.abs(t).max())
+            even = np.abs(t - np.linspace(t[0], t[-1], n)) <= tol
+        if not even.all():
             raise DataError(f"the t column of {path} is not evenly spaced")
-        t0, dt = float(t[0]), float(t[1] - t[0])
+        # dt: the sidecar's, else the first step, else the mean step,
+        # whichever first leads from the first time to the last
+        for dt in (dt, t[1] - t[0], (t[-1] - t[0]) / (n - 1)):
+            if abs(t[0] + dt * (n - 1) - t[-1]) <= tol:
+                break
+        t0, dt = float(t[0]), float(dt)
     return Signal(np.ascontiguousarray(data[:, -1]), t0=t0, dt=dt, label=label)
 
 

@@ -4,7 +4,7 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from leaderlab import core
@@ -285,6 +285,13 @@ class TestSignalIO:
         with pytest.raises(DataError, match="cannot read"):
             read_signal(tmp_path)
 
+    def test_stale_sidecar_dt(self, tmp_path):
+        # a sidecar dt the column does not follow gives way to the column
+        p = tmp_path / "s.csv"
+        p.write_text("t,value\n0,1.5\n0.5,2.5\n1,3.5\n", encoding="utf-8")
+        (tmp_path / "s.csv.json").write_text('{"dt": 2}', encoding="utf-8")
+        assert read_signal(p).dt == 0.5
+
 
 # an evenly spaced grid far from 0, t = 1e6 + 1e-3 i, written as
 # `write_signal` writes it: its steps differ by the rounding of the times
@@ -321,6 +328,9 @@ READER_CASES = {
     "uneven_t": ("t,value\n0,1.5\n1,2.5\n5,3.5\n6,4.5\n", DataError),
     "fine_step_far_start": (FAR_GRID_TEXT,
                             [float(i % 7) for i in range(FAR_GRID.size)]),
+    "short_grid_far_start": ("t,value\n" + "".join(
+        "%.17g,%d\n" % (1e6 + 1e-3 * i, i) for i in range(10)),
+        [float(i) for i in range(10)]),
 }
 
 
@@ -404,10 +414,11 @@ class TestReadRoutes:
         assert _outcome(p)[1:] == (-3.5, 0.25)
 
     def test_fine_step_far_from_zero(self, tmp_path):
-        # the first step, 1e6 + 1e-3 - 1e6, is 1e-3 to within the rounding
+        # the first step, 1e6 + 1e-3 - 1e6, is 1e-3 + 4.7e-11, which strays
+        # from the last time by 4.7e-6; the mean step is closer
         p = tmp_path / "s.csv"
         p.write_text(FAR_GRID_TEXT, encoding="utf-8")
-        assert _outcome(p)[1:] == (1e6, pytest.approx(1e-3, rel=1e-6))
+        assert _outcome(p)[1:] == (1e6, pytest.approx(1e-3, rel=1e-11))
 
     def test_compressed_name_read_as_text(self, tmp_path, loadtxt_sources):
         # numpy would unpack a .gz path it opens
@@ -470,6 +481,24 @@ def test_write_read_round_trip_bits(tmp_path_factory, samples, dt):
     back = read_signal(p)
     assert back.samples.tobytes() == sig.samples.tobytes()
     assert back.t0 == 0.0 and back.dt == dt
+
+
+@settings(max_examples=150, deadline=None)
+@given(t0=st.floats(min_value=-1e9, max_value=1e9),
+       dt=st.floats(min_value=1e-3, max_value=1e3),
+       n=st.integers(min_value=2, max_value=60))
+@example(t0=1e6, dt=1e-3, n=10)   # one ulp of 1e6 is 1e-8 of the span
+def test_time_axis_round_trip(tmp_path_factory, t0, dt, n):
+    # with a sidecar, t0 and dt come back exact; without one, t0 does and
+    # dt to within the rounding of the times over the span
+    d = tmp_path_factory.mktemp("axis")
+    sig = Signal(np.zeros(n), t0=t0, dt=dt)
+    write_signal(sig, d / "a.csv", sidecar={})
+    write_signal(sig, d / "b.csv")
+    a, b = read_signal(d / "a.csv"), read_signal(d / "b.csv")
+    assert (a.t0, a.dt, b.t0) == (t0, dt, t0)
+    big = np.spacing(max(abs(t0), abs(t0 + dt * (n - 1))))
+    assert abs(b.dt - dt) <= 1e-9 * dt + 16 * big / (n - 1)
 
 
 class TestWriteCsv:
