@@ -31,9 +31,9 @@ import numpy as np
 
 from . import __version__
 from .core import (DataError, NonConvergenceError, ParamError, RegimeError,
-                   RngSpec, Signal, check_count, check_level, check_rng,
-                   read_signal, require, write_csv, write_json,
-                   write_signal)
+                   RngSpec, Signal, _check_replicates, check_count,
+                   check_level, check_rng, read_signal, require, write_csv,
+                   write_json, write_signal)
 from .cumulants import (_c2_statistic, bootstrap_percentile, estimate_c1_c2,
                         estimation_scale_candidates, select_scale_range,
                         write_estimation_outputs)
@@ -197,7 +197,7 @@ def run_estimate(params: dict, seed, outdir: Path) -> list[str]:
     check_level("alpha", alpha)
     if method == "bootstrap":
         check_rng("seed", seed, "method bootstrap")
-        check_count("B", b_reps)
+        _check_replicates(b_reps)
     named = _load_signals(params["inputs"])
     if len(named) < 2:
         raise DataError("estimation requires at least 2 realizations")
@@ -248,7 +248,7 @@ def run_test(params: dict, seed, outdir: Path) -> list[str]:
     check_level("alpha", alpha)
     check_count("reps", reps)
     if which == "logconcave":
-        check_count("B", b_reps)
+        _check_replicates(b_reps)
     basis, variant = _basis_variant(params)
     named = _load_signals(params["input"])
     j_max = max(scales)

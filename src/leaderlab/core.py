@@ -53,10 +53,22 @@ def check_level(name: str, value) -> None:
 
 
 def check_count(name: str, value) -> None:
-    """Refuse a count (of replicates B, draws, paths ...) that is not an
-    integer >= 1."""
+    """Refuse a count (of draws, paths, realizations ...) that is not an
+    integer >= 1; a replicate count B has its own cap, `_check_replicates`."""
     require(isinstance(value, Integral) and value >= 1, name,
             "be an integer >= 1", value)
+
+
+# most replicates a bootstrap or permutation test may draw; both hold all B
+# replicates in memory at once (8 MB of bootstrap statistics at the cap)
+_MAX_REPLICATES = 10 ** 6
+
+
+def _check_replicates(B) -> None:
+    """Refuse a replicate count B that is not an integer in
+    [1, _MAX_REPLICATES]."""
+    require(isinstance(B, Integral) and 1 <= B <= _MAX_REPLICATES, "B",
+            f"be an integer in [1, {_MAX_REPLICATES}]", B)
 
 
 def check_rng(name: str, rng, use: str) -> None:

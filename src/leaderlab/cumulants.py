@@ -13,8 +13,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import (DataError, RngSpec, check_count, check_level, check_rng,
-                   require, standard_normal_quantile, write_csv, write_json)
+from .core import (DataError, RngSpec, _check_replicates, check_level,
+                   check_rng, require, standard_normal_quantile, write_csv,
+                   write_json)
 from .wavelet import (CoefficientPyramid, LeaderPyramid, _level_sups,
                       hmin_regression)
 
@@ -173,7 +174,7 @@ def bootstrap_percentile(samples, statistic, B: int = 100, level: float = 0.95,
     samples = np.asarray(samples, dtype=float)
     if samples.size == 0:
         raise DataError("empty sample")
-    check_count("B", B)
+    _check_replicates(B)
     check_rng("rng", rng, "the bootstrap")
     check_level("level", level)
     gen = rng.generator(0)

@@ -164,6 +164,11 @@ FLAG_ERRORS = LEVEL_ERRORS + [
       for seed in (-1, 1 << 64)],
     ("estimate", ["--method", "bootstrap", "--seed", 1, "--B", 0], "--B"),
     ("test", ["--which", "logconcave", "--B", 0], "--B"),
+    # above the cap of 10^6 replicates: 106 TiB of labels, 7.28 TiB of
+    # bootstrap replicates
+    ("test", ["--which", "logconcave", "--B", 10 ** 12], "--B"),
+    ("estimate", ["--method", "bootstrap", "--seed", 1, "--B", 10 ** 12],
+     "--B"),
     ("verify", ["--alpha", "nan"], "--alpha"),
     ("verify", ["--alpha", -1], "--alpha"),
     ("verify", ["--alpha", "inf"], "--alpha"),
@@ -193,6 +198,8 @@ FLAG_ERRORS = LEVEL_ERRORS + [
                   "--seed", 1, "--B", 0], "--B"),
     ("test", ["--input", "no/such/dir", "--which", "logconcave", "--B", 0],
      "--B"),
+    ("test", ["--input", "no/such/dir", "--which", "logconcave", "--B",
+              10 ** 6 + 1], "--B"),
     # and so is alpha, which the library checks after reading every input
     ("estimate", ["--inputs", "no/such/dir", "--alpha", 1.5], "--alpha"),
     ("test", ["--input", "no/such/dir", "--which", "shapiro", "--alpha", 1.5,
@@ -351,10 +358,11 @@ class TestReplay:
         ("generate", {"H": 1.5}, "H"),
         ("generate", {"ensemble": 0}, "ensemble"),
         ("test", {"reps": 0}, "reps"), ("test", {"scale": "0,4"}, "scale"),
+        ("test", {"which": "logconcave", "B": 10 ** 12}, "B"),
         ("analyze", {"q": "abc"}, "q"), ("analyze", {"input": "--"}, "input"),
         ("estimate", {"method": "bootstrap"}, "seed")],
         ids=["n-1", "seed--1", "H-1.5", "generate ensemble 0",
-             "test reps 0", "test scale 0,4", "analyze q abc",
+             "test reps 0", "test scale 0,4", "test B 10^12", "analyze q abc",
              "analyze input --", "estimate bootstrap without seed"])
     def test_refused_param_is_data_error(self, tmp_path, capsys, ensemble,
                                          command, changed, param):
@@ -672,6 +680,22 @@ class TestTestCommand:
                                     f"{rep.details['threshold']:.17g},"
                                     f"{int(rep.rejected)}")
         assert (out / "tests.csv").read_text().splitlines()[1:] == expected
+
+    def test_pool_over_budget_data_error(self, tmp_path, capsys):
+        # level 1 of a 2^15-sample signal pools about 32760 leaders, whose
+        # ball bitmap alone would take 1.07 GB: refused before the fit
+        ens = tmp_path / "ens"
+        run(["generate", "--process", "fbm", "--H", 0.5, "--n", 1 << 15,
+             "--seed", 35, "-o", ens])
+        capsys.readouterr()
+        out = tmp_path / "t"
+        assert run(["test", "--input", ens, "--which", "logconcave",
+                    "--scale", 1, "--seed", 36, "-o", out]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: samples of n = ")
+        assert f"above the budget of {2 ** 29} bytes" in err
+        assert len(err.strip().splitlines()) == 1
+        assert not (out / "tests.csv").exists()
 
     def test_reps_below_one_usage_error(self, tmp_path):
         ens = tmp_path / "ens"

@@ -171,6 +171,11 @@ PARAM_REFUSALS = {
         _SAMPLE, np.mean, B=0, rng=RngSpec(1)), "B", 0),
     "permutation B": (lambda: logconcavity_test(
         _SAMPLE, B=0, rng=RngSpec(1)), "B", 0),
+    # above the cap of 10^6 replicates, refused before any allocation
+    "bootstrap B 10^12": (lambda: bootstrap_percentile(
+        _SAMPLE, np.mean, B=10 ** 12, rng=RngSpec(1)), "B", 10 ** 12),
+    "permutation B 10^6 + 1": (lambda: logconcavity_test(
+        _SAMPLE, B=10 ** 6 + 1, rng=RngSpec(1)), "B", 10 ** 6 + 1),
     "A grid": (lambda: verify_tail_rates(_MODEL, [0.01, -1.0, 8.0]),
                "A_grid", -1.0),
     "mc paths": (lambda: verify_tail_rates(_MODEL, [0.01], mc_paths=-3),

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from scipy.optimize import minimize
 
 from conftest import argsort_ball_geometry
 from leaderlab import stattests
-from leaderlab.core import DataError, RngSpec, standard_normal_quantile
+from leaderlab.core import (DataError, NonConvergenceError, RngSpec,
+                            standard_normal_quantile)
 from leaderlab.stattests import (LogConcaveMLE, _ball_geometry,
                                  _batch_interval_stat, fit_logconcave_mle,
                                  interval_discrepancy, logconcavity_test,
@@ -274,6 +276,87 @@ class TestLogConcaveMLE:
             fit_logconcave_mle(np.array([1.0, np.inf]))
 
 
+def same_fit(a: LogConcaveMLE, b: LogConcaveMLE) -> bool:
+    return (np.array_equal(a.knots, b.knots)
+            and np.array_equal(a.log_density_at_knots, b.log_density_at_knots)
+            and a.objective_path == b.objective_path and a.n == b.n)
+
+
+class TestMLEMemo:
+    """`fit_logconcave_mle` keeps its last fit: a repeated sample costs no
+    second solve, and what it returns is the cold fit's, bit for bit."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        stattests._last_fit.cache_clear()
+        calls = []
+        solve = stattests._active_set
+
+        def counted(x):
+            calls.append(x.size)
+            return solve(x)
+
+        monkeypatch.setattr(stattests, "_active_set", counted)
+        yield calls
+        stattests._last_fit.cache_clear()
+
+    def test_fit_then_test_solves_once(self, solves):
+        x = RngSpec(2201).generator().standard_t(4, size=300)
+        fit_logconcave_mle(x)
+        rep = logconcavity_test(x, B=19, rng=RngSpec(2202))
+        assert solves == [300]
+        stattests._last_fit.cache_clear()
+        assert logconcavity_test(x, B=19, rng=RngSpec(2202)) == rep
+        assert solves == [300, 300]
+
+    def test_fits_are_independent(self, solves):
+        x = RngSpec(2203).generator().normal(size=200)
+        first = fit_logconcave_mle(x)
+        second = fit_logconcave_mle(x)
+        assert solves == [200] and same_fit(first, second)
+        assert not np.shares_memory(first.knots, second.knots)
+        first.knots[:] = 0.0
+        first.log_density_at_knots[:] = 0.0
+        first.objective_path.append(1.0)
+        assert same_fit(fit_logconcave_mle(x), second)
+        knots, values, _ = stattests._last_fit(x.tobytes())
+        assert not knots.flags.writeable and not values.flags.writeable
+
+    def test_one_ulp_away_is_its_own_fit(self, solves):
+        x = RngSpec(2204).generator().normal(size=200)
+        near = x.copy()
+        top = int(np.argmax(x))
+        near[top] = np.nextafter(x[top], np.inf)
+        fit_logconcave_mle(x)
+        warm = fit_logconcave_mle(near)
+        assert solves == [200, 200]
+        # the largest point is always a knot
+        assert warm.knots[-1] == near[top] != x[top]
+        stattests._last_fit.cache_clear()
+        assert same_fit(fit_logconcave_mle(near), warm)
+
+    def test_refusals_are_not_kept(self, solves, monkeypatch):
+        x = RngSpec(2205).generator().normal(size=100)
+        # NaN is refused before the solve, a constant sample by it
+        for bad, size in ((np.where(np.arange(100) == 7, np.nan, x), None),
+                          (np.full(30, 2.0), 30)):
+            for _ in range(2):
+                with pytest.raises(DataError):
+                    fit_logconcave_mle(bad)
+            assert solves == ([] if size is None else [size, size])
+        # one active-set pass does not settle: the fit raises every time
+        passes = stattests._MAX_OUTER
+        monkeypatch.setattr(stattests, "_MAX_OUTER", 1)
+        for _ in range(2):
+            with pytest.raises(NonConvergenceError):
+                fit_logconcave_mle(x)
+        assert solves == [30, 30, 100, 100]
+        monkeypatch.setattr(stattests, "_MAX_OUTER", passes)
+        fit = fit_logconcave_mle(x)
+        stattests._last_fit.cache_clear()
+        assert same_fit(fit_logconcave_mle(x), fit)
+
+
 class TestSampleFromMLE:
     def test_uniform_model(self):
         model = fit_logconcave_mle(np.array([0.0, 1.0]))
@@ -487,6 +570,23 @@ class TestBallKernel:
         again = logconcavity_test(sample, B=19, rng=RngSpec(3108))
         assert again == rep
 
+    def test_statistic_memory_is_bounded(self):
+        # the prefix sums (0.4 MB here), and across a block boundary two
+        # blocks of ball indices (16 bytes per entry) beside two int16
+        # gathers, at blocks of 2^18 bitmap entries: 10.2 MB at most
+        gen = RngSpec(3111).generator()
+        n = 1018
+        z, labels = pooled_rows(gen.normal(size=n), gen.normal(size=n), 100,
+                                3112)
+        balls = _ball_geometry(z)
+        tracemalloc.start()
+        try:
+            _batch_interval_stat(balls, labels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12e6
+
     # (seed, n, draw, statistic, threshold, rejected), as computed by the
     # per-replicate cumulative-sum kernel this one replaced
     GOLDEN = [
@@ -542,3 +642,41 @@ class TestLogConcavityTest:
     def test_requires_rng(self):
         with pytest.raises(DataError):
             logconcavity_test(np.arange(10.0), rng=None)
+
+
+class TestPoolBudget:
+    """A pool whose bitmap, label rows and prefix sums would exceed
+    `_POOL_BYTES` is refused before the fit and before anything of its size
+    is allocated."""
+
+    # (n, B): level 1 of a 2^15-sample signal (a 1.07 GB bitmap), and a
+    # disttest-sized sample whose 10^6 + 1 label rows alone take 2 GB
+    @pytest.mark.parametrize("n,B", [(16380, 99), (1018, 10 ** 6)])
+    def test_refused_before_the_fit(self, monkeypatch, n, B):
+        def no_fit(x):
+            raise AssertionError("fitted a refused sample")
+
+        monkeypatch.setattr(stattests, "fit_logconcave_mle", no_fit)
+        x = RngSpec(4201).generator().normal(size=n)
+        tracemalloc.start()
+        try:
+            with pytest.raises(DataError) as info:
+                logconcavity_test(x, B=B, rng=RngSpec(4202))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+        assert f"n = {n} " in str(info.value)
+        assert f"budget of {2 ** 29} bytes" in str(info.value)
+
+    def test_interval_discrepancy_refused(self):
+        x = np.arange(16380.0)
+        with pytest.raises(DataError, match="n = 16380 "):
+            interval_discrepancy(x, x + 0.5)
+
+    def test_level_two_of_a_long_signal_fits(self):
+        # level 2 of a 2^15-sample signal keeps about 8190 leaders: B = 99
+        # fits the budget, B = 9999 does not
+        stattests._check_pool(8190, 100)
+        with pytest.raises(DataError):
+            stattests._check_pool(8190, 10000)
