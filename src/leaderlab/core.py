@@ -76,6 +76,23 @@ def check_rng(name: str, rng, use: str) -> None:
     require(rng is not None, name, f"be given for {use}", rng)
 
 
+def check_sample(samples, min_size: int) -> np.ndarray:
+    """The sample as a float 1-d array of at least `min_size` values, all
+    finite; anything else is a DataError, not a ParamError, since a sample
+    is data and its values do not belong in the message."""
+    try:
+        x = np.asarray(samples, dtype=float)
+    except (TypeError, ValueError):
+        raise DataError("sample is not an array of numbers") from None
+    if x.ndim != 1:
+        raise DataError(f"expected a 1-d sample, got {x.ndim} dimensions")
+    if x.size < min_size:
+        raise DataError(f"need at least {min_size} samples, got {x.size}")
+    if not np.all(np.isfinite(x)):
+        raise DataError("sample contains NaN or Inf")
+    return x
+
+
 @dataclass(frozen=True)
 class RngSpec:
     """Deterministic random stream identifier.
@@ -130,11 +147,7 @@ class Signal:
     label: str = ""
 
     def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=float)
-        if self.samples.ndim != 1 or self.samples.size < 2:
-            raise DataError("signal needs at least 2 samples")
-        if not np.all(np.isfinite(self.samples)):
-            raise DataError("signal contains NaN or Inf")
+        self.samples = check_sample(self.samples, 2)
         require(self.dt > 0, "dt", "be > 0", self.dt)
 
     def __len__(self) -> int:

@@ -14,8 +14,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .core import (DataError, RngSpec, _check_replicates, check_level,
-                   check_rng, require, standard_normal_quantile, write_csv,
-                   write_json)
+                   check_rng, check_sample, require, standard_normal_quantile,
+                   write_csv, write_json)
 from .wavelet import (CoefficientPyramid, LeaderPyramid, _level_sups,
                       hmin_regression)
 
@@ -158,9 +158,7 @@ def estimate_c1_c2(realizations: list[LeaderPyramid], j_range: tuple[int, int],
 def berry_esseen_bound(c1_samples, c2_hat: float) -> float:
     """Upper bound on the CLT approximation error of the c1 interval:
     0.46 sum |c1_i - mean|^3 / (c2^(3/2) N^(3/2))."""
-    samples = np.asarray(c1_samples, dtype=float)
-    if samples.size == 0:
-        raise DataError("empty sample")
+    samples = check_sample(c1_samples, 1)
     require(c2_hat > 0, "c2_hat", "be > 0", c2_hat)
     n = samples.size
     third = float(np.sum(np.abs(samples - samples.mean()) ** 3))
@@ -171,9 +169,7 @@ def bootstrap_percentile(samples, statistic, B: int = 100, level: float = 0.95,
                          rng: RngSpec | None = None) -> EstimateWithCI:
     """Percentile bootstrap interval [theta_(alpha/2), theta_(1-alpha/2)]
     from B resamples with replacement."""
-    samples = np.asarray(samples, dtype=float)
-    if samples.size == 0:
-        raise DataError("empty sample")
+    samples = check_sample(samples, 1)
     _check_replicates(B)
     check_rng("rng", rng, "the bootstrap")
     check_level("level", level)

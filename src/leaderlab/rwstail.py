@@ -32,6 +32,11 @@ _I_CAP = 200            # last level find_l_beta checks
 _MC_DEPTH = 18          # tree depth of the Monte Carlo cross-check
 
 
+def _pow2(e: float) -> float:
+    """2^e, and inf past the float range, where Python's power raises."""
+    return 2.0 ** e if e < 1024.0 else math.inf
+
+
 def _gg_incomplete_gamma(gamma_fn, x, beta: float):
     """`gamma_fn` (regularized lower or upper incomplete gamma) at
     (1/beta, x^beta), for x >= 0 (NaN refused) and beta > 0; a float for a
@@ -39,7 +44,9 @@ def _gg_incomplete_gamma(gamma_fn, x, beta: float):
     x_arr = np.asarray(x, dtype=float)
     require(np.all(x_arr >= 0), "x", "be >= 0", x)
     check_shape(beta)
-    out = gamma_fn(1.0 / beta, x_arr ** beta)
+    # x^beta past the float range is inf, where gamma_fn is 0 or 1
+    with np.errstate(over="ignore"):
+        out = gamma_fn(1.0 / beta, x_arr ** beta)
     return float(out) if np.isscalar(x) or x_arr.ndim == 0 else out
 
 
@@ -72,10 +79,19 @@ class RwsModel:
 
     def large_a_condition(self) -> bool:
         """Positivity of g_c at x_c = 2^c/log2 - c + log2(c log 2), c = alpha*beta,
-        with g_c(x) = 2^(c x) - 2^c x - 1."""
+        with g_c(x) = 2^(c x) - 2^c x - 1.  From c ~ 6.7 on, where 2^(c x_c)
+        passes the float range, the sign is read in base-2 logs:
+        c x_c > log2(2^c x_c + 1), less log2(c) on both sides."""
         c = self.alpha * self.beta
-        x_c = 2.0 ** c / LN2 - c + math.log2(c * LN2)
-        return 2.0 ** (c * x_c) - 2.0 ** c * x_c - 1.0 > 0.0
+        try:
+            x_c = 2.0 ** c / LN2 - c + math.log2(c * LN2)
+            return 2.0 ** (c * x_c) - 2.0 ** c * x_c - 1.0 > 0.0
+        except OverflowError:
+            log2_x = c + math.log2(1.0 / LN2
+                                   - (c - math.log2(c * LN2)) * 2.0 ** -c)
+            # log2(2^c x_c + 1) = c + rest
+            rest = log2_x + math.log1p(2.0 ** -(c + log2_x)) / LN2
+            return log2_x > math.log2(1.0 + rest / c)
 
 
 def a_threshold(model: RwsModel) -> float:
@@ -85,8 +101,15 @@ def a_threshold(model: RwsModel) -> float:
     if beta > 1.0:
         return (99.0 * (beta - 1.0) / beta) ** (1.0 / beta)
     if beta < 1.0:
-        return (101.0 * (1.0 - beta) / beta) ** (1.0 / beta)
-    pow_a = 2.0 ** model.alpha
+        try:
+            return (101.0 * (1.0 - beta) / beta) ** (1.0 / beta)
+        except OverflowError:
+            # below beta ~ 0.0127 the threshold passes the float range, and
+            # no A lies above it
+            return math.inf
+    # 2^alpha - 1 rounds to 2^alpha from alpha = 54 on, so the capped power
+    # gives every ratio unchanged and stays in range
+    pow_a = 2.0 ** min(model.alpha, 64.0)
     return pow_a / (pow_a - 1.0)
 
 
@@ -96,7 +119,8 @@ def _check_A(A) -> None:
 
 def _level_tail(model: RwsModel, A: float, j: int) -> float:
     """P(|X| > 2^(alpha j) A): one depth-j coefficient exceeds A."""
-    return gg_two_sided_tail(2.0 ** (model.alpha * j) * A, model.beta)
+    with np.errstate(over="ignore"):
+        return gg_two_sided_tail(_pow2(model.alpha * j) * A, model.beta)
 
 
 def leader_log_cdf_exact(model: RwsModel, A: float,
@@ -110,6 +134,7 @@ def leader_log_cdf_exact(model: RwsModel, A: float,
     """
     _check_A(A)
     require(tol > 0, "tol", "be > 0", tol)
+    A = np.float64(A)   # so that a power past the float range is inf
     total = 0.0
     tail = _level_tail(model, A, 0)
     for j in range(_MAX_DEPTH + 1):
@@ -118,10 +143,12 @@ def leader_log_cdf_exact(model: RwsModel, A: float,
         total += 2.0 ** j * math.log1p(-tail)
         next_tail = _level_tail(model, A, j + 1)
         # once the ratio of consecutive weighted tails is certified <= 1/2,
-        # the remainder is below twice the next term
-        gap = (2.0 ** (model.alpha * (j + 1)) * A) ** model.beta \
-            - (2.0 ** (model.alpha * j) * A) ** model.beta
-        if gap >= math.log(4.0):
+        # the remainder is below twice the next term; far out both powers
+        # are inf, and the gap, larger still, is NaN
+        with np.errstate(over="ignore", invalid="ignore"):
+            gap = (_pow2(model.alpha * (j + 1)) * A) ** model.beta \
+                - (_pow2(model.alpha * j) * A) ** model.beta
+        if gap >= math.log(4.0) or math.isnan(gap):
             remainder = 2.0 * 2.0 ** (j + 1) * next_tail / max(1.0 - next_tail,
                                                                0.5)
             if remainder < tol:
@@ -197,9 +224,13 @@ def c_l_constant(l: int) -> float:
 
 
 def _mills_epsilon(model: RwsModel, i: float) -> float:
-    """Two-sided Mills approximation of P(|X| > 2^(alpha i))."""
-    x = 2.0 ** (model.alpha * i)
-    expo = x ** model.beta
+    """Two-sided Mills approximation of P(|X| > 2^(alpha i)); 0 once
+    exp(-x^beta) is below e^-700, x^beta past the float range included."""
+    try:
+        x = 2.0 ** (model.alpha * i)
+        expo = x ** model.beta
+    except OverflowError:
+        return 0.0
     if expo > 700.0:
         return 0.0
     return 2.0 * model.gg.kappa * math.exp(-expo) \
@@ -211,7 +242,9 @@ def find_l_beta(model: RwsModel) -> int:
     2^(alpha l) and the per-level product inequality
     (1 - 1/(4 i^2)) <= (1 - eps_i)^(2^(i+l+1)) holds for every i >= l."""
     thr = a_threshold(model) if model.beta != 1.0 else 1.0
-    l_min = max(1, math.ceil(math.log2(thr) / model.alpha)) if thr > 1.0 else 1
+    # past _I_CAP (an infinite threshold too) no level is checked at all
+    l_min = (max(1, math.ceil(min(math.log2(thr) / model.alpha, _I_CAP + 1)))
+             if thr > 1.0 else 1)
     worst: dict[int, float] = {}
     for l in range(l_min, _I_CAP + 1):
         for i in range(l, _I_CAP + 1):
@@ -231,7 +264,9 @@ def find_l_beta(model: RwsModel) -> int:
     raise RegimeError(
         "no level satisfies the tail-product inequality up to "
         f"i={_I_CAP}; worst residuals per candidate: "
-        + ", ".join(f"l={l}: {r:.3e}" for l, r in list(worst.items())[:5]))
+        + (", ".join(f"l={l}: {r:.3e}" for l, r in list(worst.items())[:5])
+           or f"none, the Mills approximation is 1%-accurate only past "
+              f"A_beta = {thr:.6g}"))
 
 
 def implied_lambda(model: RwsModel, l_beta: int) -> float:
@@ -307,21 +342,27 @@ def large_A_bound(model: RwsModel, A: float) -> float:
     if not A > a_beta:
         raise RegimeError(f"large-A bound needs A > A_beta = {a_beta:.6g}; "
                           f"got A={A}")
-    if model.beta == 1.0:
-        rho = 2.0 * math.exp(-(2.0 ** model.alpha) * A)
+    A = np.float64(A)   # so that a product past the float range is inf
+    with np.errstate(over="ignore"):
+        if model.beta == 1.0:
+            rho = 2.0 * math.exp(-_pow2(model.alpha) * A)
+            if rho >= 1.0:
+                raise RegimeError("geometric factor diverges at this A")
+            return math.exp(-A) / (1.0 - rho)
+        if not model.large_a_condition():
+            raise RegimeError(
+                "large-A condition fails: g_c(x_c) <= 0 for c = alpha*beta = "
+                f"{model.alpha * model.beta:.6g}")
+        decay = math.exp(-_pow2(model.alpha * model.beta) * A ** model.beta)
+        # 2^(1 + alpha (1 - beta)) passes the float range only at beta < 1
+        # and alpha > 1023 / (1 - beta), where the decay, at A > A_beta > 1,
+        # is below e^-8000 and the product is 0
+        rho = 2.0 ** (1.0 - model.alpha * (model.beta - 1.0)) * decay \
+            if decay > 0.0 else 0.0
         if rho >= 1.0:
             raise RegimeError("geometric factor diverges at this A")
-        return math.exp(-A) / (1.0 - rho)
-    if not model.large_a_condition():
-        raise RegimeError(
-            "large-A condition fails: g_c(x_c) <= 0 for c = alpha*beta = "
-            f"{model.alpha * model.beta:.6g}")
-    rho = 2.0 ** (1.0 - model.alpha * (model.beta - 1.0)) \
-        * math.exp(-(2.0 ** (model.alpha * model.beta)) * A ** model.beta)
-    if rho >= 1.0:
-        raise RegimeError("geometric factor diverges at this A")
-    lead = 2.0 * 1.01 * model.gg.kappa * math.exp(-A ** model.beta) \
-        / (model.beta * A ** (model.beta - 1.0))
+        lead = 2.0 * 1.01 * model.gg.kappa * math.exp(-A ** model.beta) \
+            / (model.beta * A ** (model.beta - 1.0))
     return lead / (1.0 - rho)
 
 

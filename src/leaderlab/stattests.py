@@ -19,7 +19,7 @@ import numpy as np
 
 from .core import (DataError, NonConvergenceError, RngSpec,
                    _check_replicates, check_count, check_level, check_rng,
-                   normal_cdf, standard_normal_quantile)
+                   check_sample, normal_cdf, standard_normal_quantile)
 
 __all__ = [
     "TestReport", "shapiro_wilk", "qq_data", "LogConcaveMLE",
@@ -111,14 +111,8 @@ def shapiro_wilk(samples, alpha: float = 0.05,
     records whether that happened.
     """
     check_level("alpha", alpha)
-    x = np.asarray(samples, dtype=float)
-    if x.ndim != 1:
-        raise DataError("expected a 1-d sample")
-    if not np.all(np.isfinite(x)):
-        raise DataError("sample contains NaN or Inf")
+    x = check_sample(samples, 3)
     n0 = x.size
-    if n0 < 3:
-        raise DataError("Shapiro-Wilk needs at least 3 observations")
     subsampled = False
     if n0 > 5000:
         check_rng("rng", rng, "subsampling above 5000 points")
@@ -143,10 +137,7 @@ def qq_data(samples) -> np.ndarray:
     """Pairs (standard normal quantile at (i-0.5)/n, order statistic x_(i))
     for plotting the sample against the normal reference; the input is used
     as-is, so standardize beforehand when a unit reference line is wanted."""
-    x = np.asarray(samples, dtype=float)
-    if x.size < 2:
-        raise DataError("need at least 2 samples")
-    x = np.sort(x)
+    x = np.sort(check_sample(samples, 2))
     theo = standard_normal_quantile((np.arange(1, x.size + 1) - 0.5) / x.size)
     return np.column_stack([theo, x])
 
@@ -323,11 +314,7 @@ def fit_logconcave_mle(samples) -> LogConcaveMLE:
     returns it without a second solve.  Each call returns a new model with
     its own arrays and path; a refused sample is refused on every call.
     """
-    x = np.asarray(samples, dtype=float)
-    if x.ndim != 1 or x.size < 2:
-        raise DataError("need at least 2 samples")
-    if not np.all(np.isfinite(x)):
-        raise DataError("sample contains NaN or Inf")
+    x = check_sample(samples, 2)
     # the sample is 1-d here, so its bytes fix its shape too
     knots, values, path = _last_fit(x.tobytes())
     return LogConcaveMLE(knots=knots.copy(),
@@ -498,12 +485,11 @@ def sample_from_mle(model: LogConcaveMLE, n: int, rng: RngSpec) -> np.ndarray:
 # Ball-discrepancy statistic and the permutation test of log-concavity
 
 _CHUNK_ELEMENTS = 2 ** 18
-# a sum of at most m labels of +-1 lies within +-m, so it fits int16 while
-# m < 2^15; the int16 gathers halve the statistic's time at m ~ 2000
-_INT16_POINTS = 2 ** 15
 # bytes that the bitmap, label rows and prefix sums of one pooled sample may
 # take: level 2 of a 2^15-sample signal (m ~ 16380, a 268 MB bitmap) fits,
-# level 1 (m ~ 32760, 1.07 GB) does not
+# level 1 (m ~ 32760, 1.07 GB) does not.  The bitmap alone keeps m below
+# 2^15 (at most 23168 at one row), so a prefix sum of m labels of +-1 fits
+# int16, whose gathers halve the statistic's time at m ~ 2000
 _POOL_BYTES = 2 ** 29
 
 
@@ -574,12 +560,12 @@ def _batch_interval_stat(balls: np.ndarray, labels: np.ndarray) -> np.ndarray:
     of `labels` (integer +-1 per pooled point).
 
     With P the prefix sums of a label row, the sum over the ball [L, R] is
-    P[R + 1] - P[L], so all k rows are done at once on a (m + 1, k) prefix
-    array, int16 while m < `_INT16_POINTS` and int32 from there on.  Memory
-    beyond the bitmap: that array (2 or 4 bytes per entry), the indices of
-    the balls in one block of about `_CHUNK_ELEMENTS` bitmap entries (16
-    bytes per ball), and two gathers of at most `_CHUNK_ELEMENTS` prefix
-    entries each, whatever k is.
+    P[R + 1] - P[L], so all k rows are done at once on a (m + 1, k) int16
+    prefix array, which `_POOL_BYTES` keeps from overflowing.  Memory beyond
+    the bitmap: that array (2 bytes per entry), the indices of the balls in
+    one block of about `_CHUNK_ELEMENTS` bitmap entries (16 bytes per ball),
+    and two gathers of at most `_CHUNK_ELEMENTS` prefix entries each,
+    whatever k is.
 
     `_CHUNK_ELEMENTS` is 2^18 so that an int16 gather (512 KB) stays in a
     core's L2 cache while it is subtracted, taken absolute and maxed.  Over
@@ -590,10 +576,9 @@ def _batch_interval_stat(balls: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """
     m = balls.shape[0]
     cols = labels.shape[0]
-    dtype = np.int16 if m < _INT16_POINTS else np.int32
-    prefix = np.zeros((m + 1, cols), dtype=dtype)
-    np.cumsum(labels.T, axis=0, dtype=dtype, out=prefix[1:])
-    best = np.zeros(cols, dtype=dtype)
+    prefix = np.zeros((m + 1, cols), dtype=np.int16)
+    np.cumsum(labels.T, axis=0, dtype=np.int16, out=prefix[1:])
+    best = np.zeros(cols, dtype=np.int16)
     rows = max(1, _CHUNK_ELEMENTS // (m + 1))
     per = max(1, _CHUNK_ELEMENTS // cols)
     for start in range(0, m, rows):
@@ -604,6 +589,8 @@ def _batch_interval_stat(balls: np.ndarray, labels: np.ndarray) -> np.ndarray:
             diff -= prefix[lo[a:a + per]]
             np.abs(diff, out=diff)
             np.maximum(best, diff.max(axis=0), out=best)
+        # free this block's indices and gather before the next block's
+        lo = hi = diff = None
     return best.astype(np.int64)
 
 
@@ -612,8 +599,7 @@ def _check_pool(n: int, rows: int) -> None:
     n points whose pool's bitmap, `rows` label rows and prefix sums would
     take more than `_POOL_BYTES`."""
     m = 2 * n
-    width = 2 if m < _INT16_POINTS else 4
-    need = m * (m + 1) + rows * m + (m + 1) * rows * width
+    need = m * (m + 1) + rows * m + (m + 1) * rows * 2
     if need > _POOL_BYTES:
         raise DataError(
             f"samples of n = {n} points pool to {m}, whose ball bitmap, "
@@ -635,12 +621,10 @@ def _pooled_balls(x: np.ndarray, xstar: np.ndarray
 def interval_discrepancy(x, xstar) -> float:
     """T = sup over r > 0 and centers in the pooled sample of
     |P_n - P*_n| of the open interval (center - r, center + r)."""
-    x = np.asarray(x, dtype=float)
-    xs = np.asarray(xstar, dtype=float)
-    if x.size != xs.size or x.size == 0:
-        raise DataError("samples must be non-empty and of equal size")
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(xs))):
-        raise DataError("sample contains NaN or Inf")
+    x = check_sample(x, 1)
+    xs = check_sample(xstar, 1)
+    if x.size != xs.size:
+        raise DataError("samples must be of equal size")
     _check_pool(x.size, 1)
     balls, labels, idx = _pooled_balls(x, xs)
     return float(_batch_interval_stat(balls, labels[idx][None, :])[0]) / x.size
@@ -664,9 +648,7 @@ def logconcavity_test(samples, B: int = 99, alpha: float = 0.05,
     B + 1 label rows and prefix sums would take more than `_POOL_BYTES`
     (2n up to about 23000 at B = 99) is refused before the fit.
     """
-    x = np.asarray(samples, dtype=float)
-    if x.size < 2:
-        raise DataError("need at least 2 samples")
+    x = check_sample(samples, 2)
     _check_replicates(B)
     check_rng("rng", rng, "the permutation test")
     check_level("alpha", alpha)

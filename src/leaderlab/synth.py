@@ -48,7 +48,13 @@ class GenGaussianParams:
 
     def __post_init__(self):
         check_shape(self.beta)
-        kappa = self.beta / (2.0 * math.exp(gammaln(1.0 / self.beta)))
+        log_gamma = gammaln(1.0 / self.beta)
+        try:
+            kappa = self.beta / (2.0 * math.exp(log_gamma))
+        except OverflowError:
+            # Gamma(1/beta) passes the float range below beta ~ 0.0058,
+            # where kappa is below 1e-308: taken in log form, it may be 0
+            kappa = math.exp(math.log(self.beta / 2.0) - log_gamma)
         object.__setattr__(self, "kappa", kappa)
 
     def pdf(self, x):

@@ -745,7 +745,89 @@ class TestGridArguments:
         assert not any(out.glob("*.csv"))
 
 
+def _neither(a, small, large):
+    return (f"error: A={a} lies in neither regime (small needs A <= {small}, "
+            f"large needs A > {large})")
+
+
+_FAILED = "error: tail verification failed: "
+_NO_CERTIFICATE = ("nonconvergence: leader CDF product does not certify "
+                   "convergence within 200 levels ")
+_SMALL_ALPHA = "error: small-A envelope needs alpha > 0.913909; got alpha="
+# (--alpha, --ggbeta, exit code, start of the one stderr line) on the default
+# grid: every threshold, power and constant past the float range ends in a
+# result or a named error, never in an OverflowError
+VERIFY_SWEEP = [
+    ("0.001", "1e-300", 3, _neither("7.1", "0.999307", "inf")),
+    ("0.001", "0.01", 3, _neither("7.1", "0.999307", "inf")),
+    ("0.001", "0.05", 3, _neither("7.1", "0.999307", "4.58669e+65")),
+    ("0.001", "0.5", 3, _neither("7.1", "0.999307", "10201")),
+    ("0.001", "1", 3, _neither("7.1", "0.999307", "1443.2")),
+    ("0.001", "2", 4, _NO_CERTIFICATE),
+    ("0.001", "50", 4, _NO_CERTIFICATE),
+    ("0.001", "1e3", 3, _SMALL_ALPHA),
+    ("0.001", "1e300", 3, _SMALL_ALPHA),
+    ("1", "1e-300", 3, _neither("7.1", "0.5", "inf")),
+    ("1", "0.01", 3, _neither("7.1", "0.5", "inf")),
+    ("1", "0.05", 3, _neither("7.1", "0.5", "4.58669e+65")),
+    ("1", "0.5", 3, _neither("7.1", "0.5", "10201")),
+    ("1", "1", 3, _FAILED),
+    ("1", "2", 0, ""),
+    ("1", "50", 0, ""),
+    ("1", "1e3", 0, ""),
+    ("1", "1e300", 0, ""),
+    ("2", "1e-300", 3, _neither("7.1", "0.25", "inf")),
+    ("2", "0.01", 3, _neither("7.1", "0.25", "inf")),
+    ("2", "0.05", 3, _neither("7.1", "0.25", "4.58669e+65")),
+    ("2", "0.5", 3, _neither("7.1", "0.25", "10201")),
+    ("2", "1", 3, _FAILED),
+    ("2", "2", 3, _FAILED),
+    ("2", "50", 3, _FAILED),
+    ("2", "1e3", 0, ""),
+    ("2", "1e300", 0, ""),
+    ("30", "1e-300", 3, _neither("0.00195312", "9.31323e-10", "inf")),
+    ("30", "0.01", 3, _neither("0.00195312", "9.31323e-10", "inf")),
+    ("30", "0.05", 3, _neither("0.00195312", "9.31323e-10", "4.58669e+65")),
+    ("30", "0.5", 3, _neither("0.00195312", "9.31323e-10", "10201")),
+    ("30", "1", 3, _neither("0.00195312", "9.31323e-10", "1")),
+    ("30", "2", 3, _neither("0.00195312", "9.31323e-10", "7.03562")),
+    ("30", "50", 3, _neither("0.00195312", "9.31323e-10", "1.09581")),
+    ("30", "1e3", 3, _neither("0.00195312", "9.31323e-10", "1.0046")),
+    ("30", "1e300", 3, _neither("0.00195312", "9.31323e-10", "1")),
+    ("1000", "1e-300", 3, _neither("0.00195312", "9.33264e-302", "inf")),
+    ("1000", "0.01", 3, _neither("0.00195312", "9.33264e-302", "inf")),
+    ("1000", "0.05", 3, _neither("0.00195312", "9.33264e-302", "4.58669e+65")),
+    ("1000", "0.5", 3, _neither("0.00195312", "9.33264e-302", "10201")),
+    ("1000", "1", 3, _neither("0.00195312", "9.33264e-302", "1")),
+    ("1000", "2", 3, _neither("0.00195312", "9.33264e-302", "7.03562")),
+    ("1000", "50", 3, _neither("0.00195312", "9.33264e-302", "1.09581")),
+    ("1000", "1e3", 3, _neither("0.00195312", "9.33264e-302", "1.0046")),
+    ("1000", "1e300", 3, _neither("0.00195312", "9.33264e-302", "1")),
+    ("1e300", "1e-300", 3, _neither("0.00195312", "0", "inf")),
+    ("1e300", "0.01", 3, _neither("0.00195312", "0", "inf")),
+    ("1e300", "0.05", 3, _neither("0.00195312", "0", "4.58669e+65")),
+    ("1e300", "0.5", 3, _neither("0.00195312", "0", "10201")),
+    ("1e300", "1", 3, _neither("0.00195312", "0", "1")),
+    ("1e300", "2", 3, _neither("0.00195312", "0", "7.03562")),
+    ("1e300", "50", 3, _neither("0.00195312", "0", "1.09581")),
+    ("1e300", "1e3", 3, _neither("0.00195312", "0", "1.0046")),
+    ("1e300", "1e300", 3, _neither("0.00195312", "0", "1")),
+]
+
+
 class TestVerify:
+    @pytest.mark.parametrize("alpha,ggbeta,code,line", VERIFY_SWEEP,
+                             ids=[f"{a}-{b}" for a, b, *_ in VERIFY_SWEEP])
+    def test_sweep_ends_in_one_line(self, tmp_path, capsys, alpha, ggbeta,
+                                    code, line):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["verify", "--alpha", alpha, "--ggbeta", ggbeta,
+                        "-o", tmp_path / "v"]) == code
+        err = capsys.readouterr().err
+        assert err.startswith(line)
+        assert err.count("\n") == (code != 0)
+
     def test_worked_example(self, tmp_path):
         out = tmp_path / "v"
         assert run(["verify", "--alpha", 1, "--ggbeta", 2, "-o", out]) == 0

@@ -11,12 +11,14 @@ from leaderlab import core
 from leaderlab.core import (DataError, ParamError, RngSpec, Signal, linfit,
                             normal_cdf, read_signal, require,
                             standard_normal_quantile, write_csv, write_signal)
-from leaderlab.cumulants import bootstrap_percentile, estimate_c1_c2
+from leaderlab.cumulants import (berry_esseen_bound, bootstrap_percentile,
+                                 estimate_c1_c2)
 from leaderlab.rwstail import (RwsModel, leader_cdf_monte_carlo,
                                leader_log_cdf_exact, mills_bounds,
                                small_A_bounds, verify_tail_rates)
-from leaderlab.stattests import (fit_logconcave_mle, logconcavity_test,
-                                 sample_from_mle, shapiro_wilk)
+from leaderlab.stattests import (fit_logconcave_mle, interval_discrepancy,
+                                 logconcavity_test, qq_data, sample_from_mle,
+                                 shapiro_wilk)
 from leaderlab.synth import sample_gen_gaussian
 from leaderlab.wavelet import LeaderPyramid, basis_from_name
 
@@ -215,6 +217,45 @@ def test_param_refused_by_name(case):
         call()
     # repr, so that NaN matches and -1 does not match -1.0
     assert (info.value.name, repr(info.value.value)) == (name, repr(value))
+
+
+# each function that takes a sample, with the fewest values it accepts
+_SAMPLE_CALLS = {
+    "Signal": (Signal, 2),
+    "shapiro_wilk": (shapiro_wilk, 3),
+    "qq_data": (qq_data, 2),
+    "fit_logconcave_mle": (fit_logconcave_mle, 2),
+    "logconcavity_test": (lambda s: logconcavity_test(
+        s, B=9, rng=RngSpec(1)), 2),
+    "interval_discrepancy": (lambda s: interval_discrepancy(s, s), 1),
+    "bootstrap_percentile": (lambda s: bootstrap_percentile(
+        s, np.mean, B=10, rng=RngSpec(1)), 1),
+    "berry_esseen_bound": (lambda s: berry_esseen_bound(s, 1.0), 1),
+}
+# samples that break the rule, built from the function's minimum size
+_BAD_SAMPLES = {
+    "2-d": lambda k: np.arange(12.0).reshape(3, 4),
+    "0-d": lambda k: np.float64(1.5),
+    "nan": lambda k: _SAMPLE[:-1] + [math.nan],
+    "inf": lambda k: _SAMPLE[:-1] + [math.inf],
+    "text": lambda k: ["a"] * len(_SAMPLE),
+    "short": lambda k: _SAMPLE[:k - 1],
+}
+SAMPLE_REFUSALS = {
+    f"{name} {bad}": (lambda call=call, k=k, make=make: call(make(k)))
+    for name, (call, k) in _SAMPLE_CALLS.items()
+    for bad, make in _BAD_SAMPLES.items()
+}
+SAMPLE_REFUSALS["interval_discrepancy unequal sizes"] = (
+    lambda: interval_discrepancy(_SAMPLE, _SAMPLE[:-1]))
+
+
+@pytest.mark.parametrize("case", sorted(SAMPLE_REFUSALS))
+def test_sample_refused(case):
+    with pytest.raises(DataError) as info:
+        SAMPLE_REFUSALS[case]()
+    # a sample is data: no parameter rule, and no values in the message
+    assert not isinstance(info.value, ParamError)
 
 
 class TestRngSpec:

@@ -532,12 +532,10 @@ class TestBallKernel:
         lo, hi = np.nonzero(_ball_geometry(z))
         assert set(zip(lo.tolist(), (hi - 1).tolist())) == brute_force_balls(z)
 
-    @pytest.mark.parametrize("prefix", ["int16", "int32"])
+    # the prefix sums are int16 on every pool that `_POOL_BYTES` admits
+    @pytest.mark.parametrize("prefix", ["int16"])
     @pytest.mark.parametrize("kind", sorted(TIED_SAMPLES))
-    def test_every_row_matches_brute_force(self, monkeypatch, kind, prefix):
-        if prefix == "int32":
-            # the prefix array of pooled samples of 2^15 points and more
-            monkeypatch.setattr(stattests, "_INT16_POINTS", 0)
+    def test_every_row_matches_brute_force(self, kind, prefix):
         n = 20
         x, xs = TIED_SAMPLES[kind](RngSpec(3103).generator(), n)
         z, labels = pooled_rows(x, xs, 6, 3104)
@@ -571,9 +569,10 @@ class TestBallKernel:
         assert again == rep
 
     def test_statistic_memory_is_bounded(self):
-        # the prefix sums (0.4 MB here), and across a block boundary two
-        # blocks of ball indices (16 bytes per entry) beside two int16
-        # gathers, at blocks of 2^18 bitmap entries: 10.2 MB at most
+        # the prefix sums (0.4 MB here), one block of ball indices (16 bytes
+        # per ball, 2.9 MB for the largest block of 2^18 bitmap entries
+        # here) and two int16 gathers of 0.5 MB: 4.4 MB; a block kept alive
+        # while the next one's indices are taken would pass 5 MB
         gen = RngSpec(3111).generator()
         n = 1018
         z, labels = pooled_rows(gen.normal(size=n), gen.normal(size=n), 100,
@@ -585,7 +584,7 @@ class TestBallKernel:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 12e6
+        assert peak < 5e6
 
     # (seed, n, draw, statistic, threshold, rejected), as computed by the
     # per-replicate cumulative-sum kernel this one replaced
@@ -673,6 +672,12 @@ class TestPoolBudget:
         x = np.arange(16380.0)
         with pytest.raises(DataError, match="n = 16380 "):
             interval_discrepancy(x, x + 0.5)
+
+    def test_budget_keeps_the_pool_below_2_to_the_15(self):
+        # the bitmap of m = 2^15 pooled points alone passes the budget, so
+        # an int16 prefix sum of m labels cannot overflow
+        with pytest.raises(DataError):
+            stattests._check_pool(2 ** 14, 1)
 
     def test_level_two_of_a_long_signal_fits(self):
         # level 2 of a 2^15-sample signal keeps about 8190 leaders: B = 99
