@@ -79,7 +79,7 @@ class RwsModel:
 
     def large_a_condition(self) -> bool:
         """Positivity of g_c at x_c = 2^c/log2 - c + log2(c log 2), c = alpha*beta,
-        with g_c(x) = 2^(c x) - 2^c x - 1.  From c ~ 6.7 on, where 2^(c x_c)
+        with g_c(x) = 2^(c x) - 2^c x - 1.  From c ~ 6.8 on, where 2^(c x_c)
         passes the float range, the sign is read in base-2 logs:
         c x_c > log2(2^c x_c + 1), less log2(c) on both sides."""
         c = self.alpha * self.beta
@@ -104,7 +104,7 @@ def a_threshold(model: RwsModel) -> float:
         try:
             return (101.0 * (1.0 - beta) / beta) ** (1.0 / beta)
         except OverflowError:
-            # below beta ~ 0.0127 the threshold passes the float range, and
+            # below beta ~ 0.0126 the threshold passes the float range, and
             # no A lies above it
             return math.inf
     # 2^alpha - 1 rounds to 2^alpha from alpha = 54 on, so the capped power
