@@ -30,6 +30,7 @@ SMALL_A_ALPHA_MIN = math.log(1.13 * math.pi) / math.log(4.0)
 _MAX_DEPTH = 200        # levels the exact product may take to converge
 _I_CAP = 200            # last level find_l_beta checks
 _MC_DEPTH = 18          # tree depth of the Monte Carlo cross-check
+_TIE_RTOL = 1e-12       # relative shortfall of a large-A bound that ties
 
 
 def _pow2(e: float) -> float:
@@ -77,22 +78,6 @@ class RwsModel:
     def small_a_condition(self) -> bool:
         return self.alpha > SMALL_A_ALPHA_MIN
 
-    def large_a_condition(self) -> bool:
-        """Positivity of g_c at x_c = 2^c/log2 - c + log2(c log 2), c = alpha*beta,
-        with g_c(x) = 2^(c x) - 2^c x - 1.  From c ~ 6.8 on, where 2^(c x_c)
-        passes the float range, the sign is read in base-2 logs:
-        c x_c > log2(2^c x_c + 1), less log2(c) on both sides."""
-        c = self.alpha * self.beta
-        try:
-            x_c = 2.0 ** c / LN2 - c + math.log2(c * LN2)
-            return 2.0 ** (c * x_c) - 2.0 ** c * x_c - 1.0 > 0.0
-        except OverflowError:
-            log2_x = c + math.log2(1.0 / LN2
-                                   - (c - math.log2(c * LN2)) * 2.0 ** -c)
-            # log2(2^c x_c + 1) = c + rest
-            rest = log2_x + math.log1p(2.0 ** -(c + log2_x)) / LN2
-            return log2_x > math.log2(1.0 + rest / c)
-
 
 def a_threshold(model: RwsModel) -> float:
     """Smallest A above which the Mills approximation of the per-level tail
@@ -107,10 +92,9 @@ def a_threshold(model: RwsModel) -> float:
             # below beta ~ 0.0126 the threshold passes the float range, and
             # no A lies above it
             return math.inf
-    # 2^alpha - 1 rounds to 2^alpha from alpha = 54 on, so the capped power
-    # gives every ratio unchanged and stays in range
-    pow_a = 2.0 ** min(model.alpha, 64.0)
-    return pow_a / (pow_a - 1.0)
+    # 2^alpha / (2^alpha - 1), which rounds to 1 from alpha = 54 on; expm1
+    # keeps 2^alpha - 1 above 0 at an alpha so small that 2^alpha rounds to 1
+    return 1.0 + 1.0 / math.expm1(min(model.alpha, 64.0) * LN2)
 
 
 def _check_A(A) -> None:
@@ -317,9 +301,14 @@ def small_A_bounds(model: RwsModel, A: float) -> SmallABounds:
     def rate(lmbda: float) -> float:
         return 2.0 * model.alpha * LN2 - math.log(2.0 * c_l * kappa * lmbda)
 
+    A = np.float64(A)   # so that a power past the float range is inf
+
     def envelope(lmbda: float) -> float:
-        return (2.0 ** model.alpha / A) * math.exp(-(A ** (-1.0 / model.alpha)
-                                                     * rate(lmbda)))
+        # 0 once the exponential factor underflows, which it does wherever
+        # 2^alpha / A passes the float range
+        with np.errstate(over="ignore"):
+            decay = math.exp(-(A ** (-1.0 / model.alpha) * rate(lmbda)))
+        return _pow2(model.alpha) / A * decay if decay > 0.0 else 0.0
 
     constants = {"l_beta": l_beta, "c_lbeta": c_l, "kappa_beta": kappa,
                  "lambda_interval": (1.0, math.pi / 2.0),
@@ -333,37 +322,30 @@ def large_A_bound(model: RwsModel, A: float) -> float:
     """Explicit upper bound on P(leader > A) for A above the Mills
     calibration point A_beta.
 
-    For beta != 1 this is 2 * 1.01 kappa e^(-A^beta) / (beta A^(beta-1))
-    divided by the geometric-series factor; the factor 2 accounts for the
-    two-sided tail of |X|.  For beta = 1 the per-level tail is exactly
-    e^(-x) and the closed form e^(-A) / (1 - 2 e^(-2^alpha A)) applies.
+    The union bound over levels, sum_j 2^j U(2^(alpha j) A), where U is the
+    tail of one coefficient: exactly e^(-x) at beta = 1, and otherwise 1.01
+    times the two-sided Mills form 2 kappa e^(-x^beta) / (beta x^(beta-1)),
+    which bounds it past A_beta.  The ratio of consecutive terms,
+    rho_j = 2^(1 + alpha (1 - beta))
+            exp(-(2^(alpha beta) - 1) 2^(alpha beta j) A^beta),
+    decreases in j for every alpha, beta > 0, so the sum is at most
+    U(A) / (1 - rho_0), and the bound is refused only where rho_0 >= 1.
     """
     a_beta = a_threshold(model)
     if not A > a_beta:
         raise RegimeError(f"large-A bound needs A > A_beta = {a_beta:.6g}; "
                           f"got A={A}")
-    A = np.float64(A)   # so that a product past the float range is inf
+    alpha, beta = model.alpha, model.beta
+    A = np.float64(A)   # so that a power past the float range is inf
     with np.errstate(over="ignore"):
-        if model.beta == 1.0:
-            rho = 2.0 * math.exp(-_pow2(model.alpha) * A)
-            if rho >= 1.0:
-                raise RegimeError("geometric factor diverges at this A")
-            return math.exp(-A) / (1.0 - rho)
-        if not model.large_a_condition():
-            raise RegimeError(
-                "large-A condition fails: g_c(x_c) <= 0 for c = alpha*beta = "
-                f"{model.alpha * model.beta:.6g}")
-        decay = math.exp(-_pow2(model.alpha * model.beta) * A ** model.beta)
-        # 2^(1 + alpha (1 - beta)) passes the float range only at beta < 1
-        # and alpha > 1023 / (1 - beta), where the decay, at A > A_beta > 1,
-        # is below e^-8000 and the product is 0
-        rho = 2.0 ** (1.0 - model.alpha * (model.beta - 1.0)) * decay \
-            if decay > 0.0 else 0.0
-        if rho >= 1.0:
-            raise RegimeError("geometric factor diverges at this A")
-        lead = 2.0 * 1.01 * model.gg.kappa * math.exp(-A ** model.beta) \
-            / (model.beta * A ** (model.beta - 1.0))
-    return lead / (1.0 - rho)
+        log_rho = (1.0 + alpha * (1.0 - beta)) * LN2 \
+            - np.expm1(alpha * beta * LN2) * A ** beta
+        slack = 1.0 if beta == 1.0 else 1.01
+        lead = slack * 2.0 * model.gg.kappa * math.exp(-A ** beta) \
+            / (beta * A ** (beta - 1.0))
+    if not log_rho < 0.0:
+        raise RegimeError("geometric factor diverges at this A")
+    return lead / -math.expm1(log_rho)
 
 
 def mills_bounds(x: float, beta: float) -> tuple[float, float, float]:
@@ -473,8 +455,11 @@ def verify_tail_rates(model: RwsModel, A_grid, tol: float = 1e-12,
     coefficients compared against the Lambda-interval envelope (membership
     is reported, with and without the A^(-1)-prefactor correction budget).
     Large-regime points (A > A_beta) must be dominated by the explicit
-    bound.  Grid points in neither regime raise a RegimeError.  With
-    `mc_paths` > 0 every point also gets a Monte Carlo estimate at J = 18.
+    bound: it must reach the tail -expm1(log_cdf) less 1e-12 of it, the
+    margin for a rounding tie (at beta = 1 the two agree to first order,
+    and their floats differ by up to 5.4e-14 relative).  Grid points in
+    neither regime raise a RegimeError.  With `mc_paths` > 0 every point
+    also gets a Monte Carlo estimate at J = 18.
     """
     require(mc_paths >= 0, "mc_paths", "be >= 0", mc_paths)
     if mc_paths > 0:
@@ -513,8 +498,12 @@ def verify_tail_rates(model: RwsModel, A_grid, tol: float = 1e-12,
         constants.update(sb.constants)
         rate_lo, rate_hi = sb.rate_interval
         lower_small[i], upper_small[i] = sb.lower, sb.upper
-        prefactor = math.log(2.0 ** model.alpha / a)
-        rate_hat[i] = -(log_cdf[i] - prefactor) * a ** (1.0 / model.alpha)
+        with np.errstate(over="ignore"):
+            prefactor = math.log(_pow2(model.alpha) / a)
+        if prefactor == math.inf:   # 2^alpha / A past the float range
+            prefactor = model.alpha * LN2 - math.log(a)
+        if log_cdf[i] > -math.inf:   # a CDF that underflows has no rate
+            rate_hat[i] = -(log_cdf[i] - prefactor) * a ** (1.0 / model.alpha)
         rate_in[i] = rate_lo <= rate_hat[i] <= rate_hi
         budget = abs(prefactor) * a ** (1.0 / model.alpha)
         rate_in_corr[i] = (rate_lo - budget) <= rate_hat[i] \
@@ -534,7 +523,8 @@ def verify_tail_rates(model: RwsModel, A_grid, tol: float = 1e-12,
     for i, r in enumerate(regime):
         if r == "large":
             upper_large[i] = large_A_bound(model, grid[i])
-            dominates.append(upper_large[i] >= 1.0 - exact[i])
+            tail = -math.expm1(log_cdf[i])
+            dominates.append(upper_large[i] >= tail * (1.0 - _TIE_RTOL))
 
     mc_results = None
     if mc_paths > 0:

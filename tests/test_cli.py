@@ -771,7 +771,7 @@ VERIFY_SWEEP = [
     ("1", "0.01", 3, _neither("7.1", "0.5", "inf")),
     ("1", "0.05", 3, _neither("7.1", "0.5", "4.58669e+65")),
     ("1", "0.5", 3, _neither("7.1", "0.5", "10201")),
-    ("1", "1", 3, _FAILED),
+    ("1", "1", 0, ""),
     ("1", "2", 0, ""),
     ("1", "50", 0, ""),
     ("1", "1e3", 0, ""),
@@ -815,6 +815,15 @@ VERIFY_SWEEP = [
 ]
 
 
+# --A-grid lists from 1e-300 to 1e300 at alphas whose powers and quotients
+# leave the float range (2^alpha rounds to 1 at 1e-17), with every --ggbeta
+# of VERIFY_SWEEP
+FAR_GRID_ALPHAS = ["1e-300", "1e-17", "0.92", "30", "60"]
+FAR_GRIDS = ["1e-300,1e-100", "1e-20,1e-10", "1e10,1e100", "1e300"]
+SWEEP_GGBETAS = list(dict.fromkeys(b for _, b, *_ in VERIFY_SWEEP))
+_FIRST_WORD = {0: "", 3: "error: ", 4: "nonconvergence: "}
+
+
 class TestVerify:
     @pytest.mark.parametrize("alpha,ggbeta,code,line", VERIFY_SWEEP,
                              ids=[f"{a}-{b}" for a, b, *_ in VERIFY_SWEEP])
@@ -826,6 +835,20 @@ class TestVerify:
                         "-o", tmp_path / "v"]) == code
         err = capsys.readouterr().err
         assert err.startswith(line)
+        assert err.count("\n") == (code != 0)
+
+    @pytest.mark.parametrize("grid", FAR_GRIDS)
+    @pytest.mark.parametrize("ggbeta", SWEEP_GGBETAS)
+    @pytest.mark.parametrize("alpha", FAR_GRID_ALPHAS)
+    def test_far_grid_ends_in_one_line(self, tmp_path, capsys, alpha, ggbeta,
+                                       grid):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(["verify", "--alpha", alpha, "--ggbeta", ggbeta,
+                        "--A-grid", grid, "-o", tmp_path / "v"])
+        assert code in _FIRST_WORD
+        err = capsys.readouterr().err
+        assert err.startswith(_FIRST_WORD[code])
         assert err.count("\n") == (code != 0)
 
     def test_worked_example(self, tmp_path):

@@ -214,23 +214,50 @@ class TestSmallABounds:
             small_A_bounds(RwsModel(1.0, 2.0), 0.75)  # A above 2^-alpha
 
 
+# (alpha, beta, A values): the worked example, then every pair of a grid
+# that crosses beta = 1 and small alpha, at eight multiples of A_beta
+DOMINATION_CASES = [pytest.param(1.0, 2.0, (a_val,), id=str(a_val))
+                    for a_val in (7.1, 8.0, 10.0)] + [
+    pytest.param(alpha, beta,
+                 tuple(a_threshold(RwsModel(alpha, beta)) * k
+                       for k in (1.001, 1.01, 1.05, 1.2, 1.5, 2.0, 3.0, 5.0)),
+                 id=f"alpha{alpha}-beta{beta}")
+    for alpha in (0.05, 0.1, 0.2, 0.3, 0.5, 0.8, 1.0, 1.5, 2.0, 3.0)
+    for beta in (0.3, 0.5, 0.7, 0.9, 0.95, 1.0, 1.05, 1.1, 1.5, 2.0, 3.0,
+                 5.0)]
+
+
 class TestLargeABound:
     def test_a2_value(self):
         assert a_threshold(RwsModel(1.0, 2.0)) == pytest.approx(
             math.sqrt(99.0 / 2.0), abs=1e-12)
 
     def test_beta1_closed_form(self):
+        # ratio 2 e^(-(2^alpha - 1) A) of the per-level union bound
         model = RwsModel(1.0, 1.0)
         bound = large_A_bound(model, 10.0)
         assert bound == pytest.approx(math.exp(-10.0)
-                                      / (1.0 - 2.0 * math.exp(-20.0)),
+                                      / (1.0 - 2.0 * math.exp(-10.0)),
                                       rel=1e-12)
 
-    @pytest.mark.parametrize("a_val", [7.1, 8.0, 10.0])
-    def test_dominates_exact_tail(self, a_val):
-        model = RwsModel(1.0, 2.0)
-        tail = 1.0 - leader_cdf_exact(model, a_val)
-        assert large_A_bound(model, a_val) >= tail
+    @pytest.mark.parametrize("alpha,beta,points", DOMINATION_CASES)
+    def test_dominates_exact_tail(self, alpha, beta, points):
+        model = RwsModel(alpha, beta)
+        for a_val in points:
+            # truncated far below the tail, so that the product keeps every
+            # level the bound has to cover
+            tol = max(1e-17 * gg_two_sided_tail(a_val, beta), 5e-324)
+            tail = -math.expm1(leader_log_cdf_exact(model, a_val, tol))
+            try:
+                bound = large_A_bound(model, a_val)
+            except RegimeError:
+                # refused only where the series' first ratio reaches 1
+                rho_0 = 2.0 ** (1.0 + alpha * (1.0 - beta)) * math.exp(
+                    -(2.0 ** (alpha * beta) - 1.0) * a_val ** beta)
+                assert rho_0 >= 1.0 - 1e-9, a_val
+                continue
+            # less 1e-12 of the tail: verify_tail_rates' rounding-tie rule
+            assert bound >= tail * (1.0 - 1e-12), (a_val, bound, tail)
 
     def test_below_threshold_reports_a_beta(self):
         model = RwsModel(1.0, 2.0)
