@@ -12,7 +12,6 @@ from numbers import Integral
 from pathlib import Path
 
 import numpy as np
-from scipy.special import erfc
 
 
 class LeaderLabError(Exception):
@@ -202,8 +201,11 @@ def linfit(x, y) -> RegressionFit:
     return RegressionFit(slope=slope, intercept=intercept, r_squared=r2)
 
 
-# Acklam's rational approximation to the normal quantile, then one Newton
-# step on the CDF (double precision lands near 1e-15 absolute error).
+# Acklam's rational approximation to the normal quantile (relative error
+# below 1.15e-9), then one Newton step on the CDF. The step is limited by the
+# rounding of the CDF, about 1e-16 / pdf(x) near p = 1: the error against
+# scipy.special.ndtri is below 1e-14 for 1e-308 <= p <= 1 - 1e-3, below
+# 1e-11 up to 1 - 1e-6, and 8.4e-9 at p = 1 - 2.8e-14 (subnormal p: 0.03).
 _ACK_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
           1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
 _ACK_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
@@ -214,13 +216,72 @@ _ACK_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
           3.754408661907416e+00)
 
 
-def normal_cdf(x):
+# Cephes ndtr.c (S. L. Moshier, Methods and Programs for Mathematical
+# Functions, 1989), the routine scipy.special.erfc runs for floats: erf as
+# x T(x^2)/U(x^2) below |x| = 1, erfc as exp(-x^2) P(|x|)/Q(|x|) below 8 and
+# exp(-x^2) R(|x|)/S(|x|) above, 0 or 2 once x^2 > MAXLOG. The denominators
+# carry the leading 1 that Cephes' p1evl implies; np.polyval then runs
+# Cephes' Horner steps (its first step, 0 x + c0, is exact for finite x).
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1,
+          2.23200534594684319226e3, 7.00332514112805075473e3,
+          5.55923013010394962768e4)
+_ERF_U = (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2,
+          4.59432382970980127987e3, 2.26290000613890934246e4,
+          4.92673942608635921086e4)
+_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1,
+           7.46321056442269912687e0, 4.86371970985681366614e1,
+           1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3,
+           5.57535335369399327526e2)
+_ERFC_Q = (1.0, 1.32281951154744992508e1, 8.67072140885989742329e1,
+           3.54937778887819891062e2, 9.75708501743205489753e2,
+           1.82390916687909736289e3, 2.24633760818710981792e3,
+           1.65666309194161350182e3, 5.57535340817727675546e2)
+_ERFC_R = (5.64189583547755073984e-1, 1.27536670759978104416e0,
+           5.01905042251180477414e0, 6.16021097993053585195e0,
+           7.40974269950448939160e0, 2.97886665372100240670e0)
+_ERFC_S = (1.0, 2.26052863220117276590e0, 9.39603524938001434673e0,
+           1.20489539808096656605e1, 1.70814450747565897222e1,
+           9.60896809063285878198e0, 3.36907645100081516050e0)
+_MAXLOG = 7.09782712893383996843e2
+
+
+def _erfc(x):
+    """erfc, bit for bit the Cephes routine of `scipy.special.erfc`: the
+    same coefficients, branches and order of operations. exp(-x^2) is
+    libm's `math.exp`, point by point, because numpy's vectorized `np.exp`
+    may differ from it in the last bit."""
     x = np.asarray(x, dtype=float)
-    return 0.5 * erfc(-x / math.sqrt(2.0))
+    v = x.ravel()
+    a = np.abs(v)
+    with np.errstate(over="ignore"):
+        sq = v * v
+    out = np.where(v < 0.0, 2.0, 0.0)   # erfc where x^2 > MAXLOG
+    out[np.isnan(v)] = np.nan
+    small = a < 1.0
+    if small.any():
+        s, z = v[small], sq[small]
+        out[small] = 1.0 - s * np.polyval(_ERF_T, z) / np.polyval(_ERF_U, z)
+    for m, num, den in (((a >= 1.0) & (a < 8.0), _ERFC_P, _ERFC_Q),
+                        ((a >= 8.0) & (sq <= _MAXLOG), _ERFC_R, _ERFC_S)):
+        if m.any():
+            s, am = v[m], a[m]
+            e = np.fromiter(map(math.exp, (-sq[m]).tolist()), float, s.size)
+            y = e * np.polyval(num, am) / np.polyval(den, am)
+            out[m] = np.where(s < 0.0, 2.0 - y, y)
+    return out.reshape(x.shape)
+
+
+def normal_cdf(x):
+    """Standard normal CDF as 0.5 erfc(-x / sqrt 2); equal bit for bit to
+    that expression with `scipy.special.erfc`."""
+    x = np.asarray(x, dtype=float)
+    return 0.5 * _erfc(-x / math.sqrt(2.0))
 
 
 def standard_normal_quantile(p):
-    """Inverse standard normal CDF, absolute error well below 1e-9.
+    """Inverse standard normal CDF, absolute error below 1e-11 for p from
+    1e-308 to 1 - 1e-6, and below 1e-8 up to the largest float below 1.
 
     Accepts a scalar or array of probabilities in the open interval (0, 1).
     """

@@ -16,7 +16,6 @@ from dataclasses import asdict, dataclass, field
 from numbers import Integral
 
 import numpy as np
-from scipy.special import gammainc, gammaincc
 
 from .core import (NonConvergenceError, RegimeError, RngSpec, check_count,
                    check_rng, linfit, require, write_csv, write_json)
@@ -54,11 +53,13 @@ def _gg_incomplete_gamma(gamma_fn, x, beta: float):
 def gg_cdf(x, beta: float):
     """P(|X| <= x) for the generalized Gaussian: regularized lower
     incomplete gamma at (1/beta, x^beta)."""
+    from scipy.special import gammainc   # kept off `import leaderlab`
     return _gg_incomplete_gamma(gammainc, x, beta)
 
 
 def gg_two_sided_tail(x, beta: float):
     """P(|X| > x), the complement of gg_cdf."""
+    from scipy.special import gammaincc   # kept off `import leaderlab`
     return _gg_incomplete_gamma(gammaincc, x, beta)
 
 
@@ -455,11 +456,12 @@ def verify_tail_rates(model: RwsModel, A_grid, tol: float = 1e-12,
     coefficients compared against the Lambda-interval envelope (membership
     is reported, with and without the A^(-1)-prefactor correction budget).
     Large-regime points (A > A_beta) must be dominated by the explicit
-    bound: it must reach the tail -expm1(log_cdf) less 1e-12 of it, the
-    margin for a rounding tie (at beta = 1 the two agree to first order,
-    and their floats differ by up to 5.4e-14 relative).  Grid points in
-    neither regime raise a RegimeError.  With `mc_paths` > 0 every point
-    also gets a Monte Carlo estimate at J = 18.
+    bound: it must reach the tail -expm1 of the product truncated at `tol`
+    times the level-0 tail (`log_cdf` keeps the absolute `tol`) less 1e-12
+    of it, the margin for a rounding tie (at beta = 1 the two agree to
+    first order, and their floats differ by up to 5.4e-14 relative).  Grid
+    points in neither regime raise a RegimeError.  With `mc_paths` > 0 every
+    point also gets a Monte Carlo estimate at J = 18.
     """
     require(mc_paths >= 0, "mc_paths", "be >= 0", mc_paths)
     if mc_paths > 0:
@@ -523,7 +525,12 @@ def verify_tail_rates(model: RwsModel, A_grid, tol: float = 1e-12,
     for i, r in enumerate(regime):
         if r == "large":
             upper_large[i] = large_A_bound(model, grid[i])
-            tail = -math.expm1(log_cdf[i])
+            # the product truncated at `tol` of the level-0 tail: at the
+            # absolute `tol` a tail below it stops after the first levels and
+            # hides a bound that misses deeper ones (the floor keeps the tol
+            # > 0 where the level-0 tail underflows)
+            rel_tol = max(tol * _level_tail(model, grid[i], 0), math.ulp(0.0))
+            tail = -math.expm1(leader_log_cdf_exact(model, grid[i], rel_tol))
             dominates.append(upper_large[i] >= tail * (1.0 - _TIE_RTOL))
 
     mc_results = None

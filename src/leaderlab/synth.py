@@ -17,7 +17,6 @@ import sys
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
 
 from .core import NonConvergenceError, RngSpec, Signal, check_count, require
 from .wavelet import (DAUBECHIES_FILTERS, CoefficientPyramid, WaveletBasis,
@@ -47,6 +46,7 @@ class GenGaussianParams:
     kappa: float = field(init=False)
 
     def __post_init__(self):
+        from scipy.special import gammaln   # kept off `import leaderlab`
         check_shape(self.beta)
         log_gamma = gammaln(1.0 / self.beta)
         try:

@@ -128,6 +128,47 @@ class TestNormalQuantile:
                 standard_normal_quantile(bad)
 
 
+def _same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    nan = np.isnan(a) & np.isnan(b)
+    return np.array_equal(np.where(nan, 0.0, a).view(np.int64),
+                          np.where(nan, 0.0, b).view(np.int64))
+
+
+class TestCephesErfc:
+    """`core._erfc` ports the Cephes routine that `scipy.special.erfc` runs,
+    so every output bit of the quantile and the Shapiro p-value holds."""
+
+    @pytest.mark.filterwarnings("error")
+    def test_bits_equal_scipy(self):
+        from scipy.special import erfc
+        root = math.sqrt(core._MAXLOG)
+        edges = [0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300, math.inf,
+                 -math.inf, math.nan]
+        for x in (1.0, 8.0, root):
+            for s in (1.0, -1.0):
+                edges += [s * x, s * math.nextafter(x, 0.0),
+                          s * math.nextafter(x, math.inf)]
+        x = np.concatenate([RngSpec(2201).generator().uniform(-40, 40, 10 ** 6),
+                            edges])
+        assert _same_bits(core._erfc(x), erfc(x))
+        # the Shapiro p-value passes a 0-d array; shapes are kept
+        assert all(_same_bits(core._erfc(e), erfc(e)) for e in edges)
+        assert core._erfc(np.array(edges)[:, None]).shape == (len(edges), 1)
+
+    @pytest.mark.filterwarnings("error")
+    def test_quantile_bits_equal_scipy_route(self, monkeypatch):
+        from scipy.special import erfc
+        grids = [np.array([1 - a / 2 for a in (0.05, 0.1)])]
+        for n in (3, 250, 2048, 5000):
+            i = np.arange(1, n + 1)
+            grids += [(i - 0.375) / (n + 0.25), (i - 0.5) / n]
+        ported = [standard_normal_quantile(p) for p in grids]
+        monkeypatch.setattr(core, "_erfc", erfc)
+        for p, x in zip(grids, ported):
+            assert _same_bits(x, standard_normal_quantile(p))
+
+
 _SAMPLE = [0.3, -1.2, 0.8, 2.1, -0.4, 1.7]
 _LEADERS = [LeaderPyramid(leaders={j: np.exp(np.arange(1.0, 5.0) + k * j)
                                    for j in (1, 2, 3)}, variant="one_leader")

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from leaderlab import rwstail
 from leaderlab.core import DataError, NonConvergenceError, RegimeError, RngSpec
 from leaderlab.rwstail import (RwsModel, a_threshold, c_l_constant, find_l_beta,
                                gg_cdf, gg_two_sided_tail, implied_lambda,
@@ -348,6 +349,14 @@ class TestVerifyTailRates:
         assert text.splitlines()[0] == "A,exact_cdf,lower_env,upper_env,upper_large"
         # exact CDF nondecreasing along the grid
         assert np.all(np.diff(report.exact_cdf) >= -1e-15)
+
+    def test_domination_sees_deeper_levels(self, monkeypatch):
+        # the tail 3.2e-26 lies far below the absolute tol; a bound of the
+        # level-0 term alone misses the level-1 share (about 25%)
+        monkeypatch.setattr(rwstail, "large_A_bound",
+                            lambda model, a: gg_two_sided_tail(a, model.beta))
+        report = verify_tail_rates(RwsModel(0.05, 1.0), [58.71])
+        assert report.large_dominates == [False]
 
     def test_regime_gap_raises(self):
         model = RwsModel(1.0, 2.0)
