@@ -281,7 +281,8 @@ def normal_cdf(x):
 
 def standard_normal_quantile(p):
     """Inverse standard normal CDF, absolute error below 1e-11 for p from
-    1e-308 to 1 - 1e-6, and below 1e-8 up to the largest float below 1.
+    1e-308 to 1 - 1e-6, below 1e-8 up to the largest float below 1, and
+    below 1e-7 for subnormal p.
 
     Accepts a scalar or array of probabilities in the open interval (0, 1).
     """
@@ -309,9 +310,12 @@ def standard_normal_quantile(p):
         x[mid] = (np.polyval(_ACK_A, r) * q
                   / (np.polyval(_ACK_B, r) * r + 1.0))
 
-    # one Newton refinement on the CDF
+    # one Newton refinement on the CDF, skipped where the density is
+    # subnormal (p below about 1e-308): there it would divide subnormal
+    # differences by a subnormal density, and the start is nearer
     pdf = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-    x = x - (normal_cdf(x) - p_arr) / pdf
+    step = pdf >= np.finfo(float).tiny
+    x[step] -= (normal_cdf(x[step]) - p_arr[step]) / pdf[step]
     return float(x[0]) if scalar else x
 
 

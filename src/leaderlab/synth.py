@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 import sys
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -95,24 +97,70 @@ def _circulant_sqrt_eig(kind: str, params: tuple, n: int) -> np.ndarray:
                               f"3 doublings (final size {m})")
 
 
-def _circulant_draw(sqrt_eig: np.ndarray, n: int,
-                    gen: np.random.Generator) -> np.ndarray:
-    """Exact stationary Gaussian sample of length n (Wood & Chan 1994).
-    The stream fills z[0], z[m], then the real and imaginary parts of
-    z[1:m]; z[m+1:] is their conjugate mirror."""
+def _circulant_fill(z: np.ndarray, sqrt_eig: np.ndarray,
+                    gen: np.random.Generator) -> None:
+    """Draw a circulant embedding sample (Wood & Chan 1994) into z, a
+    complex buffer of sqrt_eig's size 2m, and inverse-transform it in
+    place.  The stream fills z[0], z[m], then the real and imaginary parts
+    of z[1:m]; z[m+1:] is their conjugate mirror.  It allocates nothing the
+    size of the transform, so a worker thread that runs it leaves no large
+    block in its own malloc arena."""
     two_m = sqrt_eig.size
     m = two_m // 2
-    z = np.empty(two_m, dtype=complex)
     zf = z.view(np.float64).reshape(two_m, 2)
     zf[0] = gen.standard_normal(), 0.0
     zf[m] = gen.standard_normal(), 0.0
     # numpy divides complex by real as (a + b*0) * (1/s): the same bits
-    np.multiply(gen.standard_normal((m - 1, 2)), 1.0 / math.sqrt(2.0),
-                out=zf[1:m])
+    gen.standard_normal(out=zf[1:m])
+    zf[1:m] *= 1.0 / math.sqrt(2.0)
     zf[m + 1:] = zf[m - 1:0:-1]
     np.negative(zf[m + 1:, 1], out=zf[m + 1:, 1])
     z *= sqrt_eig
-    return math.sqrt(two_m) * np.fft.ifft(z).real[:n]
+    np.fft.ifft(z, out=z)
+
+
+def _circulant_sample(z: np.ndarray, n: int) -> np.ndarray:
+    """The exact stationary Gaussian sample of length n in a buffer that
+    `_circulant_fill` has filled."""
+    return math.sqrt(z.size) * z.real[:n]
+
+
+def _circulant_draw(sqrt_eig: np.ndarray, n: int,
+                    gen: np.random.Generator) -> np.ndarray:
+    z = np.empty(sqrt_eig.size, dtype=complex)
+    _circulant_fill(z, sqrt_eig, gen)
+    return _circulant_sample(z, n)
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:       # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _start_beside(fn, *args):
+    """Start fn(*args) on a second thread when this process may run on two
+    or more CPUs, or run it at once on one.  Returns the wait: it joins the
+    thread and raises what fn raised, in the caller."""
+    if _usable_cpus() < 2:
+        fn(*args)
+        return lambda: None
+    failure = []
+
+    def run():
+        try:
+            fn(*args)
+        except BaseException as exc:
+            failure.append(exc)
+    thread = threading.Thread(target=run, name="leaderlab-synth")
+    thread.start()
+
+    def wait():
+        thread.join()
+        if failure:
+            raise failure[0]
+    return wait
 
 
 def fgn_autocovariance(h: float, lags: int) -> np.ndarray:
@@ -149,20 +197,31 @@ def gen_mrw(H: float, beta: float, L: int, n: int, rng: RngSpec) -> Signal:
 
     With beta = 0 the field is identically zero and the path coincides with
     gen_fbm at the same RngSpec.  The log-cumulants are c1 = H + beta^2/2 and
-    c2 = -beta^2.
+    c2 = -beta^2.  With beta > 0 the two fields are drawn concurrently, the
+    log field on a second thread, when the process may run on two or more
+    CPUs, and one after the other otherwise; each reads its own substream,
+    so the samples are the same bits either way.
     """
     require(0.0 < H < 1.0, "H", "lie strictly inside (0, 1)", H)
     require(beta >= 0 and math.isfinite(beta * beta), "beta",
             "be >= 0 and finite, with a finite square", beta)
     require(n >= 2, "n", "be >= 2", n)
     require(n <= L <= sys.float_info.max, "L", "lie in [n, largest float]", L)
-    fgn = _circulant_draw(_circulant_sqrt_eig("fgn", (float(H),), n), n,
-                          rng.generator(0))
+    fgn_eig = _circulant_sqrt_eig("fgn", (float(H),), n)
     if beta == 0.0:
+        fgn = _circulant_draw(fgn_eig, n, rng.generator(0))
         w = np.zeros(n)
     else:
-        w = _circulant_draw(_circulant_sqrt_eig("mrw", (float(beta), L), n),
-                            n, rng.generator(1))
+        # both spectra are looked up here, fGn first; pocketfft releases
+        # the GIL, so the field's transform overlaps the fGn's draw
+        w_eig = _circulant_sqrt_eig("mrw", (float(beta), L), n)
+        zw = np.empty(w_eig.size, dtype=complex)
+        wait = _start_beside(_circulant_fill, zw, w_eig, rng.generator(1))
+        try:
+            fgn = _circulant_draw(fgn_eig, n, rng.generator(0))
+        finally:
+            wait()
+        w = _circulant_sample(zw, n)
     # an overflowing path is rejected below, without numpy's warnings
     with np.errstate(over="ignore", invalid="ignore"):
         path = np.cumsum(fgn * np.exp(w))

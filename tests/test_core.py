@@ -168,6 +168,17 @@ class TestCephesErfc:
         for p, x in zip(grids, ported):
             assert _same_bits(x, standard_normal_quantile(p))
 
+    @pytest.mark.filterwarnings("error")
+    def test_quantile_near_ndtri_down_to_subnormal_p(self):
+        from scipy.special import ndtri
+        # the Newton step is skipped where the density is subnormal, as it
+        # would divide subnormal differences there
+        p = np.logspace(-323.3, -300, 800)
+        assert np.max(np.abs(standard_normal_quantile(p) - ndtri(p))) < 1e-7
+        # and still taken from p = 1e-308 on: the start alone is 4e-8 off
+        p = np.logspace(-308, -1, 800)
+        assert np.max(np.abs(standard_normal_quantile(p) - ndtri(p))) < 1e-11
+
 
 _SAMPLE = [0.3, -1.2, 0.8, 2.1, -0.4, 1.7]
 _LEADERS = [LeaderPyramid(leaders={j: np.exp(np.arange(1.0, 5.0) + k * j)

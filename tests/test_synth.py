@@ -1,5 +1,7 @@
 import hashlib
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -212,16 +214,29 @@ class TestCirculantEmbedding:
         with pytest.raises(ValueError):
             sqrt_eig[0] = 1.0
 
-    def test_fft_calls_take_numpy1_arguments(self, cold_cache, monkeypatch):
-        # numpy.fft has taken `out` only since 2.0; the floor is numpy 1.24
-        def numpy1(fn):
-            def call(a, n=None, axis=-1, norm=None):
-                return fn(a, n, axis, norm)
-            return call
-        for name in ("fft", "ifft"):
-            monkeypatch.setattr(np.fft, name, numpy1(getattr(np.fft, name)))
+    def test_both_draws_transform_in_place(self, cold_cache, monkeypatch):
+        # numpy.fft takes `out` from numpy 2.0, the floor
+        ifft, in_place = np.fft.ifft, []
+
+        def recording(a, *args, out=None, **kwargs):
+            in_place.append(out is a)
+            return ifft(a, *args, out=out, **kwargs)
+        monkeypatch.setattr(np.fft, "ifft", recording)
         sig = gen_mrw(0.6, 0.1, 12289, 4096, RngSpec(7, 3))
+        assert in_place == [True, True]
         assert _sha(sig) == GOLDEN_MRW[0.1, 12289]
+
+    def test_spectra_looked_up_on_the_caller_fgn_first(self, cold_cache,
+                                                      monkeypatch):
+        lookups = []
+
+        def recording(kind, params, n):
+            lookups.append((kind, threading.current_thread()))
+            return cold_cache(kind, params, n)
+        monkeypatch.setattr(synth, "_circulant_sqrt_eig", recording)
+        gen_mrw(0.6, 0.1, 12289, 4096, RngSpec(7, 3))
+        caller = threading.current_thread()
+        assert lookups == [("fgn", caller), ("mrw", caller)]
 
     def test_doubling_when_indefinite_at_n(self, cold_cache, monkeypatch):
         n, calls = 300, []
@@ -255,6 +270,65 @@ class TestCirculantEmbedding:
         with pytest.raises(DataError, match="finite"):
             gen_mrw(0.6, beta, 256, 256, RngSpec(1))
         assert cold_cache.cache_info().currsize == 0
+
+
+def _fill_threads(monkeypatch):
+    """Patch `_circulant_fill` to record the thread of each call."""
+    fill, threads = synth._circulant_fill, []
+
+    def recording(z, sqrt_eig, gen):
+        threads.append(threading.current_thread())
+        fill(z, sqrt_eig, gen)
+    monkeypatch.setattr(synth, "_circulant_fill", recording)
+    return threads
+
+
+class TestLogFieldWorker:
+    def test_inline_on_one_cpu_same_bits(self, monkeypatch):
+        threads = _fill_threads(monkeypatch)
+        caller = threading.current_thread()
+        for (beta, L), want in sorted(GOLDEN_MRW.items()):
+            samples = {}
+            for cpus in ({0}, {0, 1}):
+                monkeypatch.setattr(os, "sched_getaffinity",
+                                    lambda pid, cpus=cpus: cpus)
+                threads.clear()
+                sig = gen_mrw(0.6, beta, L, 4096, RngSpec(7, 3))
+                samples[len(cpus)] = sig.samples.tobytes()
+                on_caller = 1 if beta == 0.0 or len(cpus) == 2 else 2
+                assert threads.count(caller) == on_caller
+                assert len(threads) == 1 + (beta > 0.0)
+            assert samples[1] == samples[2]
+            assert _sha(sig) == want
+
+    def test_cpu_count_without_affinity_call(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        threads = _fill_threads(monkeypatch)
+        sig = gen_mrw(0.6, 0.1, 12289, 4096, RngSpec(7, 3))
+        assert threads == [threading.current_thread()] * 2
+        assert _sha(sig) == GOLDEN_MRW[0.1, 12289]
+
+    def test_failure_in_worker_reaches_caller(self, monkeypatch, capfd):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        failure, threads = RuntimeError("log field draw failed"), []
+
+        class Failing:
+            def standard_normal(self, *args, **kwargs):
+                threads.append(threading.current_thread())
+                raise failure
+        generator = RngSpec.generator
+        monkeypatch.setattr(
+            RngSpec, "generator",
+            lambda self, *path: (Failing() if path == (1,)
+                                 else generator(self, *path)))
+        before = threading.active_count()
+        with pytest.raises(RuntimeError) as info:
+            gen_mrw(0.6, 0.1, 12289, 4096, RngSpec(7, 3))
+        assert info.value is failure
+        assert threads and threads[0] is not threading.current_thread()
+        assert threading.active_count() == before
+        assert "Exception in thread" not in capfd.readouterr().err
 
 
 class TestCmc:
