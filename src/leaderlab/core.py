@@ -179,26 +179,39 @@ def linfit(x, y) -> RegressionFit:
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim != 1:
         raise DataError("x and y must be 1-d arrays of the same length")
-    n = x.size
-    if n < 2:
+    return RegressionFit(*(float(a[0]) for a in _linfit_rows(x, y[None])))
+
+
+def _linfit_rows(x: np.ndarray, y: np.ndarray):
+    """`linfit` of every row of `y` (shape (N, k)) on the one `x` (k,):
+    arrays of N slopes, intercepts and R^2.  Sums run along each row, so
+    every row reads the bits that a 1-d `linfit` of it reads."""
+    if x.size < 2:
         raise DataError("need at least 2 points")
+    y = np.ascontiguousarray(y)
     xm = x.mean()
-    sxx = float(np.sum((x - xm) ** 2))
+    dx = x - xm
+    sxx = np.sum(dx ** 2)
     if sxx == 0.0:
         raise DataError("x is constant; slope undefined")
-    ym = y.mean()
-    sxy = float(np.sum((x - xm) * (y - ym)))
-    slope = sxy / sxx
+    ym = y.mean(axis=-1)
+    dy = y - ym[:, None]
+    sxy = np.sum(dx * dy, axis=-1)
+    with np.errstate(all="ignore"):   # as silent as float division
+        slope = sxy / sxx
     intercept = ym - slope * xm
-    resid = y - (intercept + slope * x)
-    ss_res = float(np.sum(resid ** 2))
-    ss_tot = float(np.sum((y - ym) ** 2))
-    if ss_tot > 0.0:
-        r2 = 1.0 - ss_res / ss_tot
-        r2 = min(max(r2, 0.0), 1.0)
-    else:
-        r2 = 1.0 if ss_res <= 1e-28 * max(1.0, float(np.sum(y ** 2))) else 0.0
-    return RegressionFit(slope=slope, intercept=intercept, r_squared=r2)
+    resid = y - (intercept[:, None] + slope[:, None] * x)
+    ss_res = np.sum(resid ** 2, axis=-1)
+    ss_tot = np.sum(dy ** 2, axis=-1)
+    pos = ss_tot > 0.0
+    r2 = np.empty_like(ss_tot)
+    with np.errstate(all="ignore"):
+        r2[pos] = np.clip(1.0 - ss_res[pos] / ss_tot[pos], 0.0, 1.0)
+    # SS_tot = 0 (or NaN): a perfect fit, unless the residuals say otherwise
+    flat = ~pos
+    r2[flat] = ss_res[flat] <= 1e-28 * np.fmax(
+        1.0, np.sum(y[flat] ** 2, axis=-1))
+    return slope, intercept, r2
 
 
 # Acklam's rational approximation to the normal quantile (relative error
@@ -324,10 +337,7 @@ def write_csv(path, header, rows) -> str:
     endings in UTF-8.  Floats are written at 17 significant digits, so they
     read back exactly; None is an empty cell; anything else goes through
     `str`, quoted as RFC 4180 has it when it holds `,`, `"`, CR or LF.
-    A column of `str` cells none of which needs quotes is written as it is
-    after one check of the joined column, which is how `write_signal`
-    passes its preformatted time column.  Every row must have one cell per
-    header name.
+    Every row must have one cell per header name.
     """
     width = len(header)
     cells = []
@@ -336,9 +346,7 @@ def write_csv(path, header, rows) -> str:
             raise ValueError(f"row {row!r} does not have {width} cells")
         cells.extend(row)
     # an all-float column stays numeric for one %-format of the whole
-    # table; a column of plain str cells, none of which needs quotes, goes
-    # in as it is (a str subclass may print other text than it joins as);
-    # any other column is made text cell by cell
+    # table; any other column is made text cell by cell
     specs = []
     for i in range(width):
         col = cells[i::width]
@@ -346,22 +354,17 @@ def write_csv(path, header, rows) -> str:
             specs.append("%.17g")
             continue
         specs.append("%s")
-        if not (all(type(v) is str for v in col)
-                and not _needs_quotes("".join(col))):
-            cells[i::width] = ["" if v is None else "%.17g" % v
-                               if isinstance(v, float) else _csv_text(str(v))
-                               for v in col]
+        cells[i::width] = ["" if v is None else "%.17g" % v
+                           if isinstance(v, float) else _csv_text(str(v))
+                           for v in col]
     body = (",".join(specs) + "\n") * (len(cells) // width) % tuple(cells)
     Path(path).write_text(",".join(header) + "\n" + body, encoding="utf-8")
     return str(path)
 
 
-def _needs_quotes(text: str) -> bool:
-    return any(c in text for c in ',"\r\n')
-
-
 def _csv_text(text: str) -> str:
-    return '"%s"' % text.replace('"', '""') if _needs_quotes(text) else text
+    quote = any(c in text for c in ',"\r\n')
+    return '"%s"' % text.replace('"', '""') if quote else text
 
 
 def write_json(path, doc) -> str:
@@ -374,14 +377,14 @@ def write_json(path, doc) -> str:
 def write_signal(signal: Signal, path, sidecar: dict | None = None) -> list[str]:
     """Write a signal as `t,value` CSV; optional JSON sidecar with metadata.
 
-    The `t` column is formatted from `Signal.times` once per (t0, dt, n)
-    and kept for the next call, since every member of an ensemble shares
-    its time axis.  Returns the list of paths written.
+    The file is one `%`-format of the samples, made from `Signal.times` once
+    per (t0, dt, n) and kept for the next call, since every member of an
+    ensemble shares its time axis.  Returns the list of paths written.
     """
     path = Path(path)
-    times = _time_cells(signal.t0, signal.dt, len(signal))
-    written = [write_csv(path, ["t", "value"],
-                         zip(times, signal.samples.tolist()))]
+    path.write_text(_signal_format(signal.t0, signal.dt, len(signal))
+                    % tuple(signal.samples.tolist()), encoding="utf-8")
+    written = [str(path)]
     if sidecar is not None:
         meta = {"label": signal.label, "t0": signal.t0, "dt": signal.dt}
         meta.update(sidecar)
@@ -391,9 +394,11 @@ def write_signal(signal: Signal, path, sidecar: dict | None = None) -> list[str]
 
 
 @functools.lru_cache(maxsize=1)
-def _time_cells(t0, dt, n: int) -> tuple[str, ...]:
-    """The `%.17g` cells of the time axis (t0, dt, n)."""
-    return tuple("%.17g" % t for t in _sample_times(t0, dt, n).tolist())
+def _signal_format(t0, dt, n: int) -> str:
+    """The `t,value` CSV of the time axis (t0, dt, n), as `write_csv` writes
+    it, with a `%.17g` slot for each value."""
+    return "t,value\n" + "".join("%.17g,%%.17g\n" % t for t in
+                                  _sample_times(t0, dt, n).tolist())
 
 
 _BLANK_LINES = re.compile(r"\n\s*\n")

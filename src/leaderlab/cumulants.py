@@ -13,11 +13,10 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import (DataError, RngSpec, _check_replicates, check_level,
-                   check_rng, check_sample, require, standard_normal_quantile,
-                   write_csv, write_json)
-from .wavelet import (CoefficientPyramid, LeaderPyramid, _level_sups,
-                      hmin_regression)
+from .core import (DataError, RngSpec, _check_replicates, _linfit_rows,
+                   check_level, check_rng, check_sample, require,
+                   standard_normal_quantile, write_csv, write_json)
+from .wavelet import CoefficientPyramid, LeaderPyramid, _level_sups
 
 LN2 = math.log(2.0)
 
@@ -212,25 +211,40 @@ def select_scale_range(pyramids: list[CoefficientPyramid],
     for j1, j2 in candidates:
         require(j2 - j1 >= 2, "candidates", "each span at least 3 scales",
                 (j1, j2))
-    votes: Counter = Counter()
-    for pyr in pyramids:
-        sups = _level_sups(pyr)
-        best, best_r2 = None, -np.inf
-        for cand in candidates:
-            try:
-                r2 = hmin_regression(sups, cand).r_squared
-            except DataError:
-                continue
-            if r2 > best_r2:
-                best, best_r2 = cand, r2
-        if best is not None:
-            votes[best] += 1
+    best, _ = _scale_winners(pyramids, candidates)
+    votes = Counter(candidates[c] for c in best.tolist() if c >= 0)
     if not votes:
         raise DataError("no candidate scale range is usable on any realization")
-    top = max(votes.values())
-    tied = [c for c, v in votes.items() if v == top]
-    tied.sort(key=lambda c: (c[1] - c[0], c[0]), reverse=True)
-    return tied[0]
+    return max(votes, key=lambda c: (votes[c], c[1] - c[0], c[0]))
+
+
+def _scale_winners(pyramids: list[CoefficientPyramid],
+                   candidates: list[tuple[int, int]]
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """Per realization, the first candidate of highest `hmin_regression`
+    R^2 (-1 where none fits) and that R^2, bit for bit; realizations with
+    the same levels share one `_linfit_rows` call per candidate."""
+    sup_at = [_level_sups(pyr) for pyr in pyramids]
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for i, sups in enumerate(sup_at):
+        groups.setdefault(tuple(sups), []).append(i)
+    best = np.full(len(pyramids), -1)
+    best_r2 = np.full(len(pyramids), -np.inf)
+    for levels, rows in groups.items():
+        rows, x = np.array(rows), np.array(levels, dtype=float)
+        sups = np.array([[sup_at[i][j] or 0.0 for j in levels] for i in rows])
+        refused = sups == 0.0
+        logs = np.log2(np.where(refused, 1.0, sups))
+        for ci, (j1, j2) in enumerate(candidates):
+            use = np.flatnonzero((x >= j1) & (x <= j2))
+            if use.size < 2:
+                continue
+            fits = ~refused[:, use].any(axis=1)
+            r2 = np.full(rows.size, np.nan)
+            r2[fits] = _linfit_rows(x[use], logs[fits][:, use])[2]
+            wins = r2 > best_r2[rows]
+            best[rows[wins]], best_r2[rows[wins]] = ci, r2[wins]
+    return best, best_r2
 
 
 def write_estimation_outputs(result: C1C2Estimate, out_json, out_csv,

@@ -18,8 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import (DataError, RegressionFit, Signal, linfit, require,
-                   write_csv)
+from .core import (DataError, RegressionFit, Signal, _linfit_rows, linfit,
+                   require, write_csv)
 
 # Daubechies scaling filters, N = 1..10 vanishing moments, generated offline
 # by spectral factorization of the binomial half-band polynomial at 60-digit
@@ -296,21 +296,25 @@ def dwt(signal: Signal, basis: WaveletBasis, j_max: int) -> CoefficientPyramid:
     lo, hi, filt_len = basis.filter_lo, basis.filter_hi, basis.length
     coeffs: dict[int, np.ndarray] = {}
     clean: dict[int, slice] = {}
-    approx = signal.samples.astype(float)
+    approx = signal.samples
     n_clean = n
     for j in range(1, j_max + 1):
-        m_len = approx.size
-        ext = np.concatenate((approx, approx[:filt_len - 1]))
-        detail = np.zeros(m_len // 2)
-        approx = np.zeros(m_len // 2)
+        half = approx.size // 2
+        # tap m reads every other sample of the input, wrapped at its end,
+        # from m on: a contiguous slice of the even or the odd phase
+        phases = [np.concatenate((approx[p::2], approx[p:filt_len - 1:2]))
+                  for p in (0, 1)]
+        detail = np.zeros(half)
+        approx = np.zeros(half)
+        prod = np.empty(half)
         for m in range(filt_len):
-            window = ext[m:m + m_len:2]
-            detail += hi[m] * window
-            approx += lo[m] * window
+            window = phases[m % 2][m // 2:m // 2 + half]
+            detail += np.multiply(hi[m], window, out=prod)
+            approx += np.multiply(lo[m], window, out=prod)
         # coefficient k is clean iff its footprint
         # [2^j k, 2^j k + (2^j - 1)(L - 1)] lies in [0, n): a prefix of k
         n_clean = max((n_clean - filt_len) // 2 + 1, 0)
-        coeffs[j] = detail * 2.0 ** (-j / 2.0)
+        coeffs[j] = np.multiply(detail, 2.0 ** (-j / 2.0), out=detail)
         clean[j] = slice(0, n_clean)
     return CoefficientPyramid(coeffs=coeffs, clean=clean)
 
@@ -375,18 +379,20 @@ def compute_leaders(pyramid: CoefficientPyramid,
         mag = np.abs(pyramid.coeffs[j])
         coef = pyramid.clean[j]
         if sv is None:
-            sv = mag.copy()
+            sv = mag
             lo, hi = coef.start, coef.stop
         else:
-            sv = np.maximum(mag, np.maximum(sv[0::2], sv[1::2]))
+            sv = np.maximum(mag, np.maximum(sv[0::2], sv[1::2]), out=mag)
             # the coefficient and both finer cubes, 2k and 2k + 1, are clean
             lo, hi = max(coef.start, -(-lo // 2)), min(coef.stop, hi // 2)
         if variant == "one_leader":
-            leaders[j] = sv.copy()
+            leaders[j] = sv
             clean[j] = _run(lo, hi)
         else:
-            leaders[j] = np.maximum(np.maximum(np.roll(sv, 1), sv),
-                                    np.roll(sv, -1))
+            # both neighbours as slices of the level wrapped by one cube
+            ext = np.concatenate((sv[-1:], sv, sv[:1]))
+            leaders[j] = np.maximum(ext[:-2], ext[1:-1])
+            np.maximum(leaders[j], ext[2:], out=leaders[j])
             # both neighbours clean: the run shrinks by one at each end,
             # unless it is the whole level and the wrap reads clean cubes
             clean[j] = (slice(lo, hi) if lo == 0 and hi == sv.size
@@ -443,11 +449,9 @@ def scaling_function(table: StructureFunctionTable,
     js = table.j_values[mask]
     if js.size < 2:
         raise DataError(f"need at least 2 levels in [{j1}, {j2}]")
-    out: dict[float, RegressionFit] = {}
-    for qi, q in enumerate(table.q_values):
-        y = np.log2(table.s[mask, qi])
-        out[float(q)] = linfit(js.astype(float), y)
-    return out
+    fits = zip(*_linfit_rows(js.astype(float), np.log2(table.s[mask].T)))
+    return {float(q): RegressionFit(*map(float, fit))
+            for q, fit in zip(table.q_values, fits)}
 
 
 def legendre_spectrum(zeta: dict[float, float], h_grid) -> dict[float, float]:
@@ -476,20 +480,15 @@ def _level_sups(pyramid: CoefficientPyramid) -> dict[int, float | None]:
     out: dict[int, float | None] = {}
     for j in pyramid.levels:
         vals = pyramid.clean_values(j)
-        out[j] = np.max(np.abs(vals)) if vals.size else None
+        out[j] = np.abs(vals).max() if vals.size else None
     return out
 
 
-def hmin_regression(pyramid: CoefficientPyramid | dict[int, float | None],
+def hmin_regression(pyramid: CoefficientPyramid,
                     j_range: tuple[int, int]) -> RegressionFit:
     """Fit of log2 sup_k |c_{j,k}| against log2(scale_j); slope estimates the
-    uniform regularity exponent, used for scale-range selection.
-
-    `pyramid` may also be its `_level_sups`, so that fits over many ranges
-    share one pass over the coefficients.
-    """
-    sup_at = (_level_sups(pyramid) if isinstance(pyramid, CoefficientPyramid)
-              else pyramid)
+    uniform regularity exponent, used for scale-range selection."""
+    sup_at = _level_sups(pyramid)
     j1, j2 = int(j_range[0]), int(j_range[1])
     js = [j for j in sorted(sup_at) if j1 <= j <= j2]
     if len(js) < 2:

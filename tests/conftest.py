@@ -6,9 +6,10 @@ from hypothesis import settings
 from scipy.integrate import quad
 from scipy.special import gammainccinv
 
-from leaderlab.core import RngSpec
+from leaderlab.core import DataError, RegressionFit, RngSpec
 from leaderlab.synth import GenGaussianParams
-from leaderlab.wavelet import CoefficientPyramid
+from leaderlab.wavelet import (CoefficientPyramid, LeaderPyramid,
+                               hmin_regression)
 
 # the same examples on every run, whatever the .hypothesis/ database holds
 settings.register_profile("leaderlab", derandomize=True, deadline=None)
@@ -200,3 +201,90 @@ def argsort_ball_geometry(z):
     balls[left, right * stops] = True   # inside a tie group: column 0
     balls[:, 0] = False
     return balls
+
+
+def scalar_linfit(x, y):
+    """OLS of the 1-d y on x with the sums of a 1-d array and the scalar
+    steps in Python floats, for oracle use: `linfit` before it fitted
+    rows in batches."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    xm = x.mean()
+    sxx = float(np.sum((x - xm) ** 2))
+    ym = y.mean()
+    slope = float(np.sum((x - xm) * (y - ym))) / sxx
+    intercept = ym - slope * xm
+    ss_res = float(np.sum((y - (intercept + slope * x)) ** 2))
+    ss_tot = float(np.sum((y - ym) ** 2))
+    if ss_tot > 0.0:
+        r2 = min(max(1.0 - ss_res / ss_tot, 0.0), 1.0)
+    else:
+        r2 = 1.0 if ss_res <= 1e-28 * max(1.0, float(np.sum(y ** 2))) else 0.0
+    return RegressionFit(slope=slope, intercept=intercept, r_squared=r2)
+
+
+def tap_loop_dwt(signal, basis, j_max):
+    """`dwt` as one strided slice of the wrapped input per tap, each tap's
+    product a new array, for oracle use: the filter bank before it read
+    even and odd phases."""
+    lo, hi, filt_len = basis.filter_lo, basis.filter_hi, basis.length
+    coeffs, clean = {}, {}
+    approx = signal.samples.astype(float)
+    n_clean = len(signal)
+    for j in range(1, j_max + 1):
+        m_len = approx.size
+        ext = np.concatenate((approx, approx[:filt_len - 1]))
+        detail = np.zeros(m_len // 2)
+        approx = np.zeros(m_len // 2)
+        for m in range(filt_len):
+            window = ext[m:m + m_len:2]
+            detail += hi[m] * window
+            approx += lo[m] * window
+        n_clean = max((n_clean - filt_len) // 2 + 1, 0)
+        coeffs[j] = detail * 2.0 ** (-j / 2.0)
+        clean[j] = slice(0, n_clean)
+    return CoefficientPyramid(coeffs=coeffs, clean=clean)
+
+
+def roll_leaders(pyramid, variant):
+    """`compute_leaders` with the three-leader neighbours as two `np.roll`
+    copies, for oracle use."""
+    leaders, clean, sv = {}, {}, None
+    for j in pyramid.levels:
+        mag = np.abs(pyramid.coeffs[j])
+        coef = pyramid.clean[j]
+        if sv is None:
+            sv = mag.copy()
+            lo, hi = coef.start, coef.stop
+        else:
+            sv = np.maximum(mag, np.maximum(sv[0::2], sv[1::2]))
+            lo, hi = max(coef.start, -(-lo // 2)), min(coef.stop, hi // 2)
+        if variant == "one_leader":
+            leaders[j] = sv.copy()
+            clean[j] = slice(lo, hi) if hi > lo else slice(0, 0)
+        else:
+            leaders[j] = np.maximum(np.maximum(np.roll(sv, 1), sv),
+                                    np.roll(sv, -1))
+            whole = lo == 0 and hi == sv.size
+            clean[j] = (slice(lo, hi) if whole else slice(lo + 1, hi - 1)
+                        if hi - 1 > lo + 1 else slice(0, 0))
+    return LeaderPyramid(leaders=leaders, variant=variant, clean=clean)
+
+
+def loop_scale_winners(pyramids, candidates):
+    """Per pyramid, the index of the first candidate of highest
+    `hmin_regression` R^2 (-1 where none fits) and that R^2, one fit at a
+    time, for oracle use."""
+    best, best_r2 = [], []
+    for pyr in pyramids:
+        win, win_r2 = -1, -np.inf
+        for ci, cand in enumerate(candidates):
+            try:
+                r2 = hmin_regression(pyr, cand).r_squared
+            except DataError:
+                continue
+            if r2 > win_r2:
+                win, win_r2 = ci, r2
+        best.append(win)
+        best_r2.append(win_r2)
+    return np.array(best), np.array(best_r2)

@@ -1,12 +1,14 @@
 import csv
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import scalar_linfit
 from leaderlab import core
 from leaderlab.core import (DataError, ParamError, RngSpec, Signal, linfit,
                             normal_cdf, read_signal, require,
@@ -68,6 +70,65 @@ class TestLinfit:
             linfit([1.0, 2.0], [1.0, 2.0, 3.0])
         with pytest.raises(DataError):
             linfit([1.0], [1.0])
+
+
+def _fit_bits(fits):
+    return np.array([[f.slope, f.intercept, f.r_squared]
+                     for f in fits]).view(np.int64)
+
+
+def _warning_texts(records):
+    return {(w.category, str(w.message)) for w in records}
+
+
+class TestLinfitRows:
+    """`_linfit_rows` fits each row with the bits of the 1-d `linfit` and of
+    the scalar form `linfit` had before it fitted rows in batches."""
+
+    @pytest.mark.parametrize("k", range(2, 17))
+    def test_rows_match_one_row_fits(self, k, recwarn):
+        gen = np.random.default_rng(k)
+        x = np.sort(gen.normal(size=k)) if k % 2 else np.arange(1.0, k + 1.0)
+        y = gen.normal(size=(40, k)) * 10.0 ** gen.integers(-8, 9, (40, 1))
+        y[0] = 4.0                  # constant: the SS_tot = 0 branch
+        y[1] = 3.0 * x - 1.0
+        y[2] = 0.0
+        batch = np.column_stack(core._linfit_rows(x, y)).view(np.int64)
+        assert np.array_equal(batch, _fit_bits(linfit(x, r) for r in y))
+        assert np.array_equal(batch, _fit_bits(scalar_linfit(x, r) for r in y))
+        assert [float(r2) for r2 in core._linfit_rows(x, y[:3])[2]] \
+            == [1.0, 1.0, 1.0]
+        assert not recwarn.list
+
+    def test_infinite_rows_warn_as_one_row_fits(self, recwarn):
+        # log2 of a structure function that overflowed or underflowed, as
+        # `scaling_function` fits them; every call records its warnings
+        warnings.simplefilter("always")
+        x = np.arange(3.0, 9.0)
+        y = np.tile(np.linspace(-2.0, 5.0, 6), (6, 1))
+        y[0, 2] = np.inf
+        y[1, :] = -np.inf
+        y[2, 0], y[2, -1] = np.inf, -np.inf
+        y[3, -1] = -np.inf
+        one = _fit_bits(scalar_linfit(x, r) for r in y)
+        expected = _warning_texts(recwarn.list)
+        recwarn.clear()
+        assert np.array_equal(_fit_bits(linfit(x, r) for r in y), one)
+        assert _warning_texts(recwarn.list) == expected
+        recwarn.clear()
+        batch = np.column_stack(core._linfit_rows(x, y)).view(np.int64)
+        assert np.array_equal(batch, one)
+        assert _warning_texts(recwarn.list) == expected
+        assert expected, "inf - inf warns"
+        # the finite rows are untouched by the others
+        assert np.array_equal(batch[4:], _fit_bits(
+            scalar_linfit(x, r) for r in y[4:]))
+
+    def test_constant_x_and_short_rows_refused(self):
+        with pytest.raises(DataError):
+            core._linfit_rows(np.ones(3), np.zeros((2, 3)))
+        with pytest.raises(DataError):
+            core._linfit_rows(np.ones(1), np.zeros((2, 1)))
 
 
 def _erf_series(x):

@@ -1,16 +1,19 @@
 import math
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from conftest import build_pyramid
-from leaderlab.core import DataError, RngSpec, linfit
-from leaderlab.cumulants import (berry_esseen_bound, bootstrap_percentile,
-                                 estimate_c1_c2, estimation_scale_candidates,
-                                 fit_cm, log_cumulants_per_scale,
-                                 select_scale_range)
-from leaderlab.wavelet import LeaderPyramid, compute_leaders
+from conftest import build_pyramid, loop_scale_winners
+from leaderlab.core import DataError, RngSpec, Signal, linfit
+from leaderlab.cumulants import (_scale_winners, berry_esseen_bound,
+                                 bootstrap_percentile, estimate_c1_c2,
+                                 estimation_scale_candidates, fit_cm,
+                                 log_cumulants_per_scale, select_scale_range)
+from leaderlab.synth import gen_fbm, gen_mrw
+from leaderlab.wavelet import (LeaderPyramid, compute_leaders,
+                               daubechies_basis, dwt)
 
 LN2 = math.log(2.0)
 
@@ -245,6 +248,78 @@ class TestScaleSelection:
         assert estimation_scale_candidates(4) == [(1, 4)]
         shallow = estimation_scale_candidates(5)
         assert min(c[0] for c in shallow) == 2
+
+
+def _modal(best, candidates):
+    """The modal winner with the tie-break of `select_scale_range`."""
+    votes = Counter(candidates[c] for c in best.tolist() if c >= 0)
+    top = max(votes.values())
+    return max((c for c, v in votes.items() if v == top),
+               key=lambda c: (c[1] - c[0], c[0]))
+
+
+def _assert_same_winners(pyramids, candidates):
+    best, best_r2 = _scale_winners(pyramids, candidates)
+    ref, ref_r2 = loop_scale_winners(pyramids, candidates)
+    assert best.tolist() == ref.tolist()
+    assert np.array_equal(best_r2.view(np.int64), ref_r2.view(np.int64))
+    return best
+
+
+class TestBatchedScaleSelection:
+    """Every realization's winner and its R^2 have the bits of one
+    `hmin_regression` fit per (realization, candidate)."""
+
+    @pytest.mark.parametrize("process", ["fbm", "mrw"])
+    @pytest.mark.parametrize("n,j_max", [(1 << 15, 11), (1000, 5)])
+    def test_ensembles_match_loop(self, process, n, j_max):
+        basis = daubechies_basis(3)
+        pyramids = []
+        for seed in range(6):
+            rng = RngSpec(seed, 23)
+            sig = (gen_fbm(0.7, n, rng) if process == "fbm"
+                   else gen_mrw(0.7, 0.05, n, n, rng))
+            # 1000 samples keep the first 992, a multiple of 2^5
+            pyramids.append(dwt(Signal(sig.samples[:n >> j_max << j_max]),
+                                basis, j_max))
+        candidates = [(j1, j2) for j1 in range(1, j_max + 1)
+                      for j2 in range(j1 + 2, j_max + 1)]
+        best = _assert_same_winners(pyramids, candidates)
+        assert select_scale_range(pyramids, candidates) \
+            == _modal(best, candidates)
+
+    def test_edge_pyramids_match_loop(self):
+        gen = RngSpec(77).generator()
+        pyramids = []
+        for i in range(10):
+            arrays = [np.abs(gen.normal(size=1 << (9 - j))) * 2.0 ** (0.6 * j)
+                      for j in range(1, 9)]
+            pyramids.append(build_pyramid(arrays))
+        del pyramids[0].coeffs[3], pyramids[0].clean[3]   # missing level
+        del pyramids[1].coeffs[8], pyramids[1].clean[8]   # missing top
+        pyramids[2].clean[5] = slice(0, 0)                # empty clean run
+        pyramids[3].coeffs[6] = np.zeros(8)               # zero sup
+        pyramids[4].coeffs[2][0] = np.nan                 # NaN sup: R^2 0
+        # a zero level 7 refuses every range holding it, but in pyramid 5
+        for pyr in pyramids:
+            pyr.coeffs[7] = np.zeros(4)
+        pyramids[5].coeffs[7] = np.full(4, 3.0)
+        candidates = [(1, 3), (1, 5), (2, 6), (3, 7), (4, 8), (3, 6), (9, 12),
+                      (2, 4), (5, 8), (7, 9), (2, 6)]
+        best = _assert_same_winners(pyramids, candidates)
+        assert select_scale_range(pyramids, candidates) \
+            == _modal(best, candidates)
+        # the NaN sup's candidates fit with R^2 0, beaten by any other
+        assert best[4] >= 0
+        for cands in ([(9, 12)], [(6, 9)], [(9, 12), (7, 9)]):
+            best = _assert_same_winners(pyramids[:5], cands)
+            assert (best == -1).all()
+            with pytest.raises(DataError):
+                select_scale_range(pyramids[:5], cands)
+
+    def test_no_pyramids(self):
+        with pytest.raises(DataError):
+            select_scale_range([], [(1, 4)])
 
 
 class TestBootstrapVsClt:

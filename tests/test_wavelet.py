@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,9 +9,10 @@ from hypothesis import strategies as st
 
 from conftest import (brute_force_leaders, build_pyramid, cone_valid,
                       footprint_valid, naive_periodic_dwt,
-                      naive_periodic_idwt)
+                      naive_periodic_idwt, roll_leaders, scalar_linfit,
+                      tap_loop_dwt)
 from leaderlab.core import DataError, RngSpec, Signal
-from leaderlab.synth import gen_fbm, gen_rws_pyramid
+from leaderlab.synth import gen_fbm, gen_mrw, gen_rws_pyramid
 from leaderlab.wavelet import (DAUBECHIES_FILTERS, CoefficientPyramid,
                                LeaderPyramid, basis_from_name, compute_leaders,
                                daubechies_basis, dwt,
@@ -400,6 +402,82 @@ class TestLegendre:
     def test_empty_infimum_marker(self):
         spec = legendre_spectrum({-1.0: math.nan, 1.0: math.nan}, [0.5])
         assert spec[0.5] == -math.inf
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+@pytest.fixture(scope="module")
+def fbm_mrw_signals():
+    """Five seeds each of fBm and MRW, at 2^15 samples and at 1000."""
+    return [gen(n, RngSpec(seed, 17)) for n in (1 << 15, 1000)
+            for seed in range(5)
+            for gen in (lambda n, r: gen_fbm(0.7, n, r),
+                        lambda n, r: gen_mrw(0.7, 0.05, n, n, r))]
+
+
+class TestBitIdentity:
+    """The phase-split filter bank and the one-buffer neighbour max give
+    the bits of the tap loop and the `np.roll` leaders they replaced."""
+
+    @pytest.mark.parametrize("order", (1, 3, 10))
+    def test_dwt_matches_tap_loop(self, fbm_mrw_signals, order):
+        basis = daubechies_basis(order)
+        for sig in fbm_mrw_signals:
+            j_max = max(j for j in range(1, 12)
+                        if len(sig) % (1 << j) == 0
+                        and fits_levels(len(sig), basis, j))
+            got, ref = dwt(sig, basis, j_max), tap_loop_dwt(sig, basis, j_max)
+            assert got.levels == ref.levels and got.clean == ref.clean
+            for j in ref.levels:
+                assert np.array_equal(_bits(got.coeffs[j]),
+                                      _bits(ref.coeffs[j]))
+
+    @pytest.mark.parametrize("variant", ["one_leader", "three_leader"])
+    def test_leaders_match_roll(self, fbm_mrw_signals, variant):
+        basis = daubechies_basis(3)
+        for sig in fbm_mrw_signals:
+            pyr = dwt(sig, basis, 11 if len(sig) == 1 << 15 else 3)
+            got, ref = compute_leaders(pyr, variant), roll_leaders(pyr, variant)
+            assert got.clean == ref.clean
+            for j in ref.levels:
+                assert np.array_equal(_bits(got.leaders[j]),
+                                      _bits(ref.leaders[j]))
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 4, 7])
+    def test_neighbour_max_on_short_levels(self, size):
+        pyr = build_pyramid([np.arange(1.0, 2 * size + 1.0)[::-1],
+                             np.arange(size) - 0.5])
+        got = compute_leaders(pyr, "three_leader")
+        ref = roll_leaders(pyr, "three_leader")
+        for j in ref.levels:
+            assert np.array_equal(got.leaders[j], ref.leaders[j])
+
+    def test_scaling_function_matches_each_q(self, fbm_mrw_signals, recwarn):
+        # q = +-800 overflows and underflows S(j, q) to inf and 0, so that
+        # rows of log2 S hold +-inf; every call records its warnings
+        warnings.simplefilter("always")
+        leaders = compute_leaders(dwt(fbm_mrw_signals[1], daubechies_basis(3),
+                                      11))
+        qs = [-800.0, -5.0, -1.0, 0.5, 1.0, 2.0, 5.0, 800.0]
+        with np.errstate(over="ignore", divide="ignore"):
+            table = structure_functions(leaders, qs)
+        mask = (table.j_values >= 2) & (table.j_values <= 9)
+        ref = [scalar_linfit(table.j_values[mask],
+                             np.log2(table.s[mask, qi]))
+               for qi in range(len(qs))]
+        expected = {(w.category, str(w.message)) for w in recwarn.list}
+        recwarn.clear()
+        got = scaling_function(table, (2, 9))
+        assert list(got) == qs
+        for fit, r in zip(got.values(), ref):
+            assert np.array_equal(
+                _bits([fit.slope, fit.intercept, fit.r_squared]),
+                _bits([r.slope, r.intercept, r.r_squared]))
+        assert {(w.category, str(w.message)) for w in recwarn.list} \
+            == expected
+        assert expected and not np.all(np.isfinite(table.s))
 
 
 class TestHmin:
