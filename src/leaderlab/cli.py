@@ -242,8 +242,8 @@ def run_test(params: dict, seed, outdir: Path) -> list[str]:
         scales = [int(s) for s in spec.split(",")]
     except ValueError:
         scales = [0]
-    require(min(scales) >= 1, "scale",
-            "be a comma list of integer levels >= 1", spec)
+    require(min(scales) >= 1 and len(set(scales)) == len(scales), "scale",
+            "be a comma list of distinct integer levels >= 1", spec)
     alpha, b_reps, reps = params["alpha"], params["B"], params["reps"]
     check_level("alpha", alpha)
     check_count("reps", reps)

@@ -30,6 +30,9 @@ _MAX_DEPTH = 200        # levels the exact product may take to converge
 _I_CAP = 200            # last level find_l_beta checks
 _MC_DEPTH = 18          # tree depth of the Monte Carlo cross-check
 _TIE_RTOL = 1e-12       # relative shortfall of a large-A bound that ties
+# most Monte Carlo paths: each holds 17 bytes at once (a bool and two
+# float64 draws, while a level's draw replaces the last), 170 MB at the cap
+_MAX_PATHS = 10 ** 7
 
 
 def _pow2(e: float) -> float:
@@ -100,6 +103,11 @@ def a_threshold(model: RwsModel) -> float:
 
 def _check_A(A) -> None:
     require(A > 0, "A", "be > 0", A)
+
+
+def _check_paths(name: str, n_paths, least: int) -> None:
+    require(isinstance(n_paths, Integral) and least <= n_paths <= _MAX_PATHS,
+            name, f"be an integer in [{least}, {_MAX_PATHS}]", n_paths)
 
 
 def _level_tail(model: RwsModel, A: float, j: int) -> float:
@@ -175,7 +183,7 @@ def leader_cdf_monte_carlo(model: RwsModel, A: float, J: int, n_paths: int,
     # 24 levels draw 16.7M finest-level coefficients
     require(isinstance(J, Integral) and 1 <= J <= 24, "J",
             "be an integer in [1, 24]", J)
-    check_count("n_paths", n_paths)
+    _check_paths("n_paths", n_paths, 1)
     check_rng("rng", rng, "the Monte Carlo")
     gen = rng.generator(0)
     below = np.ones(n_paths, dtype=bool)
@@ -463,7 +471,7 @@ def verify_tail_rates(model: RwsModel, A_grid, tol: float = 1e-12,
     points in neither regime raise a RegimeError.  With `mc_paths` > 0 every
     point also gets a Monte Carlo estimate at J = 18.
     """
-    require(mc_paths >= 0, "mc_paths", "be >= 0", mc_paths)
+    _check_paths("mc_paths", mc_paths, 0)
     if mc_paths > 0:
         check_rng("seed", rng, "mc_paths > 0")
     grid = np.sort(np.atleast_1d(np.asarray(A_grid, dtype=float)))

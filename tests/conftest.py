@@ -6,7 +6,9 @@ from hypothesis import settings
 from scipy.integrate import quad
 from scipy.special import gammainccinv
 
-from leaderlab.core import DataError, RegressionFit, RngSpec
+from leaderlab import stattests
+from leaderlab.core import (DataError, NonConvergenceError, RegressionFit,
+                            RngSpec)
 from leaderlab.synth import GenGaussianParams
 from leaderlab.wavelet import (CoefficientPyramid, LeaderPyramid,
                                hmin_regression)
@@ -288,3 +290,213 @@ def loop_scale_winners(pyramids, candidates):
         best.append(win)
         best_r2.append(win_r2)
     return np.array(best), np.array(best_r2)
+
+
+class _ReferenceMLEProblem:
+    """State for the active-set solver on distinct points y with weights w,
+    for `reference_active_set`."""
+
+    def __init__(self, y: np.ndarray, w: np.ndarray):
+        self.y = y
+        self.w = w
+        self.m = y.size
+
+    def data_weights(self, knots_idx: np.ndarray) -> np.ndarray:
+        """Weight each knot receives from the linear-interpolation data
+        term."""
+        yk = self.y[knots_idx]
+        seg = np.clip(np.searchsorted(yk, self.y, side="right") - 1, 0,
+                      yk.size - 2)
+        theta = (self.y - yk[seg]) / (yk[seg + 1] - yk[seg])
+        aw = np.zeros(yk.size)
+        np.add.at(aw, seg, self.w * (1.0 - theta))
+        np.add.at(aw, seg + 1, self.w * theta)
+        return aw
+
+    def objective(self, knots_idx: np.ndarray, v: np.ndarray,
+                  aw: np.ndarray) -> float:
+        yk = self.y[knots_idx]
+        lengths = np.diff(yk)
+        i0, _, _ = stattests._exp_segment_integrals(v[:-1], v[1:])
+        return float(np.dot(aw, v) - np.sum(lengths * i0))
+
+    def grad_hess(self, knots_idx: np.ndarray, v: np.ndarray,
+                  aw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Gradient of the objective and Hessian of the integral term."""
+        yk = self.y[knots_idx]
+        k = yk.size
+        lengths = np.diff(yk)
+        i0, i1, i2 = stattests._exp_segment_integrals(v[:-1], v[1:])
+        grad = aw.copy()
+        grad[:-1] -= lengths * (i0 - i1)
+        grad[1:] -= lengths * i1
+        hess = np.zeros((k, k))
+        d_pp = lengths * (i0 - 2.0 * i1 + i2)
+        d_qq = lengths * i2
+        d_pq = lengths * (i1 - i2)
+        idx = np.arange(k - 1)
+        hess[idx, idx] += d_pp
+        hess[idx + 1, idx + 1] += d_qq
+        hess[idx, idx + 1] += d_pq
+        hess[idx + 1, idx] += d_pq
+        return grad, hess
+
+
+def _reference_multipliers(prob, knots_idx, v):
+    """Multipliers of the straightness constraints at non-knot points.
+
+    In full coordinates the objective gradient is g_j = w_j - (integral of
+    the local hat function against exp(phi)), and stationarity reads
+    g_j = (lam_{j+1}-lam_j)/h_j - (lam_j-lam_{j-1})/h_{j-1} with lam = 0 at
+    knots, a per-segment Dirichlet problem solved by double cumulative
+    summation.  Entries at knot positions are returned as 0.
+    """
+    y, w = prob.y, prob.w
+    m = y.size
+    v_full = np.interp(y, y[knots_idx], v)
+    h = np.diff(y)
+    i0, i1, _ = stattests._exp_segment_integrals(v_full[:-1], v_full[1:])
+    # hat integral at j: rising part over [j-1, j] plus falling part over
+    # [j, j+1]; the rise weighs toward the right end of a segment, the fall
+    # toward the left end
+    rise = h * i1
+    fall = h * (i0 - i1)
+    tent = np.zeros(m)
+    tent[1:] += rise
+    tent[:-1] += fall
+    g = w - tent
+    lam = np.zeros(m)
+    for a, b in zip(knots_idx, knots_idx[1:]):
+        if b - a < 2:
+            continue
+        idx = np.arange(a + 1, b)
+        big_g = np.cumsum(g[idx])
+        hh = h[a:b]                     # h_a .. h_{b-1}
+        # lam slope u_j = u_a + G_j;  sum h_j u_j = lam_b - lam_a = 0
+        u0 = -(float(np.dot(hh[1:], big_g))) / float(np.sum(hh))
+        u = np.concatenate([[u0], u0 + big_g])
+        lam[idx] = np.cumsum(hh[:-1] * u[:-1])
+    return lam
+
+
+def reference_active_set(x):
+    """`stattests._active_set` with its solver state in a class, for oracle
+    use: the solve before each iterate's segment integrals were computed
+    once (the gradient and the line search's f0 each computed their own)."""
+    n = x.size
+    y, counts = np.unique(x, return_counts=True)
+    if y.size < 2:
+        raise DataError("all samples identical: no density to fit")
+    w = counts.astype(float) / n
+    prob = _ReferenceMLEProblem(y, w)
+    m = y.size
+
+    knots = np.array([0, m - 1])
+    v = np.full(2, -math.log(y[-1] - y[0]))
+    aw = prob.data_weights(knots)
+    path: list[float] = [prob.objective(knots, v, aw)]
+
+    for _outer in range(stattests._MAX_OUTER):
+        # inner solve over the current knot set; terminates when Newton can
+        # no longer raise the objective (optimality is judged by the outer
+        # multiplier scan, not by the coordinate gradient, whose scale blows
+        # up on the tiny segments between adjacent order statistics)
+        stall = 0
+        for _inner in range(stattests._MAX_INNER):
+            grad, hess = prob.grad_hess(knots, v, aw)
+            try:
+                step = np.linalg.solve(hess, grad)
+            except np.linalg.LinAlgError:
+                ridge = 1e-12 * max(np.trace(hess), 1.0)
+                step = np.linalg.solve(hess + ridge * np.eye(hess.shape[0]),
+                                       grad)
+            gnorm = float(np.max(np.abs(grad)))
+            if gnorm < 1e-11:
+                break
+            yk = prob.y[knots]
+            kink0 = stattests._kinks(yk, v)
+            kink_d = stattests._kinks(yk, v + step) - kink0
+            with np.errstate(divide="ignore", invalid="ignore"):
+                bounds = np.where(kink_d > 0, -kink0 / kink_d, np.inf)
+            t_max = float(np.min(bounds)) if bounds.size else math.inf
+            if t_max < 1e-13:
+                # a constraint is already active: drop that knot, no step
+                blocked = int(np.argmin(bounds)) + 1
+                knots = np.delete(knots, blocked)
+                v = np.delete(v, blocked)
+                aw = prob.data_weights(knots)
+                continue
+            t = min(1.0, t_max)
+            f0 = prob.objective(knots, v, aw)
+            f_new = -math.inf
+            for _ in range(60):
+                f_new = prob.objective(knots, v + t * step, aw)
+                if f_new >= f0:
+                    break
+                t *= 0.5
+            if f_new < f0:
+                break  # no ascent representable in float: inner is done
+            v = v + t * step
+            hit_boundary = t_max <= 1.0 and t == t_max
+            path.append(f_new)
+            if hit_boundary:
+                yk = prob.y[knots]
+                kinks = stattests._kinks(yk, v)
+                drop = np.where(kinks > -1e-15)[0] + 1
+                if drop.size:
+                    knots = np.delete(knots, drop)
+                    v = np.delete(v, drop)
+                    aw = prob.data_weights(knots)
+                continue
+            if f_new - f0 < 1e-13 * max(1.0, abs(f0)):
+                stall += 1
+                if stall >= 2:
+                    break
+            else:
+                stall = 0
+
+        # exact renormalization: shifting phi by -log(mass) is the optimal
+        # constant adjustment, so it never decreases the objective and pins
+        # the total mass to 1 up to rounding
+        yk = prob.y[knots]
+        mass = float(np.sum(
+            np.diff(yk) * stattests._exp_segment_integrals(v[:-1], v[1:])[0]))
+        if mass > 0 and abs(mass - 1.0) > 1e-15:
+            v = v - math.log(mass)
+            path.append(prob.objective(knots, v, aw))
+
+        # KKT scan: Lagrange multipliers of the active (no-kink) constraints;
+        # a negative multiplier marks a point where a downward bend raises
+        # the objective, so that point becomes a knot
+        best_i, best_score = -1, -stattests._TOL_CONCAVITY
+        lam = _reference_multipliers(prob, knots, v)
+        worst = int(np.argmin(lam))
+        if lam[worst] < best_score:
+            best_i, best_score = worst, float(lam[worst])
+        if best_i < 0:
+            break
+        pos = int(np.searchsorted(knots, best_i))
+        yk = prob.y[knots]
+        seg = pos - 1
+        frac = (prob.y[best_i] - yk[seg]) / (yk[seg + 1] - yk[seg])
+        v_new = v[seg] + frac * (v[seg + 1] - v[seg])
+        knots = np.insert(knots, pos, best_i)
+        v = np.insert(v, pos, v_new)
+        aw = prob.data_weights(knots)
+    else:
+        raise NonConvergenceError(
+            f"active set did not settle after {stattests._MAX_OUTER} passes "
+            f"(last insertion score {best_score:.3e})")
+
+    model = stattests.LogConcaveMLE(knots=prob.y[knots],
+                                    log_density_at_knots=v, n=n,
+                                    objective_path=path)
+    mass = model.total_mass()
+    if abs(mass - 1.0) > 1e-6:
+        raise NonConvergenceError(
+            f"fitted density mass {mass} deviates from 1 beyond tolerance")
+    kinks = stattests._kinks(model.knots, model.log_density_at_knots)
+    if kinks.size and float(np.max(kinks)) > stattests._TOL_CONCAVITY:
+        raise NonConvergenceError(
+            f"concavity violated by {float(np.max(kinks)):.3e}")
+    return model

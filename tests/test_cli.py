@@ -208,6 +208,10 @@ FLAG_ERRORS = LEVEL_ERRORS + [
     ("analyze", ["--q", "0:1e-9:1"], "--q must hold 1 to 10000 grid points"),
     ("verify", ["--A-grid", "0:1e-9:1"],
      "--A-grid must hold 1 to 10000 grid points"),
+    # a repeated level would be tested twice and aggregated twice
+    ("test", ["--scale", "4,4"], "--scale"),
+    # above the cap of 10^7 paths: 10 TB of draws, refused before any
+    ("verify", ["--mc-paths", 10 ** 12], "--mc-paths"),
 ]
 
 

@@ -295,6 +295,13 @@ PARAM_REFUSALS = {
                "A_grid", -1.0),
     "mc paths": (lambda: verify_tail_rates(_MODEL, [0.01], mc_paths=-3),
                  "mc_paths", -3),
+    # above the cap of 10^7 paths, refused before any draw
+    "mc paths 10^12": (lambda: verify_tail_rates(
+        _MODEL, [0.01], mc_paths=10 ** 12, rng=RngSpec(1)), "mc_paths",
+        10 ** 12),
+    "mc n_paths 10^7 + 1": (lambda: leader_cdf_monte_carlo(
+        _MODEL, 0.5, J=4, n_paths=10 ** 7 + 1, rng=RngSpec(1)), "n_paths",
+        10 ** 7 + 1),
     "tol": (lambda: leader_log_cdf_exact(_MODEL, 0.01, tol=0.0), "tol", 0.0),
     "wavelet": (lambda: basis_from_name("db11"), "wavelet", "db11"),
     # more digits than int() parses

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 from scipy.optimize import minimize
 
-from conftest import argsort_ball_geometry
-from leaderlab import stattests
+from conftest import argsort_ball_geometry, reference_active_set
+from leaderlab import stattests, synth, wavelet
 from leaderlab.core import (DataError, NonConvergenceError, RngSpec,
                             standard_normal_quantile)
 from leaderlab.stattests import (LogConcaveMLE, _ball_geometry,
@@ -62,6 +62,25 @@ class TestShapiroWilk:
             w = shapiro_wilk(a * x + b).statistic
             assert w == pytest.approx(w0, abs=1e-10)
         assert 0.0 < w0 <= 1.0
+
+    def test_power_of_two_scaling_keeps_bits(self):
+        # the sample is brought to a largest magnitude in [0.5, 1) by a
+        # power of two, which is exact, so W and p keep every bit
+        x = RngSpec(902).generator().standard_normal(50)
+        ref = shapiro_wilk(x)
+        for k in (900, -900):
+            rep = shapiro_wilk(np.ldexp(x, k))
+            assert (rep.statistic, rep.p_value) == (ref.statistic,
+                                                    ref.p_value)
+
+    # squares of 1e160 overflow and of 1e-200 underflow to 0 unscaled
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [1e300, 1e160, 1e-160, 1e-200, 1e-300])
+    def test_extreme_scales(self, scale):
+        x = RngSpec(902).generator().standard_normal(50)
+        rep = shapiro_wilk(scale * x)
+        assert rep.statistic == pytest.approx(shapiro_wilk(x).statistic,
+                                              abs=1e-12)
 
     def test_subsampling_above_limit(self):
         x = RngSpec(901).generator().standard_normal(6000)
@@ -355,6 +374,91 @@ class TestMLEMemo:
         fit = fit_logconcave_mle(x)
         stattests._last_fit.cache_clear()
         assert same_fit(fit_logconcave_mle(x), fit)
+
+
+def disttest_samples(seed):
+    """The samples perfbench's disttest workload fits at `seed`: the log of
+    the clean three-leaders at levels 4 to 7 (db3) of one 2^15-sample MRW
+    (H = 0.6, beta = 0.05), and 500 standard Cauchy draws."""
+    root = RngSpec(seed)
+    sig = synth.gen_mrw(0.6, 0.05, 1 << 15, 1 << 15, root.substream(0))
+    pyr = wavelet.dwt(sig, wavelet.basis_from_name("db3"), 7)
+    leaders = wavelet.compute_leaders(pyr, "three_leader")
+    out = {f"j{j}": np.log(leaders.clean_values(j)) for j in range(4, 8)}
+    out["cauchy"] = root.substream(1).generator(0).standard_cauchy(500)
+    return out
+
+
+def _seeded_samples():
+    gen = np.random.default_rng(2301)
+    cases = {}
+    for n in (2, 3, 5, 20, 200, 1000):
+        cases[f"normal {n}"] = gen.normal(size=n)
+        cases[f"exponential {n}"] = gen.exponential(size=n)
+        cases[f"uniform {n}"] = gen.uniform(size=n)
+        cases[f"tied {n}"] = np.round(gen.normal(size=n), 1)
+        cases[f"cauchy {n}"] = gen.standard_cauchy(size=n)
+    # refused: a constant sample, and a scale where the solve cannot settle
+    cases["constant"] = np.full(20, 1.5)
+    cases["normal 200 at 2^60"] = np.ldexp(
+        np.random.default_rng(0).normal(size=200), 60)
+    return cases
+
+
+def _fit_or_error(solve, x):
+    """Knots, values and objective path as int64 views, or the error type
+    and message."""
+    try:
+        fit = solve(x)
+    except (DataError, NonConvergenceError) as exc:
+        return type(exc), str(exc)
+    return tuple(np.asarray(a, dtype=float).view(np.int64).tolist()
+                 for a in (fit.knots, fit.log_density_at_knots,
+                           fit.objective_path)) + (fit.n,)
+
+
+class TestActiveSetOracle:
+    """`_active_set` computes each iterate's segment integrals once, and
+    gives the bits of the solve that recomputed them (conftest's
+    `reference_active_set`)."""
+
+    @pytest.fixture(scope="class")
+    def disttest(self):
+        return {(seed, name): x for seed in range(1, 6)
+                for name, x in disttest_samples(seed).items()}
+
+    @pytest.mark.parametrize("case", sorted(_seeded_samples()))
+    def test_seeded_samples(self, case):
+        x = _seeded_samples()[case]
+        assert (_fit_or_error(stattests._active_set, x)
+                == _fit_or_error(reference_active_set, x))
+
+    def test_refusals_are_covered(self):
+        cases = _seeded_samples()
+        refused = {name: _fit_or_error(stattests._active_set, cases[name])[0]
+                   for name in ("constant", "normal 200 at 2^60")}
+        assert refused == {"constant": DataError,
+                           "normal 200 at 2^60": NonConvergenceError}
+
+    def test_disttest_samples(self, disttest):
+        for key, x in disttest.items():
+            assert (_fit_or_error(stattests._active_set, x)
+                    == _fit_or_error(reference_active_set, x)), key
+
+    def test_integral_calls(self, disttest, monkeypatch):
+        # the four fits of a seed-1 disttest pass; the solve that recomputed
+        # each iterate's integrals made 601 calls
+        integrals = stattests._exp_segment_integrals
+        calls = []
+
+        def counted(a, b):
+            calls.append(a.size)
+            return integrals(a, b)
+
+        monkeypatch.setattr(stattests, "_exp_segment_integrals", counted)
+        for name in ("j5", "j6", "j7", "cauchy"):
+            stattests._active_set(disttest[1, name])
+        assert 0 < len(calls) <= 400
 
 
 class TestSampleFromMLE:
