@@ -472,6 +472,9 @@ def main(argv=None) -> int:
     except NonConvergenceError as exc:
         print(f"nonconvergence: {exc}", file=sys.stderr)
         return 4
+    except OSError as exc:   # the readers raise DataError: this is a write
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

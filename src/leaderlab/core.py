@@ -171,9 +171,10 @@ class RegressionFit:
 def linfit(x, y) -> RegressionFit:
     """Ordinary least squares fit of y on x.
 
-    Returns slope, intercept and R^2 = 1 - SS_res/SS_tot.  A constant y with
-    zero residuals is reported as R^2 = 1 (perfect fit); nonzero residuals
-    with SS_tot = 0 cannot occur for OLS, but R^2 = 0 is returned defensively.
+    Returns slope, intercept and R^2 = 1 - SS_res/SS_tot, clipped to
+    [0, 1]; where SS_tot is 0, R^2 is 1 for negligible residuals and 0
+    otherwise.  A constant y whose mean rounds has a tiny SS_tot > 0, so
+    its R^2 may read anything in [0, 1].
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)

@@ -30,8 +30,8 @@ _MAX_DEPTH = 200        # levels the exact product may take to converge
 _I_CAP = 200            # last level find_l_beta checks
 _MC_DEPTH = 18          # tree depth of the Monte Carlo cross-check
 _TIE_RTOL = 1e-12       # relative shortfall of a large-A bound that ties
-# most Monte Carlo paths: each holds 17 bytes at once (a bool and two
-# float64 draws, while a level's draw replaces the last), 170 MB at the cap
+# most Monte Carlo paths: each holds 10 bytes at once (a float64 draw, the
+# running bool and a level's bool comparison), 100 MB at the cap
 _MAX_PATHS = 10 ** 7
 
 
@@ -187,8 +187,9 @@ def leader_cdf_monte_carlo(model: RwsModel, A: float, J: int, n_paths: int,
     check_rng("rng", rng, "the Monte Carlo")
     gen = rng.generator(0)
     below = np.ones(n_paths, dtype=bool)
+    u = np.empty(n_paths)
     for j in range(J + 1):
-        u = gen.random(n_paths)
+        gen.random(out=u)   # the bits of gen.random(n_paths), in one buffer
         tail = _level_tail(model, A, j)
         tau = math.exp(2.0 ** j * math.log1p(-tail)) if tail < 1.0 else 0.0
         below &= u <= tau

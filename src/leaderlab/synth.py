@@ -15,7 +15,6 @@ import functools
 import math
 import os
 import sys
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -132,35 +131,18 @@ def _circulant_draw(sqrt_eig: np.ndarray, n: int,
     return _circulant_sample(z, n)
 
 
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:       # no affinity call on this platform
-        return os.cpu_count() or 1
+@functools.lru_cache(maxsize=1)
+def _log_field_worker():
+    """The one thread that draws MRW log fields, started on the first draw
+    and kept for the process."""
+    from concurrent.futures import ThreadPoolExecutor  # off the import path
+    return ThreadPoolExecutor(max_workers=1,
+                              thread_name_prefix="leaderlab-synth")
 
 
-def _start_beside(fn, *args):
-    """Start fn(*args) on a second thread when this process may run on two
-    or more CPUs, or run it at once on one.  Returns the wait: it joins the
-    thread and raises what fn raised, in the caller."""
-    if _usable_cpus() < 2:
-        fn(*args)
-        return lambda: None
-    failure = []
-
-    def run():
-        try:
-            fn(*args)
-        except BaseException as exc:
-            failure.append(exc)
-    thread = threading.Thread(target=run, name="leaderlab-synth")
-    thread.start()
-
-    def wait():
-        thread.join()
-        if failure:
-            raise failure[0]
-    return wait
+if hasattr(os, "register_at_fork"):
+    # a forked child has no copy of the parent's thread: it starts its own
+    os.register_at_fork(after_in_child=_log_field_worker.cache_clear)
 
 
 def fgn_autocovariance(h: float, lags: int) -> np.ndarray:
@@ -197,10 +179,11 @@ def gen_mrw(H: float, beta: float, L: int, n: int, rng: RngSpec) -> Signal:
 
     With beta = 0 the field is identically zero and the path coincides with
     gen_fbm at the same RngSpec.  The log-cumulants are c1 = H + beta^2/2 and
-    c2 = -beta^2.  With beta > 0 the two fields are drawn concurrently, the
-    log field on a second thread, when the process may run on two or more
-    CPUs, and one after the other otherwise; each reads its own substream,
-    so the samples are the same bits either way.
+    c2 = -beta^2.  With beta > 0 the log field is drawn on one worker
+    thread, started on the first such draw and kept for the process (a
+    forked child starts its own), while the caller draws the fGn; each
+    reads its own substream, so the samples are the bits of drawing them
+    one after the other.
     """
     require(0.0 < H < 1.0, "H", "lie strictly inside (0, 1)", H)
     require(beta >= 0 and math.isfinite(beta * beta), "beta",
@@ -216,11 +199,12 @@ def gen_mrw(H: float, beta: float, L: int, n: int, rng: RngSpec) -> Signal:
         # the GIL, so the field's transform overlaps the fGn's draw
         w_eig = _circulant_sqrt_eig("mrw", (float(beta), L), n)
         zw = np.empty(w_eig.size, dtype=complex)
-        wait = _start_beside(_circulant_fill, zw, w_eig, rng.generator(1))
+        drawn = _log_field_worker().submit(_circulant_fill, zw, w_eig,
+                                           rng.generator(1))
         try:
             fgn = _circulant_draw(fgn_eig, n, rng.generator(0))
         finally:
-            wait()
+            drawn.result()
         w = _circulant_sample(zw, n)
     # an overflowing path is rejected below, without numpy's warnings
     with np.errstate(over="ignore", invalid="ignore"):

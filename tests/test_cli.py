@@ -215,6 +215,15 @@ FLAG_ERRORS = LEVEL_ERRORS + [
 ]
 
 
+# -o paths under a tmp dir that holds the regular file `afile` and the
+# directory `run/manifest.json`, and the path each error names
+OUTPUT_ERRORS = {
+    "under a file": ("afile/out", "afile/out"),
+    "naming a file": ("afile", "afile"),
+    "output name taken by a directory": ("run", "run/manifest.json"),
+}
+
+
 @pytest.fixture(scope="module")
 def ensemble(tmp_path_factory):
     ens = tmp_path_factory.mktemp("ens")
@@ -276,6 +285,20 @@ class TestErrorPaths:
         out = tmp_path / "o"
         code = run([command, *inputs, *args, "-o", out])
         self.check(capsys, code, flag, out)
+
+    @pytest.mark.parametrize("outdir,named", OUTPUT_ERRORS.values(),
+                             ids=list(OUTPUT_ERRORS))
+    def test_unwritable_output(self, tmp_path, capsys, outdir, named):
+        (tmp_path / "afile").write_text("")
+        (tmp_path / "run" / "manifest.json").mkdir(parents=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(["generate", "--process", "fbm", "--H", 0.7, "--n",
+                        256, "--seed", 1, "-o", tmp_path / outdir])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write output: ")
+        assert str(tmp_path / named) in err and err.count("\n") == 1
 
     def test_B_refused_before_the_estimate(self, tmp_path, capsys,
                                            ensemble):

@@ -2,7 +2,9 @@
 start-up time to every process. Of the commands only `verify` loads
 `scipy.special`, for the generalized-Gaussian normalizer and incomplete gamma
 tails; `generate`, `analyze`, `estimate` and `test` never import scipy's
-special functions (the normal CDF is `core._erfc`, a numpy port)."""
+special functions (the normal CDF is `core._erfc`, a numpy port). The MRW
+log-field worker and its `concurrent.futures` start on the first MRW draw,
+so neither the import nor a command that draws no MRW starts them."""
 
 import os
 import subprocess
@@ -30,6 +32,23 @@ def test_import_leaves_heavy_scipy_unloaded():
     code = ("import sys, leaderlab; print(','.join(sorted(m for m in "
             "sys.modules if m == 'scipy' or m.startswith('scipy.'))))")
     assert _run(code) == ""
+
+
+# whether concurrent.futures is loaded, and the names of the live threads
+# that are the log-field worker's
+_WORKER = ("import sys, threading; print('concurrent.futures' in sys.modules,"
+           " [t.name for t in threading.enumerate()"
+           " if t.name.startswith('leaderlab-synth')])")
+
+
+def test_import_starts_no_worker():
+    assert _run("import leaderlab; " + _WORKER) == "False []"
+
+
+def test_fbm_generate_starts_no_worker(tmp_path):
+    code = ("import sys; from leaderlab import cli; rc = cli.main(sys.argv[1:]);"
+            f" {_WORKER}; sys.exit(rc)")
+    assert _run(code, *COMMANDS["generate"][0], "-o", tmp_path) == "False []"
 
 
 @pytest.fixture(scope="module")

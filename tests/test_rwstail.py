@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -93,14 +94,14 @@ CLI_GRID = [2.0 ** (-k) for k in range(9, 3, -1)] + [7.1, 8.0, 10.0]
 
 class _FixedUniforms:
     """Stands in for an RngSpec whose stream hands out `rows`, one value
-    per level, repeated over the paths."""
+    per level, repeated over the paths, into the buffer passed as `out`."""
 
     def __init__(self, rows):
         self.rows = rows
 
     def generator(self, *path):
         rows = iter(self.rows)
-        return SimpleNamespace(random=lambda n: np.full(n, next(rows)))
+        return SimpleNamespace(random=lambda out: out.fill(next(rows)))
 
 
 class TestLeaderCdfMonteCarlo:
@@ -149,6 +150,18 @@ class TestLeaderCdfMonteCarlo:
                 mine = leader_cdf_monte_carlo(model, a_val, 18, 2000, rng)
                 assert mine.estimate == inverse_cdf_leader_cdf_monte_carlo(
                     model, a_val, 18, 2000, rng), (seed, a_val)
+
+    def test_ten_bytes_per_path(self):
+        # one float64 buffer takes every level's draw, beside two bools
+        model = RwsModel(1.0, 2.0)
+        leader_cdf_monte_carlo(model, 0.5, 4, 10, RngSpec(5))  # imports
+        tracemalloc.start()
+        try:
+            leader_cdf_monte_carlo(model, 0.5, 4, 10 ** 6, RngSpec(5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 11e6
 
     def test_draw_at_threshold_counts_as_below(self):
         # tau_j = exp(2^j log1p(-P(|X| > 2^(alpha j) A))), the exp of the

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import os
+import signal
 import threading
 
 import numpy as np
@@ -284,33 +285,23 @@ def _fill_threads(monkeypatch):
 
 
 class TestLogFieldWorker:
-    def test_inline_on_one_cpu_same_bits(self, monkeypatch):
+    def test_one_worker_for_every_draw(self, monkeypatch):
         threads = _fill_threads(monkeypatch)
-        caller = threading.current_thread()
-        for (beta, L), want in sorted(GOLDEN_MRW.items()):
-            samples = {}
-            for cpus in ({0}, {0, 1}):
-                monkeypatch.setattr(os, "sched_getaffinity",
-                                    lambda pid, cpus=cpus: cpus)
-                threads.clear()
-                sig = gen_mrw(0.6, beta, L, 4096, RngSpec(7, 3))
-                samples[len(cpus)] = sig.samples.tobytes()
-                on_caller = 1 if beta == 0.0 or len(cpus) == 2 else 2
-                assert threads.count(caller) == on_caller
-                assert len(threads) == 1 + (beta > 0.0)
-            assert samples[1] == samples[2]
-            assert _sha(sig) == want
-
-    def test_cpu_count_without_affinity_call(self, monkeypatch):
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: None)
-        threads = _fill_threads(monkeypatch)
-        sig = gen_mrw(0.6, 0.1, 12289, 4096, RngSpec(7, 3))
-        assert threads == [threading.current_thread()] * 2
-        assert _sha(sig) == GOLDEN_MRW[0.1, 12289]
+        caller, want = threading.current_thread(), GOLDEN_MRW[0.1, 12289]
+        counts = []
+        for _ in range(20):
+            assert _sha(gen_mrw(0.6, 0.1, 12289, 4096, RngSpec(7, 3))) == want
+            counts.append(threading.active_count())
+        assert counts == counts[:1] * 20
+        # each call fills the fGn on the caller and the log field beside it
+        assert threads.count(caller) == 20
+        fields = {t for t in threads if t is not caller}
+        assert len(fields) == 1 and threads.count(fields.pop()) == 20
 
     def test_failure_in_worker_reaches_caller(self, monkeypatch, capfd):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        want = GOLDEN_MRW[0.1, 12289]
+        assert _sha(gen_mrw(0.6, 0.1, 12289, 4096, RngSpec(7, 3))) == want
+        before = threading.active_count()
         failure, threads = RuntimeError("log field draw failed"), []
 
         class Failing:
@@ -318,17 +309,35 @@ class TestLogFieldWorker:
                 threads.append(threading.current_thread())
                 raise failure
         generator = RngSpec.generator
-        monkeypatch.setattr(
-            RngSpec, "generator",
-            lambda self, *path: (Failing() if path == (1,)
-                                 else generator(self, *path)))
-        before = threading.active_count()
-        with pytest.raises(RuntimeError) as info:
-            gen_mrw(0.6, 0.1, 12289, 4096, RngSpec(7, 3))
+        with monkeypatch.context() as patch:
+            patch.setattr(RngSpec, "generator",
+                          lambda self, *path: (Failing() if path == (1,)
+                                               else generator(self, *path)))
+            with pytest.raises(RuntimeError) as info:
+                gen_mrw(0.6, 0.1, 12289, 4096, RngSpec(7, 3))
         assert info.value is failure
         assert threads and threads[0] is not threading.current_thread()
         assert threading.active_count() == before
         assert "Exception in thread" not in capfd.readouterr().err
+        # the worker outlives the failure
+        assert _sha(gen_mrw(0.6, 0.1, 12289, 4096, RngSpec(7, 3))) == want
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+    def test_forked_child_starts_its_own_worker(self):
+        want = GOLDEN_MRW[0.1, 12289]
+        assert _sha(gen_mrw(0.6, 0.1, 12289, 4096, RngSpec(7, 3))) == want
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                # a child waiting on the parent's worker would hang
+                signal.alarm(10)
+                sig = gen_mrw(0.6, 0.1, 12289, 4096, RngSpec(7, 3))
+                code = 0 if _sha(sig) == want else 1
+            finally:
+                os._exit(code)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
 
 
 class TestCmc:
