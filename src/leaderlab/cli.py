@@ -40,7 +40,7 @@ from .cumulants import (_c2_statistic, bootstrap_percentile, estimate_c1_c2,
 from .rwstail import RwsModel, verify_tail_rates
 from .stattests import logconcavity_test, qq_data, shapiro_wilk
 from .synth import ProcessSpec, generate
-from .wavelet import (basis_from_name, compute_leaders, dwt, fits_levels,
+from .wavelet import (basis_from_name, compute_leaders, deepest_level, dwt,
                       pyramid_to_json, scaling_function, structure_functions,
                       legendre_spectrum)
 
@@ -137,17 +137,11 @@ def _basis_variant(params: dict):
             {"1": "one_leader", "3": "three_leader"}[params["variant"]])
 
 
-def _deepest_level(n: int, basis) -> int:
-    """The deepest level `fits_levels` allows n samples (0 if none)."""
-    return max((j for j in range(1, n.bit_length())
-                if fits_levels(n, basis, j)), default=0)
-
-
 def _dwt_leaders(label: str, sig: Signal, basis, variant: str, j_max: int,
                  name: str):
     """The DWT of `sig`, truncated to a multiple of 2^j_max, and its
     leaders; `name` is the parameter that set j_max."""
-    deepest = _deepest_level(len(sig), basis)
+    deepest = deepest_level(len(sig), basis)
     require(1 <= j_max <= deepest, name,
             f"lie in 1..{deepest}, the levels {basis.name} allows on {label} "
             f"of {len(sig)} samples", j_max)
@@ -205,7 +199,7 @@ def run_estimate(params: dict, seed, outdir: Path) -> list[str]:
 
     j_max = params["jmax"]
     if j_max is None:
-        j_max = min(_deepest_level(len(sig), basis) for _, sig in named)
+        j_max = min(deepest_level(len(sig), basis) for _, sig in named)
     # estimation_scale_candidates is empty below 4 levels; an explicit
     # j1:j2 range needs 3
     scales_flag = params["scales"]
@@ -321,12 +315,23 @@ _RUNNERS = {"generate": run_generate, "analyze": run_analyze,
 
 
 def _dispatch(command: str, params: dict, outdir: Path) -> int:
-    """Build the run's one RngSpec before any work, then run `command`."""
+    """Build the run's one RngSpec before any work, then run `command`.  A
+    run that fails, other than by a regime error, removes the files it
+    added to `outdir`, so that no output is left without its manifest."""
     seed = None if params.get("seed") is None else RngSpec(params["seed"])
     outdir.mkdir(parents=True, exist_ok=True)
+    before = set(outdir.iterdir())
     started = _now()
-    outputs = _RUNNERS[command](params, seed, outdir)
-    _write_manifest(outdir, command, params, seed, outputs, started)
+    try:
+        outputs = _RUNNERS[command](params, seed, outdir)
+        _write_manifest(outdir, command, params, seed, outputs, started)
+    except RegimeError:
+        raise   # verify's failed checks keep their evidence
+    except Exception:
+        for path in set(outdir.iterdir()) - before:
+            if path.is_file():
+                path.unlink()
+        raise
     return 0
 
 

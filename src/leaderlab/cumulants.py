@@ -134,21 +134,15 @@ def estimate_c1_c2(realizations: list[LeaderPyramid], j_range: tuple[int, int],
         c2s[i] = fit_cm(var, j_range).cm
     z = standard_normal_quantile(1.0 - alpha / 2.0)
 
-    c1_hat = float(c1s.mean())
-    c1_se = float(c1s.std(ddof=1))
-    c1 = EstimateWithCI(c1_hat, c1_se,
-                        c1_hat - z * c1_se / math.sqrt(n_real),
-                        c1_hat + z * c1_se / math.sqrt(n_real),
-                        1.0 - alpha, "clt", n_real)
+    def clt(estimate: float, samples: np.ndarray) -> EstimateWithCI:
+        se = float(samples.std(ddof=1))
+        half = z * se / math.sqrt(n_real)
+        return EstimateWithCI(estimate, se, estimate - half, estimate + half,
+                              1.0 - alpha, "clt", n_real)
 
-    c2_mean = float(c2s.mean())
-    c2_hat = float(_c2_statistic(c2s))
-    c2_se = float(c2s.std(ddof=1))
-    c2 = EstimateWithCI(c2_hat, c2_se,
-                        c2_hat - z * c2_se / math.sqrt(n_real),
-                        c2_hat + z * c2_se / math.sqrt(n_real),
-                        1.0 - alpha, "clt", n_real)
-    return C1C2Estimate(c1=c1, c2=c2, c2_mean_variant=c2_mean,
+    c1 = clt(float(c1s.mean()), c1s)
+    c2 = clt(float(_c2_statistic(c2s)), c2s)
+    return C1C2Estimate(c1=c1, c2=c2, c2_mean_variant=float(c2s.mean()),
                         c1_samples=c1s, c2_samples=c2s,
                         j_range=(int(j_range[0]), int(j_range[1])),
                         n_realizations=n_real)
@@ -224,15 +218,14 @@ def _scale_winners(pyramids: list[CoefficientPyramid],
     """Per realization, the first candidate of highest `hmin_regression`
     R^2 (-1 where none fits) and that R^2, bit for bit; realizations with
     the same levels share one `_linfit_rows` call per candidate."""
-    sup_at = [_level_sups(pyr) for pyr in pyramids]
     groups: dict[tuple[int, ...], list[int]] = {}
-    for i, sups in enumerate(sup_at):
-        groups.setdefault(tuple(sups), []).append(i)
+    for i, pyr in enumerate(pyramids):
+        groups.setdefault(tuple(pyr.levels), []).append(i)
     best = np.full(len(pyramids), -1)
     best_r2 = np.full(len(pyramids), -np.inf)
     for levels, rows in groups.items():
         rows, x = np.array(rows), np.array(levels, dtype=float)
-        sups = np.array([[sup_at[i][j] or 0.0 for j in levels] for i in rows])
+        sups = np.stack([_level_sups(pyramids[i]) for i in rows])
         refused = sups == 0.0
         logs = np.log2(np.where(refused, 1.0, sups))
         for ci, (j1, j2) in enumerate(candidates):

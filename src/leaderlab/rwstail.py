@@ -79,9 +79,6 @@ class RwsModel:
                 self.beta)
         self.gg = GenGaussianParams(self.beta)
 
-    def small_a_condition(self) -> bool:
-        return self.alpha > SMALL_A_ALPHA_MIN
-
 
 def a_threshold(model: RwsModel) -> float:
     """Smallest A above which the Mills approximation of the per-level tail
@@ -210,8 +207,6 @@ def leader_cdf_monte_carlo(model: RwsModel, A: float, J: int, n_paths: int,
 def c_l_constant(l: int) -> float:
     """c_l = prod_{j>=l} (1 - 1/(4 j^2)) = (2/pi) / prod_{j<l} (...)."""
     check_count("l", l)
-    if l == 1:
-        return 2.0 / math.pi
     j = np.arange(1, l, dtype=float)
     head = float(np.exp(np.sum(np.log1p(-1.0 / (4.0 * j * j)))))
     return (2.0 / math.pi) / head
@@ -296,7 +291,7 @@ def small_A_bounds(model: RwsModel, A: float) -> SmallABounds:
     values carry unknown constants.
     """
     _check_A(A)
-    if not model.small_a_condition():
+    if not model.alpha > SMALL_A_ALPHA_MIN:
         raise RegimeError(
             f"small-A envelope needs alpha > {SMALL_A_ALPHA_MIN:.6f}; "
             f"got alpha={model.alpha}")
@@ -372,11 +367,8 @@ def mills_bounds(x: float, beta: float) -> tuple[float, float, float]:
     gg = GenGaussianParams(beta)
     exact = 0.5 * gg_two_sided_tail(x, beta)
     f_x = gg.kappa * math.exp(-x ** beta)
-    if beta == 1.0:
-        closed = 0.5 * math.exp(-x)
-        return closed, closed, exact
     g_prime = beta * x ** (beta - 1.0)
-    if beta > 1.0:
+    if beta >= 1.0:
         m = (beta - 1.0) / (beta * x ** beta)
         return f_x / (g_prime * (1.0 + m)), f_x / g_prime, exact
     m = (1.0 - beta) / (beta * x ** beta)

@@ -272,10 +272,11 @@ def _run(lo: int, hi: int) -> slice:
     return slice(lo, hi) if hi > lo else slice(0, 0)
 
 
-def fits_levels(n: int, basis: WaveletBasis, j_max: int) -> bool:
-    """Whether n samples, truncated to a multiple of 2^j_max, leave at least
-    one filter length of coefficients at level j_max."""
-    return n >> j_max >= basis.length
+def deepest_level(n: int, basis: WaveletBasis) -> int:
+    """The deepest level j at which n samples, truncated to a multiple of
+    2^j, leave at least one filter length of coefficients (n >> j >= L),
+    or 0 if there is none."""
+    return max((n // basis.length).bit_length() - 1, 0)
 
 
 def dwt(signal: Signal, basis: WaveletBasis, j_max: int) -> CoefficientPyramid:
@@ -289,7 +290,7 @@ def dwt(signal: Signal, basis: WaveletBasis, j_max: int) -> CoefficientPyramid:
     if n % (1 << j_max) != 0:
         raise DataError(
             f"signal length {n} is not divisible by 2^{j_max}; truncate first")
-    if not fits_levels(n, basis, j_max):
+    if j_max > deepest_level(n, basis):
         raise DataError(
             f"signal too short for {j_max} levels of {basis.name}: "
             f"need at least {(1 << j_max) * basis.length} samples, have {n}")
@@ -420,25 +421,19 @@ def structure_functions(leaders: LeaderPyramid,
     """S(j, q): mean of leader^q over the clean positions of each level j."""
     q_values = np.atleast_1d(np.asarray(q_values, dtype=float))
     require(q_values.size > 0, "q_values", "be non-empty", q_values)
+    negative = any(q < 0 for q in q_values)
     levels = leaders.levels
-    values = {}
+    rows = []
     for j in levels:
         ell = leaders.clean_values(j)
         if ell.size == 0:
             raise DataError(f"no usable leaders at level {j}")
-        values[j] = ell
-    if any(q < 0 for q in q_values):
-        for j in levels:
-            if np.any(values[j] == 0.0):
-                raise DataError(
-                    f"zero leader at level {j}: negative moments undefined "
-                    "(degenerate data)")
-    s = np.empty((len(levels), q_values.size))
-    for ji, j in enumerate(levels):
-        for qi, q in enumerate(q_values):
-            s[ji, qi] = float(np.mean(values[j] ** q))
+        if negative and np.any(ell == 0.0):
+            raise DataError(f"zero leader at level {j}: negative moments "
+                            "undefined (degenerate data)")
+        rows.append([np.mean(ell ** q) for q in q_values])
     return StructureFunctionTable(j_values=np.array(levels), q_values=q_values,
-                                  s=s)
+                                  s=np.array(rows))
 
 
 def scaling_function(table: StructureFunctionTable,
@@ -461,45 +456,37 @@ def legendre_spectrum(zeta: dict[float, float], h_grid) -> dict[float, float]:
     is available the transform is reported as -inf.
     """
     h_grid = np.atleast_1d(np.asarray(h_grid, dtype=float))
-    qs = np.array(sorted(zeta), dtype=float)
-    zs = np.array([zeta[q] for q in sorted(zeta)], dtype=float)
+    qs = np.array(list(zeta), dtype=float)
+    zs = np.array(list(zeta.values()), dtype=float)
     finite = np.isfinite(zs)
-    out: dict[float, float] = {}
-    for h in h_grid:
-        if not np.any(finite):
-            out[float(h)] = -math.inf
-            continue
-        vals = 1.0 + qs[finite] * h - zs[finite]
-        out[float(h)] = min(float(np.min(vals)), 1.0)
-    return out
+    if not finite.any():
+        return {float(h): -math.inf for h in h_grid}
+    lows = (1.0 + h_grid[:, None] * qs[finite] - zs[finite]).min(axis=1)
+    return {float(h): min(float(low), 1.0) for h, low in zip(h_grid, lows)}
 
 
-def _level_sups(pyramid: CoefficientPyramid) -> dict[int, float | None]:
-    """sup_k |c_{j,k}| over the clean coefficients of every level; None for
-    a level with no clean coefficient."""
-    out: dict[int, float | None] = {}
-    for j in pyramid.levels:
-        vals = pyramid.clean_values(j)
-        out[j] = np.abs(vals).max() if vals.size else None
-    return out
+def _level_sups(pyramid: CoefficientPyramid) -> np.ndarray:
+    """sup_k |c_{j,k}| over the clean coefficients of each level, in level
+    order; 0 for a level with no clean coefficient, which the log
+    regression refuses as it refuses an all-zero level."""
+    return np.array([np.abs(pyramid.clean_values(j)).max(initial=0.0)
+                     for j in pyramid.levels])
 
 
 def hmin_regression(pyramid: CoefficientPyramid,
                     j_range: tuple[int, int]) -> RegressionFit:
     """Fit of log2 sup_k |c_{j,k}| against log2(scale_j); slope estimates the
     uniform regularity exponent, used for scale-range selection."""
-    sup_at = _level_sups(pyramid)
     j1, j2 = int(j_range[0]), int(j_range[1])
-    js = [j for j in sorted(sup_at) if j1 <= j <= j2]
-    if len(js) < 2:
+    js = np.array(pyramid.levels, dtype=float)
+    use = (js >= j1) & (js <= j2)
+    if use.sum() < 2:
         raise DataError(f"need at least 2 levels in [{j1}, {j2}]")
-    for j in js:
-        if sup_at[j] is None:
-            raise DataError(f"no usable coefficients at level {j}")
-    sups = np.array([sup_at[j] for j in js])
+    sups = _level_sups(pyramid)[use]
     if np.any(sups == 0.0):
-        raise DataError("all-zero coefficient level in range; log regression undefined")
-    return linfit(np.array(js, dtype=float), np.log2(sups))
+        raise DataError("all-zero or empty coefficient level in range; "
+                        "log regression undefined")
+    return linfit(js[use], np.log2(sups))
 
 
 def pyramid_to_json(obj: CoefficientPyramid | LeaderPyramid, path=None) -> str:

@@ -11,7 +11,8 @@ from leaderlab.cli import main
 from leaderlab.core import DataError, RngSpec, read_signal
 from leaderlab.stattests import logconcavity_test, shapiro_wilk
 from leaderlab.wavelet import (DAUBECHIES_FILTERS, basis_from_name,
-                               compute_leaders, daubechies_basis, dwt)
+                               compute_leaders, daubechies_basis,
+                               deepest_level, dwt)
 
 
 def run(args):
@@ -313,6 +314,54 @@ class TestErrorPaths:
         self.check(capsys, code, "--B", out)
 
 
+@pytest.mark.filterwarnings("error")
+class TestPartialOutputs:
+    """A run that fails removes the regular files it added to the output
+    directory and nothing else; a regime error keeps its evidence."""
+
+    FBM = ["generate", "--process", "fbm", "--H", 0.7, "--n", 256,
+           "--seed", 1]
+
+    def test_manifest_taken_by_a_directory(self, tmp_path):
+        out = tmp_path / "run"
+        (out / "manifest.json").mkdir(parents=True)
+        assert run([*self.FBM, "-o", out]) == 3
+        assert [p.name for p in out.iterdir()] == ["manifest.json"]
+        assert (out / "manifest.json").is_dir()
+
+    def test_later_name_taken_by_a_directory(self, tmp_path):
+        out = tmp_path / "run"
+        (out / "signal_0001.csv").mkdir(parents=True)
+        (out / "keep.txt").write_bytes(b"kept\r\n\x00")
+        assert run([*self.FBM, "--ensemble", 3, "-o", out]) == 3
+        assert sorted(p.name for p in out.iterdir()) == ["keep.txt",
+                                                         "signal_0001.csv"]
+        assert (out / "keep.txt").read_bytes() == b"kept\r\n\x00"
+
+    def test_data_error_on_the_second_realization(self, tmp_path,
+                                                  monkeypatch, capsys):
+        drawn = []
+
+        def second_fails(spec):
+            drawn.append(spec)
+            if len(drawn) == 2:
+                raise DataError("second realization refused")
+            return synth.generate(spec)
+        monkeypatch.setattr(cli, "generate", second_fails)
+        out = tmp_path / "run"
+        assert run([*self.FBM, "--ensemble", 3, "-o", out]) == 3
+        assert capsys.readouterr().err == \
+            "error: second realization refused\n"
+        assert len(drawn) == 2 and list(out.iterdir()) == []
+
+    def test_failed_verify_keeps_its_evidence(self, tmp_path, capsys):
+        out = tmp_path / "v"
+        assert run(["verify", "--alpha", 2, "--ggbeta", 2, "-o", out]) == 3
+        assert capsys.readouterr().err.startswith(_FAILED)
+        assert sorted(p.name for p in out.iterdir()) == ["tailbounds.csv",
+                                                         "tailbounds.json"]
+
+
 class TestDepth:
     @pytest.mark.parametrize("n", [1000, 2500])
     @pytest.mark.parametrize("kind", sorted(PROCESS_FLAGS))
@@ -345,8 +394,8 @@ class TestDepth:
             return j
         basis = daubechies_basis(order)
         for k in range(1, 24):
-            assert cli._deepest_level(1 << k, basis) == halvings(1 << k,
-                                                                 basis.length)
+            assert deepest_level(1 << k, basis) == halvings(1 << k,
+                                                            basis.length)
 
 
 class TestReplay:

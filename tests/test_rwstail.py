@@ -188,6 +188,10 @@ class TestConstants:
         assert c_l_constant(3) == pytest.approx(128.0 / (45.0 * math.pi),
                                                 abs=1e-10)
 
+    def test_c_l1_is_two_over_pi(self):
+        # the empty product over j < 1 leaves 2/pi exactly
+        assert c_l_constant(1) == 2.0 / math.pi
+
     def test_kappa_beta2(self):
         model = RwsModel(1.0, 2.0)
         assert model.gg.kappa == pytest.approx(1.0 / math.sqrt(math.pi),
@@ -308,6 +312,15 @@ class TestMills:
                                                    rel=1e-12)
             assert exact == pytest.approx(lower, abs=1e-12)
             assert abs(exact - gg_tail_by_quadrature(x, 1.0)) <= 1e-12
+
+    def test_beta1_bounds_are_the_closed_form_bits(self):
+        # the beta >= 1 envelopes reduce to e^(-x)/2 exactly at beta = 1
+        grid = [*np.geomspace(5e-324, 1e300, 4001).tolist(),
+                0.5, 1.0, 2.0, 5.0, 700.0, 745.0, 746.0]
+        for x in grid:
+            lower, upper, _ = mills_bounds(x, 1.0)
+            closed = 0.5 * math.exp(-x)
+            assert (lower, upper) == (closed, closed), x
 
     def test_beta2_printed_bounds(self):
         lower, upper, exact = mills_bounds(2.0, 2.0)

@@ -15,8 +15,8 @@ from leaderlab.core import DataError, RngSpec, Signal
 from leaderlab.synth import gen_fbm, gen_mrw, gen_rws_pyramid
 from leaderlab.wavelet import (DAUBECHIES_FILTERS, CoefficientPyramid,
                                LeaderPyramid, basis_from_name, compute_leaders,
-                               daubechies_basis, dwt,
-                               fits_levels, hmin_regression, idwt, legendre_spectrum,
+                               daubechies_basis, deepest_level, dwt,
+                               hmin_regression, idwt, legendre_spectrum,
                                pyramid_from_json, pyramid_to_json,
                                scaling_function, structure_functions)
 
@@ -169,16 +169,29 @@ class TestDwt:
     @pytest.mark.parametrize("j_max", [1, 2, 3, 4])
     def test_fits_levels_is_the_depth_rule(self, j_max):
         # db3 has 6 taps: 2^j_max * 6 samples is the shortest length dwt
-        # accepts, and fits_levels says so for it and for no shorter one
+        # accepts, and deepest_level reaches j_max for it and for no
+        # shorter one
         basis = daubechies_basis(3)
         for n in range(1 << j_max, 10 << j_max, 1 << j_max):
-            fits = fits_levels(n, basis, j_max)
+            fits = j_max <= deepest_level(n, basis)
             assert fits == (n >= 6 << j_max)
             if fits:
                 dwt(Signal(np.zeros(n)), basis, j_max)
             else:
                 with pytest.raises(DataError, match="too short"):
                     dwt(Signal(np.zeros(n)), basis, j_max)
+
+    @pytest.mark.parametrize("order", sorted(DAUBECHIES_FILTERS))
+    def test_deepest_level_matches_definition(self, order):
+        # the deepest j >= 1 with n >> j >= L, or 0 if there is none
+        def definition(n, length):
+            return max((j for j in range(1, n.bit_length())
+                        if n >> j >= length), default=0)
+        basis = daubechies_basis(order)
+        ns = [*range(1, 5000), *(2 ** k + d for k in range(10, 25)
+                                 for d in (-1, 0, 1))]
+        for n in ns:
+            assert deepest_level(n, basis) == definition(n, basis.length), n
 
 
 class TestLeaders:
@@ -222,11 +235,10 @@ class TestLeaders:
 
     @pytest.mark.parametrize("order", sorted(DAUBECHIES_FILTERS))
     def test_clean_slices_match_enumerated_cones(self, order):
-        # every depth fits_levels allows; 1000 is truncated at each depth
+        # every depth deepest_level allows; 1000 is truncated at each depth
         basis = daubechies_basis(order)
         for n in (256, 768, 1000):
-            j_max = 1
-            while fits_levels(n, basis, j_max):
+            for j_max in range(1, deepest_level(n, basis) + 1):
                 m = n - n % (1 << j_max)
                 pyr = dwt(Signal(np.zeros(m)), basis, j_max)
                 coef = footprint_valid(m, basis.length, j_max)
@@ -236,7 +248,6 @@ class TestLeaders:
                     for j in lead.levels:
                         assert np.array_equal(lead.valid_at(j), ref[j]), \
                             (n, j_max, variant, j)
-                j_max += 1
 
     @pytest.mark.parametrize("variant", ["one_leader", "three_leader"])
     def test_clean_slices_of_any_runs(self, variant):
@@ -397,7 +408,7 @@ class TestLegendre:
         spec = legendre_spectrum(zeta, hs)
         for h in hs:
             brute = min(1.0 + q * h - z for q, z in zeta.items())
-            assert spec[float(h)] == pytest.approx(min(brute, 1.0), abs=1e-12)
+            assert spec[float(h)] == min(brute, 1.0)
 
     def test_empty_infimum_marker(self):
         spec = legendre_spectrum({-1.0: math.nan, 1.0: math.nan}, [0.5])
@@ -427,7 +438,7 @@ class TestBitIdentity:
         for sig in fbm_mrw_signals:
             j_max = max(j for j in range(1, 12)
                         if len(sig) % (1 << j) == 0
-                        and fits_levels(len(sig), basis, j))
+                        and j <= deepest_level(len(sig), basis))
             got, ref = dwt(sig, basis, j_max), tap_loop_dwt(sig, basis, j_max)
             assert got.levels == ref.levels and got.clean == ref.clean
             for j in ref.levels:
