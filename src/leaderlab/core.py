@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
+import contextlib
 import functools
-import io
+import itertools
 import json
 import math
-import re
 from dataclasses import dataclass
 from numbers import Integral
 from pathlib import Path
@@ -402,9 +402,6 @@ def _signal_format(t0, dt, n: int) -> str:
                                   _sample_times(t0, dt, n).tolist())
 
 
-_BLANK_LINES = re.compile(r"\n\s*\n")
-
-
 def read_signal(path) -> Signal:
     """Read a `t,value` CSV or a headerless file whose first column holds
     the samples (dt = 1).  Cells are parsed by `np.loadtxt`; blank lines
@@ -412,49 +409,54 @@ def read_signal(path) -> Signal:
     column must be evenly spaced, to within the rounding of its times; it
     sets t0, and dt where the sidecar's dt (1 without one) strays from it.
 
-    A clean file, a regular `.csv` file with no blank line and no blank at
-    either end but its final newlines, goes to `np.loadtxt` as a path,
-    which numpy parses in chunks in C.  Any other file is cleaned
-    first and handed over as text, which numpy walks line by line in
-    Python.  Both routes accept the same files and read the same bits.
+    The file's first two non-blank lines give the header.  numpy then
+    reads a regular `.csv` file from its path, in chunks in C.  Any other
+    file, and one numpy refuses, goes the text route: numpy reads the open
+    file's remaining non-blank lines, one by one in Python.  Both routes
+    accept the same files and read the same bits.
     """
     path = Path(path)
     if not path.exists():
         raise DataError(f"no such signal file: {path}")
     try:
-        raw = path.read_text(encoding="utf-8")
+        with path.open(encoding="utf-8") as fh:
+            # numpy skips empty lines but not lines of blanks
+            lines = filter(str.strip, fh)
+            head = list(itertools.islice(lines, 2))
+            if not head:
+                raise DataError(f"empty signal file: {path}")
+            label = path.stem
+            t0, dt = 0.0, 1.0
+
+            side = path.with_suffix(path.suffix + ".json")
+            if side.exists():
+                try:
+                    meta = json.loads(side.read_text(encoding="utf-8"))
+                    label = meta.get("label", label)
+                    t0 = float(meta.get("t0", t0))
+                    dt = float(meta.get("dt", dt))
+                except (OSError, ValueError, TypeError,
+                        AttributeError) as exc:
+                    raise DataError(f"malformed sidecar {side}: {exc}") from exc
+
+            header = "".join(head[0].split()).lower().startswith("t,value")
+            if header and len(head) < 2:
+                raise DataError(f"no data rows under the header in {path}")
+            cells = dict(delimiter=",", comments=None, ndmin=2,
+                         encoding="utf-8", usecols=(0, 1) if header else 0)
+            data = None
+            # numpy unpacks a path named `.gz`, `.bz2`, `.xz` or `.lzma`,
+            # and a pipe cannot be read twice.  From the path, numpy refuses
+            # a line of blanks, a header under blank lines and a byte that
+            # is not UTF-8, each of which the lines below settle.
+            if path.suffix.lower() == ".csv" and path.is_file():
+                with contextlib.suppress(ValueError):
+                    data = np.loadtxt(path, skiprows=int(header), **cells)
+            if data is None:
+                data = np.loadtxt(itertools.chain(head[int(header):], lines),
+                                  **cells)
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read signal file {path}: {exc}") from exc
-    text = raw.strip()
-    if not text:
-        raise DataError(f"empty signal file: {path}")
-    label = path.stem
-    t0, dt = 0.0, 1.0
-
-    side = path.with_suffix(path.suffix + ".json")
-    if side.exists():
-        try:
-            meta = json.loads(side.read_text(encoding="utf-8"))
-            label = meta.get("label", label)
-            t0 = float(meta.get("t0", t0))
-            dt = float(meta.get("dt", dt))
-        except (OSError, ValueError, TypeError, AttributeError) as exc:
-            raise DataError(f"malformed sidecar {side}: {exc}") from exc
-
-    # loadtxt skips empty lines but not lines of blanks
-    text = _BLANK_LINES.sub("\n", text)
-    first, _, body = text.partition("\n")
-    header = "".join(first.split()).lower().startswith("t,value")
-    if header and not body:
-        raise DataError(f"no data rows under the header in {path}")
-    if _is_clean(path, raw, text):
-        source, skip = path, int(header)
-    else:
-        source, skip = io.StringIO(body if header else text), 0
-    try:
-        data = np.loadtxt(source, delimiter=",", comments=None,
-                          skiprows=skip, usecols=(0, 1) if header else 0,
-                          ndmin=2, encoding="utf-8")
     except ValueError as exc:
         raise DataError(f"malformed CSV in {path}: {exc}") from exc
     if header and data.shape[0] >= 2:
@@ -474,12 +476,3 @@ def read_signal(path) -> Signal:
                 break
         t0, dt = float(t[0]), float(dt)
     return Signal(np.ascontiguousarray(data[:, -1]), t0=t0, dt=dt, label=label)
-
-
-def _is_clean(path: Path, raw: str, text: str) -> bool:
-    """Whether `np.loadtxt`, given `path`, reads what the text route would
-    read of `raw`, the file's text, stripped and blank-collapsed into
-    `text`.  numpy unpacks a path named `.gz`, `.bz2`, `.xz` or `.lzma`,
-    and a pipe cannot be read twice."""
-    return (path.suffix.lower() == ".csv" and path.is_file()
-            and text == raw.rstrip("\n"))

@@ -361,17 +361,24 @@ def mills_bounds(x: float, beta: float) -> tuple[float, float, float]:
     incomplete gamma at (1/beta, x^beta) halved; the bounds are the
     partial-integration envelopes, which collapse to the closed form
     e^(-x)/2 at beta = 1.  For beta < 1 the upper bound only exists once
-    (1-beta)/(beta x^beta) < 1 and is +inf otherwise.
+    (1-beta)/(beta x^beta) < 1 and is +inf otherwise.  Where a bound
+    leaves the float range it is 0 or +inf.
     """
     require(x > 0, "x", "be > 0", x)
     gg = GenGaussianParams(beta)
     exact = 0.5 * gg_two_sided_tail(x, beta)
-    f_x = gg.kappa * math.exp(-x ** beta)
-    g_prime = beta * x ** (beta - 1.0)
+    with np.errstate(over="ignore"):    # a power past the float range: inf
+        x_beta = float(np.float64(x) ** beta)
+        g_prime = beta * float(np.float64(x) ** (beta - 1.0))
+    f_x = gg.kappa * math.exp(-x_beta)
     if beta >= 1.0:
-        m = (beta - 1.0) / (beta * x ** beta)
+        if x_beta == 0.0:
+            # x^beta underflows only at x < 1, where g' m is (beta - 1)/x
+            return (f_x / (g_prime + (beta - 1.0) / x),
+                    f_x / g_prime if g_prime else math.inf, exact)
+        m = (beta - 1.0) / (beta * x_beta)
         return f_x / (g_prime * (1.0 + m)), f_x / g_prime, exact
-    m = (1.0 - beta) / (beta * x ** beta)
+    m = (1.0 - beta) / (beta * x_beta)
     upper = f_x / (g_prime * (1.0 - m)) if m < 1.0 else math.inf
     return f_x / g_prime, upper, exact
 

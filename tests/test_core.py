@@ -447,6 +447,15 @@ class TestSignalIO:
         with pytest.raises(DataError, match="cannot read"):
             read_signal(p)
 
+    def test_not_utf8_past_the_head(self, tmp_path):
+        # a bad byte past the first 64 KB, which the header read never meets
+        p = tmp_path / "late.csv"
+        rows = "".join("%d,%d\n" % (i, i) for i in range(10**4))
+        p.write_bytes(("t,value\n" + rows).encode("utf-8") + b"0,\xff\n")
+        assert p.stat().st_size > 2**16
+        with pytest.raises(DataError, match="cannot read"):
+            read_signal(p)
+
     def test_directory(self, tmp_path):
         with pytest.raises(DataError, match="cannot read"):
             read_signal(tmp_path)
@@ -531,7 +540,24 @@ CLEAN_CASES = {
     "step_and_start": ("t,value\n-3.5,1.5\n-3.25,2.5\n-3,0\n",
                        [1.5, 2.5, 0.0]),
 }
-READ_CASES = {**READER_CASES, **CLEAN_CASES}
+# files numpy refuses from their path, which the text route then reads
+REFUSED_CASES = {
+    "headerless_blank_middle_line": ("1.5\n \t \n2.5\n", [1.5, 2.5]),
+    "form_feed_line": ("t,value\n0,1.5\n\f\n1,2.5\n", [1.5, 2.5]),
+    "nbsp_line": ("t,value\n0,1.5\n\xa0\n1,2.5\n", [1.5, 2.5]),
+    "empty_line_before_header": ("\nt,value\n0,1.5\n1,2.5\n", [1.5, 2.5]),
+    "bad_cell_past_row_10000": ("t,value\n" + "".join(
+        "%d,%d\n" % (i, i % 7) for i in range(10**4 + 1)) + "10001,x\n",
+        DataError),
+}
+READ_CASES = {**READER_CASES, **CLEAN_CASES, **REFUSED_CASES}
+# the READ_CASES numpy refuses from the path, so that each is parsed twice;
+# the two with no data row under the header reach no parse at all
+PATH_REFUSED = {*REFUSED_CASES, "blank_middle_lines", "leading_blank_lines",
+                "empty_cell", "hash_line", "hash_line_headerless",
+                "non_ascii_first_line", "one_column_under_header",
+                "ragged_short_row", "underscore_digits"}
+NO_DATA_ROW = {"header_only", "header_then_blanks"}
 
 
 def _outcome(path):
@@ -565,14 +591,37 @@ class TestReadRoutes:
         p = tmp_path / "s.csv"
         p.write_bytes(text.encode("utf-8"))
         got = _outcome(p)
-        if case in CLEAN_CASES and expected is not DataError:
-            assert loadtxt_sources == [p]
-        monkeypatch.setattr(core, "_is_clean", lambda *args: False)
+        # True for the path, False for the file's lines
+        assert [s == p for s in loadtxt_sources] == (
+            [] if case in NO_DATA_ROW else
+            [True, False] if case in PATH_REFUSED else [True])
+        loadtxt_sources.clear()
+        spy = np.loadtxt
+
+        def refuse_path(source, **kwargs):
+            if source == p:
+                raise ValueError("refused")
+            return spy(source, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", refuse_path)
         assert _outcome(p) == got
+        assert [s == p for s in loadtxt_sources] == (
+            [] if case in NO_DATA_ROW else [False])
         if expected is DataError:
             assert got is DataError
         else:
             assert got[0] == np.array(expected).tobytes()
+
+    @pytest.mark.parametrize("case", sorted(NO_DATA_ROW))
+    def test_no_data_row_warns_nothing(self, tmp_path, loadtxt_sources,
+                                       case):
+        p = tmp_path / "s.csv"
+        p.write_text(READ_CASES[case][0], encoding="utf-8")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(DataError, match="no data rows"):
+                read_signal(p)
+        assert caught == [] and loadtxt_sources == []
 
     def test_step_and_start_from_the_t_column(self, tmp_path):
         p = tmp_path / "s.csv"

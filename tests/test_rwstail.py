@@ -344,6 +344,15 @@ class TestMills:
         assert exact <= upper * (1 + 1e-12)
         assert abs(exact - gg_tail_by_quadrature(x, beta)) <= 1e-12
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("beta", [0.5, 1.0, 1.5, 2.0, 3.0, 50.0])
+    def test_float_range_ends(self, beta):
+        # where x^beta leaves the float range, a bound is 0 or +inf
+        for x in (5e-324, 1e-300, 1e-10, 1.0, 1e10, 1e200, 1e300):
+            lower, upper, exact = mills_bounds(x, beta)
+            assert 0.0 <= lower <= exact * (1 + 1e-12), (x, lower, exact)
+            assert exact <= upper * (1 + 1e-12), (x, exact, upper)
+
     def test_domain(self):
         with pytest.raises(DataError):
             mills_bounds(0.0, 2.0)
