@@ -14,10 +14,9 @@ cli        command-line frontend with reproducible run manifests
 from .core import (DataError, LeaderLabError, NonConvergenceError,
                    RegimeError, RegressionFit, RngSpec, Signal, linfit,
                    read_signal, standard_normal_quantile, write_signal)
-from .cumulants import (C1C2Estimate, CumulantFit, EstimateWithCI,
-                        berry_esseen_bound, bootstrap_percentile,
-                        estimate_c1_c2, fit_cm, log_cumulants_per_scale,
-                        select_scale_range)
+from .cumulants import (C1C2Estimate, EstimateWithCI, berry_esseen_bound,
+                        bootstrap_percentile, estimate_c1_c2, fit_cm,
+                        log_cumulants_per_scale, select_scale_range)
 from .rwstail import (MonteCarloCdf, RwsModel, SmallABounds, TailBoundReport,
                       gg_cdf, large_A_bound, leader_cdf_exact,
                       leader_cdf_monte_carlo, mills_bounds, small_A_bounds,

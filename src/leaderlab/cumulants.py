@@ -28,14 +28,6 @@ _CONE_FLOOR = 4
 
 
 @dataclass
-class CumulantFit:
-    """Regression of the order-m cumulant of log-leaders on log(scale)."""
-
-    c0: float
-    cm: float
-
-
-@dataclass
 class EstimateWithCI:
     estimate: float
     stderr: float
@@ -51,14 +43,15 @@ class EstimateWithCI:
 
 
 def log_cumulants_per_scale(leaders: LeaderPyramid, j_range: tuple[int, int]
-                            ) -> tuple[dict[int, float], dict[int, float]]:
-    """Per-scale mean and variance (divisor n_j) of the log-leaders."""
+                            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The pyramid levels inside `j_range`, in level order, with the mean and
+    the variance (divisor n_j) of the log-leaders at each."""
     j1, j2 = int(j_range[0]), int(j_range[1])
-    mu: dict[int, float] = {}
-    var: dict[int, float] = {}
-    for j in leaders.levels:
-        if not j1 <= j <= j2:
-            continue
+    levels = np.array([j for j in leaders.levels if j1 <= j <= j2], dtype=int)
+    if levels.size == 0:
+        raise DataError(f"no pyramid levels inside [{j1}, {j2}]")
+    mean, var = np.empty(levels.size), np.empty(levels.size)
+    for i, j in enumerate(levels.tolist()):
         ell = leaders.clean_values(j)
         if ell.size == 0:
             raise DataError(f"no usable leaders at level {j}")
@@ -68,27 +61,21 @@ def log_cumulants_per_scale(leaders: LeaderPyramid, j_range: tuple[int, int]
         if logs.size == 1:
             warnings.warn(f"single leader at level {j}: variance set to 0",
                           stacklevel=2)
-        m = float(logs.mean())
-        mu[j] = m
-        var[j] = float(np.mean((logs - m) ** 2))
-    if not mu:
-        raise DataError(f"no pyramid levels inside [{j1}, {j2}]")
-    return mu, var
+        mean[i] = logs.mean()
+        var[i] = np.mean((logs - mean[i]) ** 2)
+    return levels, mean, var
 
 
-def fit_cm(per_scale: dict[int, float],
-           j_range: tuple[int, int]) -> CumulantFit:
-    """Least squares of C_m(j) on log(scale_j) via the explicit normal
-    equations (H^T H)^-1 H^T with H = [1, log scale_j] rows."""
-    j1, j2 = int(j_range[0]), int(j_range[1])
-    js = sorted(j for j in per_scale if j1 <= j <= j2)
-    if len(js) < 2:
-        raise DataError(f"need at least 2 scales in [{j1}, {j2}]")
-    x = np.array(js, dtype=float) * LN2
-    y = np.array([per_scale[j] for j in js])
+def fit_cm(levels: np.ndarray, values: np.ndarray) -> tuple[float, float]:
+    """Intercept c0 and slope c_m of the least-squares line of the per-level
+    cumulants `values` on log(scale_j) = j log 2, by the explicit normal
+    equations (H^T H)^-1 H^T y with H = [1, log scale_j] rows."""
+    if len(levels) < 2:
+        raise DataError(f"need at least 2 scales, got {len(levels)}")
+    x = np.asarray(levels, dtype=float) * LN2
     h = np.column_stack([np.ones_like(x), x])
-    coef = np.linalg.solve(h.T @ h, h.T @ y)
-    return CumulantFit(c0=float(coef[0]), cm=float(coef[1]))
+    c0, cm = np.linalg.solve(h.T @ h, h.T @ np.asarray(values, dtype=float))
+    return float(c0), float(cm)
 
 
 @dataclass
@@ -129,9 +116,9 @@ def estimate_c1_c2(realizations: list[LeaderPyramid], j_range: tuple[int, int],
     c1s = np.empty(n_real)
     c2s = np.empty(n_real)
     for i, leaders in enumerate(realizations):
-        mu, var = log_cumulants_per_scale(leaders, j_range)
-        c1s[i] = fit_cm(mu, j_range).cm
-        c2s[i] = fit_cm(var, j_range).cm
+        levels, mean, var = log_cumulants_per_scale(leaders, j_range)
+        c1s[i] = fit_cm(levels, mean)[1]
+        c2s[i] = fit_cm(levels, var)[1]
     z = standard_normal_quantile(1.0 - alpha / 2.0)
 
     def clt(estimate: float, samples: np.ndarray) -> EstimateWithCI:

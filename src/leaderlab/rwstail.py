@@ -123,7 +123,7 @@ def leader_log_cdf_exact(model: RwsModel, A: float,
     that never happens within 200 levels.
     """
     _check_A(A)
-    require(tol > 0, "tol", "be > 0", tol)
+    require(0 < tol < math.inf, "tol", "be finite and > 0", tol)
     A = np.float64(A)   # so that a power past the float range is inf
     total = 0.0
     tail = _level_tail(model, A, 0)
@@ -471,6 +471,7 @@ def verify_tail_rates(model: RwsModel, A_grid, tol: float = 1e-12,
     points in neither regime raise a RegimeError.  With `mc_paths` > 0 every
     point also gets a Monte Carlo estimate at J = 18.
     """
+    require(0 < tol < math.inf, "tol", "be finite and > 0", tol)
     _check_paths("mc_paths", mc_paths, 0)
     if mc_paths > 0:
         check_rng("seed", rng, "mc_paths > 0")

@@ -21,12 +21,6 @@ from .core import (DataError, NonConvergenceError, RngSpec,
                    _check_replicates, check_count, check_level, check_rng,
                    check_sample, normal_cdf, standard_normal_quantile)
 
-__all__ = [
-    "TestReport", "shapiro_wilk", "qq_data", "LogConcaveMLE",
-    "fit_logconcave_mle", "sample_from_mle", "interval_discrepancy",
-    "logconcavity_test",
-]
-
 _TOL_CONCAVITY = 1e-9   # largest kink a fitted log-concave MLE may show
 _MAX_OUTER = 200        # active-set passes of the MLE
 _MAX_INNER = 200        # Newton steps per active-set pass

@@ -302,7 +302,8 @@ def gen_cpc_motion(kind: str, T: float, r_min: float, n: int, rng: RngSpec,
 
 def _gg_draws(beta: float, size: int, gen: np.random.Generator) -> np.ndarray:
     g = gen.gamma(1.0 / beta, 1.0, size=size)
-    mag = g ** (1.0 / beta)
+    with np.errstate(over="ignore"):   # inf past the float range
+        mag = g ** (1.0 / beta)
     sign = np.where(gen.random(size) < 0.5, -1.0, 1.0)
     return mag * sign
 
@@ -312,7 +313,9 @@ def sample_gen_gaussian(beta: float, n: int, rng: RngSpec) -> np.ndarray:
     via |X| = G^(1/beta) with G ~ Gamma(1/beta, 1) and a random sign."""
     check_shape(beta)
     check_count("n", n)
-    return _gg_draws(beta, n, rng.generator(0))
+    x = _gg_draws(beta, n, rng.generator(0))
+    require(np.isfinite(x).all(), "beta", "keep the draws finite", beta)
+    return x
 
 
 def gen_rws_pyramid(alpha: float, beta: float, basis: WaveletBasis, J: int,
@@ -331,11 +334,13 @@ def gen_rws_pyramid(alpha: float, beta: float, basis: WaveletBasis, J: int,
     require(1 <= J < _MAX_LOG2_N, "J", f"lie in [1, {_MAX_LOG2_N - 1}]", J)
     gen = rng.generator(0)
     coeffs: dict[int, np.ndarray] = {}
-    for depth in range(J + 1):
-        x = _gg_draws(beta, 1 << depth, gen)
-        coeffs[J + 1 - depth] = 2.0 ** (-alpha * depth) * x
-    pyramid = CoefficientPyramid(coeffs=coeffs)
-    samples = idwt(pyramid, basis)
+    # an inf draw leaves a path that is not finite, refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for depth in range(J + 1):
+            x = _gg_draws(beta, 1 << depth, gen)
+            coeffs[J + 1 - depth] = 2.0 ** (-alpha * depth) * x
+        pyramid = CoefficientPyramid(coeffs=coeffs)
+        samples = idwt(pyramid, basis)
     require(np.isfinite(samples).all(), "ggbeta", "keep the path finite", beta)
     n = samples.size
     sig = Signal(samples, t0=0.0, dt=1.0 / n,

@@ -139,11 +139,6 @@ DAUBECHIES_FILTERS: dict[int, tuple[float, ...]] = {
 }
 
 
-# WaveletBasis.validate's tolerances (the moment one is relative)
-_TOL_QMF = 1e-12
-_TOL_MOMENTS = 1e-10
-
-
 @dataclass
 class WaveletBasis:
     """Orthonormal Daubechies analysis filter pair with N vanishing moments."""
@@ -160,32 +155,6 @@ class WaveletBasis:
     def name(self) -> str:
         return f"db{self.n_vanishing}"
 
-    def validate(self) -> None:
-        """Check the orthonormal quadrature-mirror relations and moments.
-
-        Moment sums are checked relative to sum(|m^p hi|), which is the
-        resolution attainable in double precision for large N.
-        """
-        lo, hi = self.filter_lo, self.filter_hi
-        if abs(lo.sum() - math.sqrt(2.0)) > _TOL_QMF:
-            raise DataError("lowpass filter does not sum to sqrt(2)")
-        L = lo.size
-        for r in range(L // 2):
-            acc = float(np.dot(lo[: L - 2 * r], lo[2 * r:]))
-            target = 1.0 if r == 0 else 0.0
-            if abs(acc - target) > _TOL_QMF:
-                raise DataError(f"lowpass autocorrelation fails at lag {2 * r}")
-            cross = float(np.dot(lo[: L - 2 * r], hi[2 * r:]))
-            cross2 = float(np.dot(hi[: L - 2 * r], lo[2 * r:]))
-            if max(abs(cross), abs(cross2)) > _TOL_QMF:
-                raise DataError(f"lo/hi orthogonality fails at lag {2 * r}")
-        m = np.arange(L, dtype=float)
-        for p in range(self.n_vanishing):
-            num = abs(float(np.sum(m ** p * hi)))
-            scale = max(float(np.sum(m ** p * np.abs(hi))), 1.0)
-            if num > _TOL_MOMENTS * scale:
-                raise DataError(f"moment {p} of highpass filter does not vanish")
-
 
 def daubechies_basis(n_vanishing: int) -> WaveletBasis:
     require(n_vanishing in DAUBECHIES_FILTERS, "n_vanishing",
@@ -194,9 +163,7 @@ def daubechies_basis(n_vanishing: int) -> WaveletBasis:
     # quadrature mirror: hi[m] = (-1)^m lo[L-1-m]
     signs = np.where(np.arange(lo.size) % 2 == 0, 1.0, -1.0)
     hi = signs * lo[::-1]
-    basis = WaveletBasis(int(n_vanishing), lo, hi)
-    basis.validate()
-    return basis
+    return WaveletBasis(int(n_vanishing), lo, hi)
 
 
 def basis_from_name(name: str) -> WaveletBasis:
@@ -418,20 +385,22 @@ class StructureFunctionTable:
 
 def structure_functions(leaders: LeaderPyramid,
                         q_values) -> StructureFunctionTable:
-    """S(j, q): mean of leader^q over the clean positions of each level j."""
+    """S(j, q): mean of leader^q over the clean positions of each level j;
+    an S that is 0 or not finite, with no log2, is a DataError."""
     q_values = np.atleast_1d(np.asarray(q_values, dtype=float))
     require(q_values.size > 0, "q_values", "be non-empty", q_values)
-    negative = any(q < 0 for q in q_values)
     levels = leaders.levels
     rows = []
     for j in levels:
         ell = leaders.clean_values(j)
         if ell.size == 0:
             raise DataError(f"no usable leaders at level {j}")
-        if negative and np.any(ell == 0.0):
-            raise DataError(f"zero leader at level {j}: negative moments "
-                            "undefined (degenerate data)")
-        rows.append([np.mean(ell ** q) for q in q_values])
+        with np.errstate(all="ignore"):
+            rows.append([np.mean(ell ** q) for q in q_values])
+        for q, s in zip(q_values, rows[-1]):
+            if not 0.0 < s < math.inf:
+                raise DataError(f"S(j, q) = {s:g} at level {j}, q = {q:g}: "
+                                "no log2 (zero leaders or float over/underflow)")
     return StructureFunctionTable(j_values=np.array(levels), q_values=q_values,
                                   s=np.array(rows))
 

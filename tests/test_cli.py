@@ -8,7 +8,8 @@ import pytest
 
 from leaderlab import cli, synth
 from leaderlab.cli import main
-from leaderlab.core import DataError, RngSpec, read_signal
+from leaderlab.core import (DataError, RngSpec, Signal, read_signal,
+                            write_signal)
 from leaderlab.stattests import logconcavity_test, shapiro_wilk
 from leaderlab.wavelet import (DAUBECHIES_FILTERS, basis_from_name,
                                compute_leaders, daubechies_basis,
@@ -133,6 +134,7 @@ GENERATE_ERRORS = [
     (["--process", "cpc-lp", "--w", 1e300], "--w"),
     (["--process", "cpc-ln", "--sigma2", 1e300], "--sigma2"),
     (["--process", "cmc", "--sigma2", 1e300], "--sigma2"),
+    (["--process", "rws", "--ggbeta", 1e-3], "--ggbeta"),
     # beyond the 2^24-sample cap, with no --J passed
     *[(["--process", kind, "--n", (1 << 24) + 1], "--n")
       for kind in ("cmc", "rws")],
@@ -154,6 +156,7 @@ LEVEL_ERRORS = [
     ("test", ["--which", "shapiro", "--alpha", 1], "--alpha"),
     ("verify", ["--tol", "nan"], "--tol"),
     ("verify", ["--tol", 0], "--tol"),
+    ("verify", ["--tol", "inf"], "--tol must be finite and > 0, got inf"),
     ("verify", ["--mc-paths", -3], "--mc-paths"),
 ]
 
@@ -595,6 +598,27 @@ class TestAnalyze:
         assert code == 3
         leftovers = [p for p in out.iterdir()] if out.exists() else []
         assert leftovers == []
+
+    # S(j, q) of 0 or past the float range: log2 S is not a number
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("samples,q", [
+        (np.zeros(1024), "1:1:3"),
+        (np.arange(1024.0), "400"),
+        (np.arange(1024.0), "1e300"),
+        (1e300 * np.sin(np.arange(1024.0)), None),
+        (1e-310 * np.sin(np.arange(1024.0)), None)],
+        ids=["all zero", "ramp q=400", "ramp q=1e300", "1e300 sin",
+             "1e-310 sin"])
+    def test_structure_function_off_the_float_range(self, tmp_path, capsys,
+                                                    samples, q):
+        write_signal(Signal(samples), tmp_path / "x.csv")
+        out = tmp_path / "an"
+        code = run(["analyze", "--input", tmp_path / "x.csv", "--jmax", 5,
+                    *([f"--q={q}"] if q else []), "-o", out])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: S(j, q) = ") and err.count("\n") == 1
+        assert list(out.iterdir()) == []
 
 
 class TestEstimate:

@@ -303,6 +303,8 @@ PARAM_REFUSALS = {
         _MODEL, 0.5, J=4, n_paths=10 ** 7 + 1, rng=RngSpec(1)), "n_paths",
         10 ** 7 + 1),
     "tol": (lambda: leader_log_cdf_exact(_MODEL, 0.01, tol=0.0), "tol", 0.0),
+    "tol inf": (lambda: leader_log_cdf_exact(_MODEL, 0.01, tol=math.inf),
+                "tol", math.inf),
     "wavelet": (lambda: basis_from_name("db11"), "wavelet", "db11"),
     # more digits than int() parses
     "wavelet 5000 digits": (lambda: basis_from_name("db" + "9" * 5000),
@@ -316,6 +318,9 @@ PARAM_REFUSALS = {
         math.nan, 10, RngSpec(1)), "beta", math.nan),
     "gen gaussian beta inf": (lambda: sample_gen_gaussian(
         math.inf, 10, RngSpec(1)), "beta", math.inf),
+    # |X| = G^1000 past the float range
+    "gen gaussian beta 1e-3": (lambda: sample_gen_gaussian(
+        1e-3, 5, RngSpec(1)), "beta", 1e-3),
     "mills beta inf": (lambda: mills_bounds(1.0, math.inf), "beta",
                        math.inf),
     "small A nan": (lambda: small_A_bounds(_MODEL, math.nan), "A", math.nan),

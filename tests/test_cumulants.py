@@ -32,22 +32,31 @@ def synthetic_leaders(values_per_level):
 class TestPerScaleCumulants:
     def test_constant_e(self):
         lead = synthetic_leaders([np.full(8, math.e)])
-        mu, var = log_cumulants_per_scale(lead, (1, 1))
-        assert mu[1] == pytest.approx(1.0, abs=1e-14)
-        assert var[1] == pytest.approx(0.0, abs=1e-14)
+        levels, mean, var = log_cumulants_per_scale(lead, (1, 1))
+        assert levels.tolist() == [1]
+        assert mean[0] == pytest.approx(1.0, abs=1e-14)
+        assert var[0] == pytest.approx(0.0, abs=1e-14)
 
     def test_two_values(self):
         lead = synthetic_leaders([[math.e, math.e ** 3]])
-        mu, var = log_cumulants_per_scale(lead, (1, 1))
-        assert mu[1] == pytest.approx(2.0, abs=1e-12)
+        levels, mean, var = log_cumulants_per_scale(lead, (1, 1))
+        assert mean[0] == pytest.approx(2.0, abs=1e-12)
         # population variance with divisor n_j, no Bessel correction
-        assert var[1] == pytest.approx(1.0, abs=1e-12)
+        assert var[0] == pytest.approx(1.0, abs=1e-12)
+
+    def test_levels_in_order_inside_the_range(self):
+        lead = synthetic_leaders([np.full(1 << (5 - j), math.e ** j)
+                                  for j in range(5)])
+        levels, mean, var = log_cumulants_per_scale(lead, (2, 4))
+        assert levels.tolist() == [2, 3, 4]
+        assert mean == pytest.approx([1.0, 2.0, 3.0], abs=1e-14)
+        assert var.tolist() == [0.0] * 3
 
     def test_single_point_warns(self):
         lead = synthetic_leaders([[2.0, 3.0], [5.0]])
         with pytest.warns(UserWarning):
-            mu, var = log_cumulants_per_scale(lead, (2, 2))
-        assert var[2] == 0.0
+            levels, mean, var = log_cumulants_per_scale(lead, (2, 2))
+        assert levels.tolist() == [2] and var[0] == 0.0
 
     def test_nonpositive_error(self):
         lead = synthetic_leaders([[1.0, 0.0]])
@@ -57,23 +66,21 @@ class TestPerScaleCumulants:
 
 class TestFitCm:
     def test_exact_affine_recovery(self):
-        per_scale = {j: 0.2 + 0.7 * (j * LN2) for j in range(1, 7)}
-        fit = fit_cm(per_scale, (1, 6))
-        assert fit.cm == pytest.approx(0.7, abs=1e-12)
-        assert fit.c0 == pytest.approx(0.2, abs=1e-12)
+        levels = np.arange(1, 7)
+        c0, cm = fit_cm(levels, 0.2 + 0.7 * (levels * LN2))
+        assert cm == pytest.approx(0.7, abs=1e-12)
+        assert c0 == pytest.approx(0.2, abs=1e-12)
 
     def test_matches_linfit(self):
-        gen = np.random.default_rng(31)
-        per_scale = {j: float(gen.normal()) for j in range(2, 9)}
-        fit = fit_cm(per_scale, (2, 8))
-        js = np.arange(2, 9, dtype=float)
-        ref = linfit(js * LN2, np.array([per_scale[j] for j in range(2, 9)]))
-        assert fit.cm == pytest.approx(ref.slope, rel=1e-12)
-        assert fit.c0 == pytest.approx(ref.intercept, rel=1e-12)
+        values = np.random.default_rng(31).normal(size=7)
+        c0, cm = fit_cm(np.arange(2, 9), values)
+        ref = linfit(np.arange(2, 9, dtype=float) * LN2, values)
+        assert cm == pytest.approx(ref.slope, rel=1e-12)
+        assert c0 == pytest.approx(ref.intercept, rel=1e-12)
 
     def test_insufficient_scales(self):
         with pytest.raises(DataError):
-            fit_cm({3: 1.0}, (3, 3))
+            fit_cm(np.array([3]), np.array([1.0]))
 
 
 class TestEstimateC1C2:

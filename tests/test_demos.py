@@ -1,6 +1,7 @@
 """Each demo script, and each python block of the README, runs to
-completion from a scratch working directory; each `leaderlab` command of
-the README parses with the CLI's own parser."""
+completion from a scratch working directory, with numpy's RuntimeWarnings
+as errors; each `leaderlab` command of the README parses with the CLI's own
+parser."""
 
 import os
 import re
@@ -21,7 +22,8 @@ def run_python(args, cwd):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
-    proc = subprocess.run([sys.executable, *args], cwd=cwd, env=env,
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
+                           *args], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
 

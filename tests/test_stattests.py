@@ -46,7 +46,7 @@ class TestShapiroWilk:
 
     def test_matches_reference_implementation(self):
         gen = np.random.default_rng(17)
-        for n in (5, 12, 100, 1200):
+        for n in (3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 100, 1200):
             for maker in (gen.normal, gen.exponential, gen.uniform):
                 x = maker(size=n)
                 mine = shapiro_wilk(x)

@@ -14,7 +14,8 @@ from conftest import (brute_force_leaders, build_pyramid, cone_valid,
 from leaderlab.core import DataError, RngSpec, Signal
 from leaderlab.synth import gen_fbm, gen_mrw, gen_rws_pyramid
 from leaderlab.wavelet import (DAUBECHIES_FILTERS, CoefficientPyramid,
-                               LeaderPyramid, basis_from_name, compute_leaders,
+                               LeaderPyramid, StructureFunctionTable,
+                               basis_from_name, compute_leaders,
                                daubechies_basis, deepest_level, dwt,
                                hmin_regression, idwt, legendre_spectrum,
                                pyramid_from_json, pyramid_to_json,
@@ -24,15 +25,25 @@ from leaderlab.wavelet import (DAUBECHIES_FILTERS, CoefficientPyramid,
 class TestFilters:
     @pytest.mark.parametrize("order", sorted(DAUBECHIES_FILTERS))
     def test_qmf_invariants(self, order):
-        basis = daubechies_basis(order)  # validate() runs inside
-        assert basis.length == 2 * order
-        assert abs(basis.filter_lo.sum() - math.sqrt(2)) < 1e-12
-        # vanishing moments, relative to the absolute-sum scale
-        m = np.arange(basis.length, dtype=float)
+        # the one check of the constant table: no basis built from it
+        # checks it again
+        basis = daubechies_basis(order)
+        lo, hi, L = basis.filter_lo, basis.filter_hi, basis.length
+        assert L == 2 * order
+        assert abs(lo.sum() - math.sqrt(2)) <= 1e-12
+        # orthonormal shifts by even lags; lo and hi orthogonal at each
+        for r in range(L // 2):
+            auto = float(np.dot(lo[:L - 2 * r], lo[2 * r:]))
+            assert abs(auto - (1.0 if r == 0 else 0.0)) <= 1e-12, r
+            assert abs(float(np.dot(lo[:L - 2 * r], hi[2 * r:]))) <= 1e-12, r
+            assert abs(float(np.dot(hi[:L - 2 * r], lo[2 * r:]))) <= 1e-12, r
+        # vanishing moments, relative to the absolute-sum scale, which is
+        # the resolution double precision attains for large N
+        m = np.arange(L, dtype=float)
         for p in range(order):
-            num = abs(np.sum(m ** p * basis.filter_hi))
-            scale = max(np.sum(m ** p * np.abs(basis.filter_hi)), 1.0)
-            assert num <= 1e-10 * scale
+            num = abs(np.sum(m ** p * hi))
+            scale = max(np.sum(m ** p * np.abs(hi)), 1.0)
+            assert num <= 1e-10 * scale, p
 
     def test_unknown_orders(self):
         with pytest.raises(DataError):
@@ -467,13 +478,17 @@ class TestBitIdentity:
 
     def test_scaling_function_matches_each_q(self, fbm_mrw_signals, recwarn):
         # q = +-800 overflows and underflows S(j, q) to inf and 0, so that
-        # rows of log2 S hold +-inf; every call records its warnings
+        # rows of log2 S hold +-inf; every call records its warnings.
+        # structure_functions refuses such a table, so it is built here
         warnings.simplefilter("always")
         leaders = compute_leaders(dwt(fbm_mrw_signals[1], daubechies_basis(3),
                                       11))
         qs = [-800.0, -5.0, -1.0, 0.5, 1.0, 2.0, 5.0, 800.0]
         with np.errstate(over="ignore", divide="ignore"):
-            table = structure_functions(leaders, qs)
+            table = StructureFunctionTable(
+                np.array(leaders.levels), np.array(qs),
+                np.array([[np.mean(leaders.clean_values(j) ** q) for q in qs]
+                          for j in leaders.levels]))
         mask = (table.j_values >= 2) & (table.j_values <= 9)
         ref = [scalar_linfit(table.j_values[mask],
                              np.log2(table.s[mask, qi]))
