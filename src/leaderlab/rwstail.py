@@ -11,14 +11,15 @@ supremum of |coefficient| over the whole tree.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass, field
 from numbers import Integral
 
 import numpy as np
 
-from .core import (NonConvergenceError, RegimeError, RngSpec, check_count,
-                   check_rng, linfit, require, write_csv, write_json)
+from .core import (NonConvergenceError, RegimeError, RngSpec, check_rng,
+                   linfit, require, write_csv, write_json)
 from .synth import GenGaussianParams, check_shape
 
 LN2 = math.log(2.0)
@@ -27,7 +28,7 @@ LN2 = math.log(2.0)
 SMALL_A_ALPHA_MIN = math.log(1.13 * math.pi) / math.log(4.0)
 
 _MAX_DEPTH = 200        # levels the exact product may take to converge
-_I_CAP = 200            # last level find_l_beta checks
+_I_CAP = 200            # last level l_beta may take
 _MC_DEPTH = 18          # tree depth of the Monte Carlo cross-check
 _TIE_RTOL = 1e-12       # relative shortfall of a large-A bound that ties
 # most Monte Carlo paths: each holds 10 bytes at once (a float64 draw, the
@@ -66,7 +67,7 @@ def gg_two_sided_tail(x, beta: float):
     return _gg_incomplete_gamma(gammaincc, x, beta)
 
 
-@dataclass
+@dataclass(frozen=True)
 class RwsModel:
     alpha: float
     beta: float
@@ -77,7 +78,7 @@ class RwsModel:
                 self.alpha)
         require(0 < self.beta < math.inf, "ggbeta", "be finite and > 0",
                 self.beta)
-        self.gg = GenGaussianParams(self.beta)
+        object.__setattr__(self, "gg", GenGaussianParams(self.beta))
 
 
 def a_threshold(model: RwsModel) -> float:
@@ -113,23 +114,16 @@ def _level_tail(model: RwsModel, A: float, j: int) -> float:
         return gg_two_sided_tail(_pow2(model.alpha * j) * A, model.beta)
 
 
-def leader_log_cdf_exact(model: RwsModel, A: float,
-                         tol: float = 1e-12) -> float:
-    """log P(leader <= A) as the truncated product sum_j 2^j log F(2^(alpha j) A).
-
-    Truncation stops once the remaining mass bound falls below `tol`; the
-    stopping rule requires the per-level term ratio to be certifiably below
-    1/2, and a NonConvergenceError reports alpha/A combinations for which
-    that never happens within 200 levels.
-    """
-    _check_A(A)
-    require(0 < tol < math.inf, "tol", "be finite and > 0", tol)
+def _log_cdf_walk(model: RwsModel, A, tols) -> list[float]:
+    """`leader_log_cdf_exact` at each of the decreasing `tols` from one walk:
+    the running total where a walk of its own would stop for that tol."""
     A = np.float64(A)   # so that a power past the float range is inf
+    totals: list[float] = []
     total = 0.0
     tail = _level_tail(model, A, 0)
     for j in range(_MAX_DEPTH + 1):
         if tail >= 1.0:
-            return -math.inf
+            return totals + [-math.inf] * (len(tols) - len(totals))
         total += 2.0 ** j * math.log1p(-tail)
         next_tail = _level_tail(model, A, j + 1)
         # once the ratio of consecutive weighted tails is certified <= 1/2,
@@ -141,13 +135,29 @@ def leader_log_cdf_exact(model: RwsModel, A: float,
         if gap >= math.log(4.0) or math.isnan(gap):
             remainder = 2.0 * 2.0 ** (j + 1) * next_tail / max(1.0 - next_tail,
                                                                0.5)
-            if remainder < tol:
-                return total
+            while remainder < tols[len(totals)]:
+                totals.append(total)
+                if len(totals) == len(tols):
+                    return totals
         tail = next_tail
     raise NonConvergenceError(
         f"leader CDF product does not certify convergence within "
         f"{_MAX_DEPTH} levels (alpha={model.alpha}, A={A}); "
         "alpha is too small for the requested A")
+
+
+def leader_log_cdf_exact(model: RwsModel, A: float,
+                         tol: float = 1e-12) -> float:
+    """log P(leader <= A) as the truncated product sum_j 2^j log F(2^(alpha j) A).
+
+    Truncation stops once the remaining mass bound falls below `tol`; the
+    stopping rule requires the per-level term ratio to be certifiably below
+    1/2, and a NonConvergenceError reports alpha/A combinations for which
+    that never happens within 200 levels.
+    """
+    _check_A(A)
+    require(0 < tol < math.inf, "tol", "be finite and > 0", tol)
+    return _log_cdf_walk(model, A, (tol,))[0]
 
 
 def leader_cdf_exact(model: RwsModel, A: float, tol: float = 1e-12) -> float:
@@ -204,70 +214,66 @@ def leader_cdf_monte_carlo(model: RwsModel, A: float, J: int, n_paths: int,
 # ---------------------------------------------------------------------------
 # the envelope constants
 
-def c_l_constant(l: int) -> float:
-    """c_l = prod_{j>=l} (1 - 1/(4 j^2)) = (2/pi) / prod_{j<l} (...)."""
-    check_count("l", l)
-    j = np.arange(1, l, dtype=float)
-    head = float(np.exp(np.sum(np.log1p(-1.0 / (4.0 * j * j)))))
-    return (2.0 / math.pi) / head
+@functools.lru_cache
+def _small_a_constants(model: RwsModel) -> tuple[int, float, float]:
+    """(l_beta, c_(l_beta), Lambda) of the small-A envelope (alpha >
+    SMALL_A_ALPHA_MIN): l_beta, the least l with the Mills approximation
+    1%-accurate at 2^(alpha l) and (1 - 1/(4 i^2)) <= (1 - eps_i)^(2^(i+l+1))
+    for every i >= l; c_l = prod_{j>=l} (1 - 1/(4 j^2)); and Lambda, the
+    slack the tail product implies: prod_{i>=l_beta} (1 - eps_i)^(2^i) =
+    c_l Lambda."""
+    if not model.alpha > SMALL_A_ALPHA_MIN:
+        raise RegimeError(
+            f"small-A envelope needs alpha > {SMALL_A_ALPHA_MIN:.6f}; "
+            f"got alpha={model.alpha}")
 
+    def mills_eps(i: int) -> float:
+        # two-sided Mills form of P(|X| > 2^(alpha i)); 0 below e^-700
+        try:
+            x = 2.0 ** (model.alpha * i)
+            expo = x ** model.beta
+        except OverflowError:
+            return 0.0
+        return 0.0 if expo > 700.0 else 2.0 * model.gg.kappa \
+            * math.exp(-expo) / (model.beta * x ** (model.beta - 1.0))
 
-def _mills_epsilon(model: RwsModel, i: float) -> float:
-    """Two-sided Mills approximation of P(|X| > 2^(alpha i)); 0 once
-    exp(-x^beta) is below e^-700, x^beta past the float range included."""
-    try:
-        x = 2.0 ** (model.alpha * i)
-        expo = x ** model.beta
-    except OverflowError:
-        return 0.0
-    if expo > 700.0:
-        return 0.0
-    return 2.0 * model.gg.kappa * math.exp(-expo) \
-        / (model.beta * x ** (model.beta - 1.0))
-
-
-def find_l_beta(model: RwsModel) -> int:
-    """Smallest level l such that the Mills approximation is 1%-accurate at
-    2^(alpha l) and the per-level product inequality
-    (1 - 1/(4 i^2)) <= (1 - eps_i)^(2^(i+l+1)) holds for every i >= l."""
     thr = a_threshold(model) if model.beta != 1.0 else 1.0
     # past _I_CAP (an infinite threshold too) no level is checked at all
     l_min = (max(1, math.ceil(min(math.log2(thr) / model.alpha, _I_CAP + 1)))
              if thr > 1.0 else 1)
     worst: dict[int, float] = {}
-    for l in range(l_min, _I_CAP + 1):
-        for i in range(l, _I_CAP + 1):
-            eps = _mills_epsilon(model, i)
+    for l_beta in range(l_min, _I_CAP + 1):
+        for i in range(l_beta, _I_CAP + 1):
+            eps = mills_eps(i)
             if eps == 0.0:
-                return l  # every deeper level holds as well
+                break   # every deeper level holds as well
             if eps >= 1.0:
-                worst[l] = math.inf
+                worst[l_beta] = math.inf
                 break
             lhs = math.log1p(-1.0 / (4.0 * i * i))
-            rhs = 2.0 ** (i + l + 1) * math.log1p(-eps)
+            rhs = 2.0 ** (i + l_beta + 1) * math.log1p(-eps)
             if lhs > rhs:
-                worst[l] = lhs - rhs
+                worst[l_beta] = lhs - rhs
                 break
-        else:
-            return l
-    raise RegimeError(
-        "no level satisfies the tail-product inequality up to "
-        f"i={_I_CAP}; worst residuals per candidate: "
-        + (", ".join(f"l={l}: {r:.3e}" for l, r in list(worst.items())[:5])
-           or f"none, the Mills approximation is 1%-accurate only past "
-              f"A_beta = {thr:.6g}"))
-
-
-def implied_lambda(model: RwsModel, l_beta: int) -> float:
-    """Point value of the envelope slack Lambda implied by the tail product:
-    prod_{i>=l_beta} (1 - eps_i)^(2^i) = (c_l Lambda)^1."""
+        if l_beta not in worst:
+            break
+    else:
+        raise RegimeError(
+            "no level satisfies the tail-product inequality up to "
+            f"i={_I_CAP}; worst residuals per candidate: "
+            + (", ".join(f"l={l}: {r:.3e}" for l, r in list(worst.items())[:5])
+               or f"none, the Mills approximation is 1%-accurate only past "
+                  f"A_beta = {thr:.6g}"))
+    j = np.arange(1, l_beta, dtype=float)
+    head = float(np.exp(np.sum(np.log1p(-1.0 / (4.0 * j * j)))))
+    c_l = (2.0 / math.pi) / head
     acc = 0.0
     for i in range(l_beta, l_beta + 200):
-        eps = _mills_epsilon(model, i)
+        eps = mills_eps(i)
         if eps == 0.0:
             break
         acc += 2.0 ** i * math.log1p(-eps)
-    return math.exp(acc) / c_l_constant(l_beta)
+    return l_beta, c_l, math.exp(acc) / c_l
 
 
 @dataclass
@@ -291,17 +297,11 @@ def small_A_bounds(model: RwsModel, A: float) -> SmallABounds:
     values carry unknown constants.
     """
     _check_A(A)
-    if not model.alpha > SMALL_A_ALPHA_MIN:
-        raise RegimeError(
-            f"small-A envelope needs alpha > {SMALL_A_ALPHA_MIN:.6f}; "
-            f"got alpha={model.alpha}")
+    l_beta, c_l, lam = _small_a_constants(model)
     if A > 2.0 ** (-model.alpha):
         raise RegimeError(f"small-A envelope needs A <= 2^-alpha = "
                           f"{2.0 ** (-model.alpha):.6g}; got A={A}")
-    l_beta = find_l_beta(model)
-    c_l = c_l_constant(l_beta)
     kappa = model.gg.kappa
-    lam = implied_lambda(model, l_beta)
 
     def rate(lmbda: float) -> float:
         return 2.0 * model.alpha * LN2 - math.log(2.0 * c_l * kappa * lmbda)
@@ -481,18 +481,20 @@ def verify_tail_rates(model: RwsModel, A_grid, tol: float = 1e-12,
         require(a > 0.0, "A_grid", "hold only values > 0", float(a))
     a_small_max = 2.0 ** (-model.alpha)
     a_beta = a_threshold(model)
-    regime = []
-    for a in grid:
-        if a <= a_small_max:
-            regime.append("small")
-        elif a > a_beta:
-            regime.append("large")
-        else:
+    regime = ["small" if a <= a_small_max else "large" for a in grid]
+    for a, r in zip(grid, regime):
+        if r == "large" and not a > a_beta:
             raise RegimeError(
                 f"A={a:.6g} lies in neither regime (small needs A <= "
                 f"{a_small_max:.6g}, large needs A > {a_beta:.6g})")
 
-    log_cdf = np.array([leader_log_cdf_exact(model, a, tol) for a in grid])
+    # one walk per point; a large one also truncates at `tol` of the level-0
+    # tail: at the absolute `tol` a tail below it stops early and hides a
+    # bound that misses deeper levels (the floor keeps that tol > 0)
+    walks = [_log_cdf_walk(model, a, (tol,) if r == "small" else (
+        tol, max(tol * _level_tail(model, a, 0), math.ulp(0.0))))
+        for a, r in zip(grid, regime)]
+    log_cdf = np.array([w[0] for w in walks])
     exact = np.exp(log_cdf)
     n = grid.size
     lower_small, upper_small, upper_large, rate_hat = np.full((4, n), np.nan)
@@ -534,12 +536,7 @@ def verify_tail_rates(model: RwsModel, A_grid, tol: float = 1e-12,
     for i, r in enumerate(regime):
         if r == "large":
             upper_large[i] = large_A_bound(model, grid[i])
-            # the product truncated at `tol` of the level-0 tail: at the
-            # absolute `tol` a tail below it stops after the first levels and
-            # hides a bound that misses deeper ones (the floor keeps the tol
-            # > 0 where the level-0 tail underflows)
-            rel_tol = max(tol * _level_tail(model, grid[i], 0), math.ulp(0.0))
-            tail = -math.expm1(leader_log_cdf_exact(model, grid[i], rel_tol))
+            tail = -math.expm1(walks[i][1])
             dominates.append(upper_large[i] >= tail * (1.0 - _TIE_RTOL))
 
     mc_results = None

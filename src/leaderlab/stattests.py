@@ -18,8 +18,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (DataError, NonConvergenceError, RngSpec,
-                   _check_replicates, check_count, check_level, check_rng,
-                   check_sample, normal_cdf, standard_normal_quantile)
+                   _check_replicates, check_level, check_rng, check_sample,
+                   normal_cdf, standard_normal_quantile)
+from .synth import check_draw_count
 
 _TOL_CONCAVITY = 1e-9   # largest kink a fitted log-concave MLE may show
 _MAX_OUTER = 200        # active-set passes of the MLE
@@ -460,7 +461,7 @@ def _sample_from_mle(model: LogConcaveMLE, n: int,
 def sample_from_mle(model: LogConcaveMLE, n: int, rng: RngSpec) -> np.ndarray:
     """Exact draws from a fitted log-concave density: segment selection by
     closed-form masses, then inversion of the exponential-linear CDF."""
-    check_count("n", n)
+    check_draw_count(n)
     return _sample_from_mle(model, n, rng.generator(0))
 
 

@@ -32,6 +32,12 @@ _MAX_LOG2_N = 24
 _MAX_CPC_POINTS = 1e6
 
 
+def check_draw_count(n) -> None:
+    """Refuse n i.i.d. draws, held at once, outside [1, 2^24]."""
+    check_count("n", n)
+    require(n <= 1 << _MAX_LOG2_N, "n", f"be at most 2^{_MAX_LOG2_N}", n)
+
+
 def check_shape(beta) -> None:
     """Refuse a generalized Gaussian shape beta that is not finite and > 0
     (NaN fails); at inf the normalizing constant is NaN."""
@@ -177,35 +183,30 @@ def gen_mrw(H: float, beta: float, L: int, n: int, rng: RngSpec) -> Signal:
     """Multifractal random walk: fGn increments modulated by exp of an
     independent log-correlated centered Gaussian field.
 
-    With beta = 0 the field is identically zero and the path coincides with
-    gen_fbm at the same RngSpec.  The log-cumulants are c1 = H + beta^2/2 and
-    c2 = -beta^2.  With beta > 0 the log field is drawn on one worker
-    thread, started on the first such draw and kept for the process (a
-    forked child starts its own), while the caller draws the fGn; each
-    reads its own substream, so the samples are the bits of drawing them
-    one after the other.
+    The log-cumulants are c1 = H + beta^2/2 and c2 = -beta^2.  The log
+    field is drawn on one worker thread, started on the first draw and kept
+    for the process (a forked child starts its own), while the caller draws
+    the fGn; each reads its own substream, so the samples are the bits of
+    drawing them one after the other.  At beta = 0 the field is exactly 0,
+    and the path is gen_fbm's at the same RngSpec.
     """
     require(0.0 < H < 1.0, "H", "lie strictly inside (0, 1)", H)
     require(beta >= 0 and math.isfinite(beta * beta), "beta",
             "be >= 0 and finite, with a finite square", beta)
     require(n >= 2, "n", "be >= 2", n)
     require(n <= L <= sys.float_info.max, "L", "lie in [n, largest float]", L)
+    # both spectra are looked up here, fGn first; pocketfft releases the
+    # GIL, so the field's transform overlaps the fGn's draw
     fgn_eig = _circulant_sqrt_eig("fgn", (float(H),), n)
-    if beta == 0.0:
+    w_eig = _circulant_sqrt_eig("mrw", (float(beta), L), n)
+    zw = np.empty(w_eig.size, dtype=complex)
+    drawn = _log_field_worker().submit(_circulant_fill, zw, w_eig,
+                                       rng.generator(1))
+    try:
         fgn = _circulant_draw(fgn_eig, n, rng.generator(0))
-        w = np.zeros(n)
-    else:
-        # both spectra are looked up here, fGn first; pocketfft releases
-        # the GIL, so the field's transform overlaps the fGn's draw
-        w_eig = _circulant_sqrt_eig("mrw", (float(beta), L), n)
-        zw = np.empty(w_eig.size, dtype=complex)
-        drawn = _log_field_worker().submit(_circulant_fill, zw, w_eig,
-                                           rng.generator(1))
-        try:
-            fgn = _circulant_draw(fgn_eig, n, rng.generator(0))
-        finally:
-            drawn.result()
-        w = _circulant_sample(zw, n)
+    finally:
+        drawn.result()
+    w = _circulant_sample(zw, n)
     # an overflowing path is rejected below, without numpy's warnings
     with np.errstate(over="ignore", invalid="ignore"):
         path = np.cumsum(fgn * np.exp(w))
@@ -312,7 +313,7 @@ def sample_gen_gaussian(beta: float, n: int, rng: RngSpec) -> np.ndarray:
     """i.i.d. draws from the generalized Gaussian density kappa e^-|x|^beta,
     via |X| = G^(1/beta) with G ~ Gamma(1/beta, 1) and a random sign."""
     check_shape(beta)
-    check_count("n", n)
+    check_draw_count(n)
     x = _gg_draws(beta, n, rng.generator(0))
     require(np.isfinite(x).all(), "beta", "keep the draws finite", beta)
     return x

@@ -332,6 +332,12 @@ PARAM_REFUSALS = {
         _SAMPLE, np.mean, B=2.5, rng=RngSpec(1)), "B", 2.5),
     "mle draws 2.5": (lambda: sample_from_mle(
         fit_logconcave_mle(_SAMPLE), 2.5, RngSpec(1)), "n", 2.5),
+    # above 2^24 draws, the cap on a realization, refused before any draw
+    "gen gaussian n 2^24 + 1": (lambda: sample_gen_gaussian(
+        2.0, 2 ** 24 + 1, RngSpec(1)), "n", 2 ** 24 + 1),
+    "mle draws 2^24 + 1": (lambda: sample_from_mle(
+        fit_logconcave_mle(_SAMPLE), 2 ** 24 + 1, RngSpec(1)), "n",
+        2 ** 24 + 1),
 }
 
 

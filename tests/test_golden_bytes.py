@@ -7,6 +7,7 @@ routed through `core.write_csv`/`core.write_json`; any change to a number's
 digits, a header, a blank cell, a line ending or JSON layout shows here.
 """
 
+import contextlib
 import hashlib
 import json
 from pathlib import Path
@@ -166,9 +167,19 @@ def ens(tmp_path_factory):
     return out
 
 
+def expected_warnings(command):
+    """The CLT's warning where `command` estimates from the 2-signal
+    ensemble, and none elsewhere."""
+    if command != "estimate":
+        return contextlib.nullcontext()
+    return pytest.warns(UserWarning, match=r"^N=2 < 30: CLT interval "
+                                           "coverage is approximate$")
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_golden_bytes(case, ens, tmp_path):
-    assert run_case(CASES[case], ens, tmp_path / case) == GOLDEN[case]
+    with expected_warnings(CASES[case][0]):
+        assert run_case(CASES[case], ens, tmp_path / case) == GOLDEN[case]
 
 
 def test_shapiro_reps_run_once(ens, tmp_path, monkeypatch):
@@ -203,9 +214,12 @@ def test_replay_of_required_params_takes_parser_defaults(command, ens,
               for k, v in REQUIRED_ONLY[command].items()}
     argv = [command] + [a for k, v in params.items()
                         for a in (f"--{k}", str(v))]
-    direct = run_case(argv, ens, tmp_path / "direct")
+    with expected_warnings(command):
+        direct = run_case(argv, ens, tmp_path / "direct")
     manifest = tmp_path / "manifest.json"
     manifest.write_text(json.dumps({"command": command, "params": params}),
                         encoding="utf-8")
-    replayed = run_case(["replay", str(manifest)], ens, tmp_path / "replay")
+    with expected_warnings(command):
+        replayed = run_case(["replay", str(manifest)], ens,
+                            tmp_path / "replay")
     assert direct and replayed == direct

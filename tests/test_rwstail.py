@@ -1,3 +1,4 @@
+import inspect
 import math
 import tracemalloc
 from types import SimpleNamespace
@@ -11,12 +12,11 @@ from scipy.integrate import quad
 
 from leaderlab import rwstail
 from leaderlab.core import DataError, NonConvergenceError, RegimeError, RngSpec
-from leaderlab.rwstail import (RwsModel, a_threshold, c_l_constant, find_l_beta,
-                               gg_cdf, gg_two_sided_tail, implied_lambda,
-                               large_A_bound, leader_cdf_exact,
-                               leader_cdf_monte_carlo, leader_log_cdf_exact,
-                               mills_bounds, small_A_bounds,
-                               verify_tail_rates)
+from leaderlab.rwstail import (RwsModel, a_threshold, gg_cdf,
+                               gg_two_sided_tail, large_A_bound,
+                               leader_cdf_exact, leader_cdf_monte_carlo,
+                               leader_log_cdf_exact, mills_bounds,
+                               small_A_bounds, verify_tail_rates)
 
 
 class TestGgCdf:
@@ -182,15 +182,25 @@ class TestLeaderCdfMonteCarlo:
             assert res.estimate == 0.0, j
 
 
+def _envelope_constants(alpha, beta):
+    """The model-only constants the small-A envelope reports."""
+    return small_A_bounds(RwsModel(alpha, beta), 2.0 ** -alpha).constants
+
+
 class TestConstants:
     def test_c_l2_closed_form(self):
-        # product over j >= 3 equals 128/(45 pi)
-        assert c_l_constant(3) == pytest.approx(128.0 / (45.0 * math.pi),
-                                                abs=1e-10)
+        # l_beta = 3 at (1, 2): the product over j >= 3 equals 128/(45 pi)
+        consts = _envelope_constants(1.0, 2.0)
+        assert consts["l_beta"] == 3
+        assert consts["c_lbeta"] == pytest.approx(128.0 / (45.0 * math.pi),
+                                                  abs=1e-10)
 
     def test_c_l1_is_two_over_pi(self):
-        # the empty product over j < 1 leaves 2/pi exactly
-        assert c_l_constant(1) == 2.0 / math.pi
+        # l_beta = 1 at (5, 2): the empty product over j < 1 leaves 2/pi
+        # exactly
+        consts = _envelope_constants(5.0, 2.0)
+        assert consts["l_beta"] == 1
+        assert consts["c_lbeta"] == 2.0 / math.pi
 
     def test_kappa_beta2(self):
         model = RwsModel(1.0, 2.0)
@@ -198,9 +208,15 @@ class TestConstants:
                                                abs=1e-12)
 
     def test_l_beta_values(self):
-        assert find_l_beta(RwsModel(1.0, 2.0)) == 3
-        lam = implied_lambda(RwsModel(1.0, 2.0), 3)
-        assert 1.0 < lam < math.pi / 2.0
+        consts = _envelope_constants(1.0, 2.0)
+        assert consts["l_beta"] == 3
+        assert 1.0 < consts["lambda_implied"] < math.pi / 2.0
+
+    def test_no_function_takes_a_level(self):
+        # l_beta is derived from the model, never passed in
+        for name, func in inspect.getmembers(rwstail, inspect.isfunction):
+            params = inspect.signature(func).parameters
+            assert not {"l", "l_beta"} & set(params), name
 
 
 class TestSmallABounds:
@@ -276,6 +292,33 @@ class TestLargeABound:
                 continue
             # less 1e-12 of the tail: verify_tail_rates' rounding-tie rule
             assert bound >= tail * (1.0 - 1e-12), (a_val, bound, tail)
+
+    @pytest.mark.parametrize("alpha,beta,points", DOMINATION_CASES)
+    def test_dominance_tail_is_the_relative_tol_product(
+            self, monkeypatch, alpha, beta, points):
+        # the one walk of a large point gives the tail at `tol` of the
+        # level-0 tail with the bits of a product of its own
+        model = RwsModel(alpha, beta)
+        walks = []
+        walk = rwstail._log_cdf_walk
+
+        def spy(*args):
+            walks.append((args[2], walk(*args)))
+            return walks[-1][1]
+        monkeypatch.setattr(rwstail, "_log_cdf_walk", spy)
+        for a_val in points:
+            try:
+                report = verify_tail_rates(model, [a_val])
+            except RegimeError:   # a large-A bound refused after the walk
+                report = None
+            tols, (log_cdf, log_tail) = walks[-1]
+            rel_tol = max(1e-12 * gg_two_sided_tail(a_val, beta), 5e-324)
+            assert tols == (1e-12, rel_tol), a_val
+            assert log_cdf == leader_log_cdf_exact(model, a_val), a_val
+            assert -math.expm1(log_tail) == -math.expm1(
+                leader_log_cdf_exact(model, a_val, rel_tol)), a_val
+            if report is not None:
+                assert report.log_cdf[0] == log_cdf
 
     def test_below_threshold_reports_a_beta(self):
         model = RwsModel(1.0, 2.0)
@@ -392,6 +435,30 @@ class TestVerifyTailRates:
                             lambda model, a: gg_two_sided_tail(a, model.beta))
         report = verify_tail_rates(RwsModel(0.05, 1.0), [58.71])
         assert report.large_dominates == [False]
+
+    @pytest.mark.parametrize("grid", [CLI_GRID, np.linspace(1e-3, 0.5, 2000)],
+                             ids=["cli default", "2000 small points"])
+    def test_one_small_a_derivation_per_run(self, grid):
+        # l_beta, c_(l_beta) and Lambda depend on the model alone
+        for _ in range(2):
+            rwstail._small_a_constants.cache_clear()
+            verify_tail_rates(RwsModel(1.0, 2.0), grid)
+            assert rwstail._small_a_constants.cache_info().misses == 1
+
+    def test_one_product_walk_per_point(self, monkeypatch):
+        # 6 small and 3 large points: a large point's log CDF and dominance
+        # tail come from the same walk
+        model = RwsModel(1.0, 2.0)
+        walks = []
+        walk = rwstail._log_cdf_walk
+        monkeypatch.setattr(rwstail, "_log_cdf_walk",
+                            lambda *args: walks.append(args) or walk(*args))
+        report = verify_tail_rates(model, CLI_GRID)
+        assert len(walks) == len(CLI_GRID) == 9
+        assert [len(args[2]) for args in walks] == [1] * 6 + [2] * 3
+        monkeypatch.undo()
+        assert report.log_cdf.tolist() == [leader_log_cdf_exact(model, a)
+                                           for a in CLI_GRID]
 
     def test_regime_gap_raises(self):
         model = RwsModel(1.0, 2.0)
