@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import functools
 import itertools
 import json
 import math
+import os
 from dataclasses import dataclass
 from numbers import Integral
 from pathlib import Path
@@ -37,6 +39,10 @@ class ParamError(DataError):
     def __init__(self, name: str, rule: str, value):
         super().__init__(f"{name} must {rule}, got {value!r}")
         self.name, self.rule, self.value = name, rule, value
+
+    def __reduce__(self):
+        # pickled from a worker process, it is rebuilt from its parts
+        return type(self), (self.name, self.rule, self.value)
 
 
 def require(ok: bool, name: str, rule: str, value) -> None:
@@ -380,7 +386,8 @@ def write_signal(signal: Signal, path, sidecar: dict | None = None) -> list[str]
 
     The file is one `%`-format of the samples, made from `Signal.times` once
     per (t0, dt, n) and kept for the next call, since every member of an
-    ensemble shares its time axis.  Returns the list of paths written.
+    ensemble shares its time axis; a worker process forked after the first
+    call inherits the format.  Returns the list of paths written.
     """
     path = Path(path)
     path.write_text(_signal_format(signal.t0, signal.dt, len(signal))
@@ -476,3 +483,73 @@ def read_signal(path) -> Signal:
                 break
         t0, dt = float(t[0]), float(dt)
     return Signal(np.ascontiguousarray(data[:, -1]), t0=t0, dt=dt, label=label)
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on; 1 where the platform cannot say."""
+    return (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else 1)
+
+
+def _map_files(fn, jobs, count: int) -> list:
+    """`[fn(*job) for job in jobs]`, the calls made on worker processes
+    forked from this one, one per usable CPU and at most one per job.
+
+    `jobs` yields `count` argument tuples, each led by the file its call
+    reads or writes.  They are drawn here, in order, at most two per worker
+    ahead of the results, so a lazy `jobs` is never held whole.  Results
+    come in job order, and the first job in that order to fail raises its
+    own exception, as the loop does, once the calls under way have ended
+    and the rest are dropped.  A worker that dies is a DataError naming the
+    first file in order whose call had not finished.  With one worker, or
+    without `fork`, the loop runs in this process.
+    """
+    workers = min(_usable_cpus(), count)
+    if workers > 1:
+        import multiprocessing
+        if "fork" not in multiprocessing.get_all_start_methods():
+            workers = 1
+    if workers <= 1:
+        return [fn(*job) for job in jobs]
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    results, pending = [], collections.deque()
+
+    def collect():
+        results.append(pending[0][1].result())
+        pending.popleft()
+
+    # forked, the workers inherit `fn` and need not pickle it
+    pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
+                               initializer=_set_worker_fn, initargs=(fn,))
+    try:
+        try:
+            for job in jobs:
+                pending.append((job[0], pool.submit(_call_worker_fn, *job)))
+                if len(pending) >= 2 * workers:
+                    collect()
+        finally:
+            # in job order: a failed call raises again, and its error comes
+            # before that of drawing a later job
+            while pending:
+                collect()
+    except BrokenProcessPool:
+        path = pending[0][0] if pending else job[0]
+        raise DataError(f"a worker process died before it finished {path}"
+                        ) from None
+    finally:
+        pool.shutdown(cancel_futures=True)
+    return results
+
+
+_worker_fn = None
+
+
+def _set_worker_fn(fn) -> None:
+    global _worker_fn
+    _worker_fn = fn
+
+
+def _call_worker_fn(*args):
+    return _worker_fn(*args)

@@ -1,12 +1,16 @@
 import csv
 import json
+import os
+import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from leaderlab import cli, synth
+from test_core import READER_CASES
+from leaderlab import cli, core, synth
 from leaderlab.cli import main
 from leaderlab.core import (DataError, RngSpec, Signal, read_signal,
                             write_signal)
@@ -363,6 +367,184 @@ class TestPartialOutputs:
         assert capsys.readouterr().err.startswith(_FAILED)
         assert sorted(p.name for p in out.iterdir()) == ["tailbounds.csv",
                                                          "tailbounds.json"]
+
+
+def _workers(monkeypatch, count: int) -> list:
+    """Give `core._map_files` `count` usable CPUs; the list it returns
+    gains an entry for each process forked."""
+    monkeypatch.setattr(core, "_usable_cpus", lambda: count)
+    forks, real = [], os.fork
+
+    def fork():
+        forks.append(None)
+        return real()
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
+class TestWorkerProcesses:
+    """A directory's files are read, and an ensemble's files written, on
+    worker processes; with one worker the same loop runs in this process.
+    Both give the same bytes and the same first error, and no worker
+    outlives its command."""
+
+    GEN = ["generate", "--process", "fbm", "--H", 0.7, "--n", 2048,
+           "--seed", 21, "--ensemble", 5]
+
+    def pipeline(self, root, monkeypatch, workers):
+        forks = _workers(monkeypatch, workers)
+        gen, est, tst = root / "gen", root / "est", root / "test"
+        assert run([*self.GEN, "-o", gen]) == 0
+        with pytest.warns(UserWarning, match=r"^N=5 < 30: CLT interval"):
+            assert run(["estimate", "--inputs", gen, "--jmax", 7,
+                        "-o", est]) == 0
+        assert run(["test", "--input", gen, "--which", "shapiro", "--scale",
+                    "3,4", "--seed", 22, "-o", tst]) == 0
+        assert run(["replay", gen / "manifest.json", "-o", root / "gen2"]) == 0
+        with pytest.warns(UserWarning, match=r"^N=5 < 30: CLT interval"):
+            assert run(["replay", est / "manifest.json",
+                        "-o", root / "est2"]) == 0
+        assert run(["replay", tst / "manifest.json",
+                    "-o", root / "test2"]) == 0
+        return len(forks), {d.name: read_all_bytes(d)
+                            for d in sorted(root.iterdir())}
+
+    def test_same_bytes_on_both_paths(self, tmp_path, monkeypatch):
+        forks_one, one = self.pipeline(tmp_path / "one", monkeypatch, 1)
+        forks_two, two = self.pipeline(tmp_path / "two", monkeypatch, 2)
+        # two workers for each of the six commands
+        assert (forks_one, forks_two) == (0, 12)
+        assert len(one["gen"]) == 10 and one == two
+        assert one["gen"] == one["gen2"] and one["est"] == one["est2"]
+
+    def test_first_malformed_file_named(self, tmp_path, monkeypatch, capsys):
+        bad = tmp_path / "bad"
+        bad.mkdir()
+        (bad / "a.csv").write_text("t,value\n0,1.5\n1,x\n")
+        (bad / "b.csv").write_text("t,value\n0,1.5\n")
+        outcomes = []
+        for workers in (1, 2):
+            forks = _workers(monkeypatch, workers)
+            out = tmp_path / f"o{workers}"
+            code = run(["estimate", "--inputs", bad, "-o", out])
+            outcomes.append((code, capsys.readouterr().err))
+            assert len(forks) == (0 if workers == 1 else 2)
+            assert list(out.iterdir()) == []
+        assert outcomes[0] == outcomes[1]
+        code, err = outcomes[0]
+        assert code == 3 and err.count("\n") == 1
+        assert err.startswith(f"error: malformed CSV in {bad / 'a.csv'}: ")
+
+    def test_failed_write_comes_before_a_later_failed_draw(
+            self, tmp_path, monkeypatch, capsys):
+        def second_fails(spec):
+            if spec.rng.stream_id == 1:
+                raise DataError("second realization refused")
+            return synth.generate(spec)
+        monkeypatch.setattr(cli, "generate", second_fails)
+        outcomes = []
+        for workers in (1, 2):
+            forks = _workers(monkeypatch, workers)
+            out = tmp_path / f"o{workers}"
+            (out / "signal_0000.csv").mkdir(parents=True)
+            code = run([*self.GEN, "-o", out])
+            outcomes.append((code, capsys.readouterr().err.replace(
+                str(out), "OUT")))
+            assert len(forks) == (0 if workers == 1 else 2)
+            assert [p.name for p in out.iterdir()] == ["signal_0000.csv"]
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] == 3 and outcomes[0][1].startswith(
+            "error: cannot write output: ")
+
+    def test_sidecar_parameter_error_from_a_worker(self, tmp_path,
+                                                   monkeypatch, capsys):
+        # a ParamError raised on a worker reaches main whole
+        ens = tmp_path / "ens"
+        ens.mkdir()
+        for name in ("a", "b"):
+            (ens / f"{name}.csv").write_text("".join(
+                f"{v}\n" for v in range(64)))
+        (ens / "b.csv.json").write_text('{"dt": -1}')
+        for workers in (1, 2):
+            forks = _workers(monkeypatch, workers)
+            assert run(["estimate", "--inputs", ens,
+                        "-o", tmp_path / "o"]) == 3
+            assert capsys.readouterr().err == \
+                "error: dt must be > 0, got -1.0\n"
+            assert len(forks) == (0 if workers == 1 else 2)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("case", sorted(READER_CASES))
+    def test_reader_case_on_both_paths(self, tmp_path, monkeypatch, case):
+        text, expected = READER_CASES[case]
+        (tmp_path / "a.csv").write_bytes(text.encode("utf-8"))
+        (tmp_path / "b.csv").write_text("t,value\n0,1.5\n1,2.5\n")
+        outcomes = []
+        for workers in (1, 2):
+            _workers(monkeypatch, workers)
+            try:
+                outcomes.append([(name, s.samples.tobytes(), s.t0, s.dt,
+                                  s.label) for name, s in
+                                 cli._load_signals(str(tmp_path))])
+            except DataError as exc:
+                outcomes.append((type(exc), str(exc)))
+        assert outcomes[0] == outcomes[1]
+        assert (outcomes[0][0] is DataError) == (expected is DataError)
+
+    @pytest.mark.parametrize("command", ["generate", "estimate"])
+    def test_a_worker_that_dies(self, tmp_path, monkeypatch, capsys,
+                                command):
+        ens, out = tmp_path / "ens", tmp_path / "out"
+        assert run([*self.GEN, "-o", ens]) == 0
+        forks = _workers(monkeypatch, 2)
+        real_read, real_write = cli.read_signal, cli.write_signal
+
+        def dies_on_first(path):
+            if Path(path).name == "signal_0000.csv":
+                os._exit(1)
+            return path
+
+        monkeypatch.setattr(cli, "read_signal", lambda path: real_read(
+            dies_on_first(path)))
+        monkeypatch.setattr(cli, "write_signal", lambda sig, path, sidecar: (
+            real_write(sig, dies_on_first(path), sidecar)))
+        if command == "generate":
+            def slow_second(spec):
+                # the first member's worker is dead by the next submit
+                if spec.rng.stream_id == 1:
+                    time.sleep(0.3)
+                return synth.generate(spec)
+            monkeypatch.setattr(cli, "generate", slow_second)
+            code = run([*self.GEN, "-o", out])
+            first = out / "signal_0000.csv"
+        else:
+            code = run(["estimate", "--inputs", ens, "-o", out])
+            first = ens / "signal_0000.csv"
+        assert code == 3 and len(forks) == 2
+        assert capsys.readouterr().err == (
+            f"error: a worker process died before it finished {first}\n")
+        assert list(out.iterdir()) == []
+        with pytest.raises(ChildProcessError):   # no child is left
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_generate_holds_a_bounded_number_of_members(self, tmp_path,
+                                                        monkeypatch):
+        forks = _workers(monkeypatch, 2)
+
+        def peak(ensemble, name):
+            tracemalloc.start()
+            try:
+                assert run(["generate", "--process", "fbm", "--H", 0.7,
+                            "--n", 4096, "--seed", 1, "--ensemble", ensemble,
+                            "-o", tmp_path / name]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(16, "warm")   # the fGn spectrum and the time axis, made once
+        small, large = peak(16, "small"), peak(64, "large")
+        assert len(forks) == 6
+        assert large <= 1.1 * small
 
 
 class TestDepth:

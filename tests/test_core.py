@@ -1,6 +1,7 @@
 import csv
 import math
 import os
+import pickle
 import warnings
 
 import numpy as np
@@ -273,6 +274,22 @@ def test_require_raises_param_error():
     assert isinstance(exc, DataError)
     assert (exc.name, exc.rule, exc.value) == ("B", "be >= 1", 0)
     assert str(exc) == "B must be >= 1, got 0"
+
+
+def _error_classes(cls=core.LeaderLabError):
+    return [cls] + [c for s in cls.__subclasses__() for c in _error_classes(s)]
+
+
+# an error raised on a worker process reaches the caller pickled
+@pytest.mark.parametrize("cls", _error_classes(), ids=lambda c: c.__name__)
+def test_error_survives_a_pickle_round_trip(cls):
+    exc = (cls("dt", "be > 0", -1.0) if issubclass(cls, ParamError)
+           else cls("no usable leaders"))
+    back = pickle.loads(pickle.dumps(exc))
+    assert type(back) is cls and str(back) == str(exc)
+    if isinstance(exc, ParamError):
+        assert str(back) == "dt must be > 0, got -1.0"
+        assert (back.name, back.rule, back.value) == ("dt", "be > 0", -1.0)
 
 
 _MODEL = RwsModel(1.0, 2.0)

@@ -3,8 +3,10 @@ start-up time to every process. Of the commands only `verify` loads
 `scipy.special`, for the generalized-Gaussian normalizer and incomplete gamma
 tails; `generate`, `analyze`, `estimate` and `test` never import scipy's
 special functions (the normal CDF is `core._erfc`, a numpy port). The MRW
-log-field worker and its `concurrent.futures` start on the first MRW draw,
-so neither the import nor a command that draws no MRW starts them."""
+log-field worker thread starts on the first MRW draw, and the CSV worker
+processes only for two files or more on two usable CPUs or more; each loads
+`concurrent.futures` then, so neither the import nor a one-file fBm
+`generate` loads it."""
 
 import os
 import subprocess
