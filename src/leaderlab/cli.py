@@ -32,8 +32,8 @@ import numpy as np
 from . import __version__
 from .core import (DataError, NonConvergenceError, ParamError, RegimeError,
                    RngSpec, Signal, _check_replicates, _map_files,
-                   _signal_format, check_count, check_level, check_rng,
-                   read_signal, require, write_csv, write_json, write_signal)
+                   check_count, check_level, check_rng, read_signal,
+                   require, write_csv, write_json, write_signal)
 from .cumulants import (_c2_statistic, bootstrap_percentile, estimate_c1_c2,
                         estimation_scale_candidates, select_scale_range,
                         write_estimation_outputs)
@@ -109,38 +109,31 @@ def run_generate(params: dict, seed, outdir: Path) -> list[str]:
     proc_params = {k: v for k, v in params.items() if v is not None
                    and k not in ("process", "n", "seed", "ensemble")}
 
-    def members():
-        # every member is drawn here, in order; only its file is written on
-        # a worker process
-        for i in range(ensemble):
-            spec = ProcessSpec(kind=params["process"], n=params["n"],
-                               params=proc_params, rng=seed.substream(i))
-            sig = generate(spec)
-            # the shared time axis, made before the workers fork
-            _signal_format(sig.t0, sig.dt, len(sig))
-            name = outdir / (f"signal_{i:04d}.csv" if ensemble > 1
-                             else "signal.csv")
-            yield name, sig, spec.to_dict()
+    def draw_and_write(path, i):
+        # member i reads only its own substream, so the worker process that
+        # writes it draws it too
+        spec = ProcessSpec(kind=params["process"], n=params["n"],
+                           params=proc_params, rng=seed.substream(i))
+        return write_signal(generate(spec), path, sidecar=spec.to_dict())
 
-    written = _map_files(lambda name, sig, sidecar: write_signal(
-        sig, name, sidecar=sidecar), members(), ensemble)
+    jobs = ((outdir / (f"signal_{i:04d}.csv" if ensemble > 1
+                       else "signal.csv"), i) for i in range(ensemble))
+    written = _map_files(draw_and_write, jobs, ensemble)
     return [path for paths in written for path in paths]
 
 
 def _load_signals(path_spec: str) -> list[tuple[str, Signal]]:
     """(stem, signal) of the CSV file `path_spec`, or of each `.csv` file
-    of the directory `path_spec` in sorted order.  A directory's files are
-    read on worker processes (`core._map_files`), with the signals and the
-    first error of reading them in order."""
+    of the directory `path_spec` in sorted order.  Either is read by one
+    `core._map_files` call, which reads a single file in this process,
+    with the signals and the first error of reading them in order."""
     p = Path(path_spec)
-    if p.is_dir():
-        files = sorted(f for f in p.iterdir()
-                       if f.suffix == ".csv" and f.is_file())
-        if not files:
-            raise DataError(f"no CSV signals in directory {p}")
-        signals = _map_files(read_signal, [(f,) for f in files], len(files))
-        return [(f.stem, sig) for f, sig in zip(files, signals)]
-    return [(p.stem, read_signal(p))]
+    files = sorted(f for f in p.iterdir() if f.suffix == ".csv"
+                   and f.is_file()) if p.is_dir() else [p]
+    if not files:
+        raise DataError(f"no CSV signals in directory {p}")
+    signals = _map_files(read_signal, [(f,) for f in files], len(files))
+    return [(f.stem, sig) for f, sig in zip(files, signals)]
 
 
 def _basis_variant(params: dict):

@@ -386,8 +386,8 @@ def write_signal(signal: Signal, path, sidecar: dict | None = None) -> list[str]
 
     The file is one `%`-format of the samples, made from `Signal.times` once
     per (t0, dt, n) and kept for the next call, since every member of an
-    ensemble shares its time axis; a worker process forked after the first
-    call inherits the format.  Returns the list of paths written.
+    ensemble shares its time axis: each worker process that writes members
+    makes the format once.  Returns the list of paths written.
     """
     path = Path(path)
     path.write_text(_signal_format(signal.t0, signal.dt, len(signal))

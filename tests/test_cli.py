@@ -347,19 +347,18 @@ class TestPartialOutputs:
 
     def test_data_error_on_the_second_realization(self, tmp_path,
                                                   monkeypatch, capsys):
-        drawn = []
-
         def second_fails(spec):
-            drawn.append(spec)
-            if len(drawn) == 2:
+            if spec.rng.stream_id == 1:
                 raise DataError("second realization refused")
             return synth.generate(spec)
         monkeypatch.setattr(cli, "generate", second_fails)
-        out = tmp_path / "run"
-        assert run([*self.FBM, "--ensemble", 3, "-o", out]) == 3
-        assert capsys.readouterr().err == \
-            "error: second realization refused\n"
-        assert len(drawn) == 2 and list(out.iterdir()) == []
+        for workers in (1, 2):
+            _workers(monkeypatch, workers)
+            out = tmp_path / f"o{workers}"
+            assert run([*self.FBM, "--ensemble", 3, "-o", out]) == 3
+            assert capsys.readouterr().err == \
+                "error: second realization refused\n"
+            assert list(out.iterdir()) == []
 
     def test_failed_verify_keeps_its_evidence(self, tmp_path, capsys):
         out = tmp_path / "v"
@@ -383,8 +382,9 @@ def _workers(monkeypatch, count: int) -> list:
 
 
 class TestWorkerProcesses:
-    """A directory's files are read, and an ensemble's files written, on
-    worker processes; with one worker the same loop runs in this process.
+    """A directory's files are read, and an ensemble's members drawn and
+    written, on worker processes; with one worker the same loop runs in
+    this process.
     Both give the same bytes and the same first error, and no worker
     outlives its command."""
 
@@ -529,22 +529,57 @@ class TestWorkerProcesses:
 
     def test_generate_holds_a_bounded_number_of_members(self, tmp_path,
                                                         monkeypatch):
-        forks = _workers(monkeypatch, 2)
+        # the workers draw every member, so this process holds none: 48
+        # more members add less than one member's samples to its peak
+        forks, n = _workers(monkeypatch, 2), 16384
 
         def peak(ensemble, name):
             tracemalloc.start()
             try:
                 assert run(["generate", "--process", "fbm", "--H", 0.7,
-                            "--n", 4096, "--seed", 1, "--ensemble", ensemble,
+                            "--n", n, "--seed", 1, "--ensemble", ensemble,
                             "-o", tmp_path / name]) == 0
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
-        peak(16, "warm")   # the fGn spectrum and the time axis, made once
+        peak(2, "warm")   # the pool's imports, made once
         small, large = peak(16, "small"), peak(64, "large")
         assert len(forks) == 6
-        assert large <= 1.1 * small
+        assert large - small < 8 * n
+
+    def test_mrw_same_bytes_on_both_paths(self, tmp_path, monkeypatch):
+        # each forked worker starts its own log-field thread
+        outputs = []
+        for workers in (1, 2):
+            forks = _workers(monkeypatch, workers)
+            out = tmp_path / f"o{workers}"
+            assert run(["generate", "--process", "mrw", "--H", 0.6,
+                        "--beta", 0.1, "--n", 2048, "--seed", 23,
+                        "--ensemble", 5, "-o", out]) == 0
+            assert len(forks) == (0 if workers == 1 else 2)
+            outputs.append(read_all_bytes(out))
+        assert len(outputs[0]) == 10 and outputs[0] == outputs[1]
+
+    def test_process_parameter_refused_on_a_worker(self, tmp_path,
+                                                   monkeypatch, capsys):
+        forks = _workers(monkeypatch, 2)
+        out = tmp_path / "out"
+        assert run(["generate", "--process", "fbm", "--H", 1.5, "--n", 256,
+                    "--seed", 1, "--ensemble", 4, "-o", out]) == 2
+        assert capsys.readouterr().err == (
+            "usage error: --H must lie strictly inside (0, 1), got 1.5\n")
+        assert len(forks) == 2 and list(out.iterdir()) == []
+        with pytest.raises(ChildProcessError):   # no child is left
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_one_input_file_forks_nothing(self, tmp_path, monkeypatch):
+        assert run([*self.GEN[:-2], "-o", tmp_path / "gen"]) == 0
+        forks = _workers(monkeypatch, 2)
+        assert run(["test", "--input", tmp_path / "gen" / "signal.csv",
+                    "--which", "shapiro", "--scale", "3,4", "--seed", 22,
+                    "-o", tmp_path / "test"]) == 0
+        assert forks == []
 
 
 class TestDepth:

@@ -9,6 +9,7 @@ from conftest import gg_tail_by_quadrature, inverse_cdf_leader_cdf_monte_carlo
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
 from leaderlab import rwstail
 from leaderlab.core import DataError, NonConvergenceError, RegimeError, RngSpec
@@ -17,6 +18,8 @@ from leaderlab.rwstail import (RwsModel, a_threshold, gg_cdf,
                                leader_cdf_exact, leader_cdf_monte_carlo,
                                leader_log_cdf_exact, mills_bounds,
                                small_A_bounds, verify_tail_rates)
+from leaderlab.synth import gen_rws_pyramid, sample_gen_gaussian
+from leaderlab.wavelet import daubechies_basis
 
 
 class TestGgCdf:
@@ -185,6 +188,58 @@ class TestLeaderCdfMonteCarlo:
 def _envelope_constants(alpha, beta):
     """The model-only constants the small-A envelope reports."""
     return small_A_bounds(RwsModel(alpha, beta), 2.0 ** -alpha).constants
+
+
+# The law test.  At each quantile p of a law, the count k of N independent
+# draws at or below it must satisfy |k/N - p| <= Z sqrt(p(1-p)/N) + bias,
+# with Z = 4: a two-sided normal tail of 6.3e-5 per point, 2.1e-3 over the
+# 33 points below.  For a drawn tree, bias is the depth-J truncation bound
+# sum_{j>J} 2^j P(|X| > 2^(alpha j) A): the tree leaves out the levels past
+# J, so its law lies above the infinite product by at most that much.  A
+# point misses a CDF shift of up to Z / (2 sqrt N) + bias at p = 1/2: 0.037
+# with the 3000 trees of a model, 0.014 with the 20000 draws of X.
+_LAW_Z = 4.0
+_LAW_QUANTILES = (0.05, 0.275, 0.5, 0.725, 0.95)
+
+
+def _within_law(k: int, n: int, p: float, bias: float = 0.0) -> bool:
+    return abs(k / n - p) <= _LAW_Z * math.sqrt(p * (1 - p) / n) + bias
+
+
+class TestLeaderLawOnDrawnTrees:
+    """`synth` draws the laws `rwstail` computes."""
+
+    @pytest.mark.parametrize("alpha, beta, seed", [(1.0, 2.0, 151),
+                                                   (0.5, 1.0, 152),
+                                                   (1.5, 0.5, 153)])
+    def test_top_leader_of_drawn_trees(self, alpha, beta, seed):
+        # the top one-leader is the largest |c| of the planted tree
+        model, basis = RwsModel(alpha, beta), daubechies_basis(3)
+        depth, trees = 6, 3000
+        top = np.empty(trees)
+        for i in range(trees):
+            _, pyramid = gen_rws_pyramid(alpha, beta, basis, depth,
+                                         RngSpec(seed).substream(i))
+            top[i] = max(np.abs(c).max() for c in pyramid.coeffs.values())
+        for p in _LAW_QUANTILES:
+            a_val = math.exp(brentq(
+                lambda x: leader_cdf_exact(model, math.exp(x)) - p, -5, 5))
+            bias = sum(2.0 ** j * gg_two_sided_tail(2.0 ** (alpha * j)
+                                                    * a_val, beta)
+                       for j in range(depth + 1, depth + 80))
+            k = np.count_nonzero(top <= a_val)
+            assert _within_law(k, trees, p, bias), (p, a_val, k / trees)
+
+    @pytest.mark.parametrize("beta, seed", [(2.0, 154), (1.0, 155),
+                                            (0.5, 156)])
+    def test_generalized_gaussian_draws(self, beta, seed):
+        draws = 20_000
+        x = sample_gen_gaussian(beta, draws, RngSpec(seed))
+        assert _within_law(np.count_nonzero(x > 0), draws, 0.5)
+        for p in _LAW_QUANTILES:
+            q = brentq(lambda v: gg_cdf(v, beta) - p, 0.0, 1e3)
+            k = np.count_nonzero(np.abs(x) <= q)
+            assert _within_law(k, draws, p), (p, q, k / draws)
 
 
 class TestConstants:
